@@ -22,7 +22,16 @@ from .core_linalg import (
     scalar_residual,
     takagi_factor,
 )
-from .domains import MatrixClass, basis, contains, dual_witness, mix_seed, sample, sample_invertible
+from .domains import (
+    MatrixClass,
+    basis,
+    contains,
+    dual_witness,
+    mix_seed,
+    sample,
+    sample_batch,
+    sample_invertible,
+)
 from .errors import (
     DegenerateUnit,
     DimensionMismatch,

@@ -2,15 +2,15 @@
 
 Everything operates on plain numpy ``complex128`` arrays and is a pure
 function of its arguments.  Heavy lifting (LU determinants, Hermitian
-eigendecompositions, SVD) is delegated to LAPACK through numpy/scipy;
-the cofactor adjugate keeps Adj(A) well defined near singularity, where
-det(A) * inv(A) is not.
+eigendecompositions, SVD) is delegated to LAPACK through numpy; the
+determinant and the residuals also take (..., n, n) stacks.  The cofactor
+adjugate keeps Adj(A) well defined near singularity, where det(A) * inv(A)
+is not.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .errors import FactorizationError, NotHermitian, NotPositiveDefinite
 
@@ -45,26 +45,43 @@ def frob(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def scalar_residual(x, y) -> float:
-    """Scale-aware scalar deviation |x - y| / (1 + |x| + |y|)."""
-    x = complex(x)
-    y = complex(y)
-    return abs(x - y) / (1.0 + abs(x) + abs(y))
+def scalar_residual(x, y):
+    """Scale-aware scalar deviation |x - y| / (1 + |x| + |y|).
+
+    A float for scalars; elementwise on arrays.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    r = np.abs(x - y) / (1.0 + np.abs(x) + np.abs(y))
+    return float(r) if r.ndim == 0 else r
 
 
-def matrix_residual(x, y) -> float:
-    """Scale-aware Frobenius deviation ||X - Y|| / (1 + ||X|| + ||Y||)."""
+def matrix_residual(x, y, axis=None):
+    """Scale-aware Frobenius deviation ||X - Y|| / (1 + ||X|| + ||Y||).
+
+    ``axis=None`` takes the norm over all entries and returns a float;
+    ``axis=(-2, -1)`` gives one residual per member of a stack.
+    """
     x = np.asarray(x)
     y = np.asarray(y)
-    return float(np.linalg.norm(x - y) / (1.0 + np.linalg.norm(x) + np.linalg.norm(y)))
+    r = np.linalg.norm(x - y, axis=axis) / (
+        1.0 + np.linalg.norm(x, axis=axis) + np.linalg.norm(y, axis=axis))
+    return float(r) if axis is None else r
 
 
-def determinant(a) -> complex:
-    """Determinant via LAPACK's partially pivoted LU; exact for n = 1."""
+def determinant(a, triangular: bool = False):
+    """Determinant via LAPACK's partially pivoted LU; exact for n = 1.
+
+    ``triangular`` takes the product of the diagonal instead, which is exact
+    for triangular input and reads only diagonal data.  A complex for one
+    n x n matrix, an array of shape ``a.shape[:-2]`` for a stack.
+    """
     m = np.asarray(a, dtype=complex)
-    if m.shape[0] == 1:
-        return complex(m[0, 0])
-    return complex(np.linalg.det(m))
+    if triangular or m.shape[-1] == 1:
+        d = np.prod(np.diagonal(m, axis1=-2, axis2=-1), axis=-1)
+    else:
+        d = np.linalg.det(m)
+    return complex(d) if m.ndim == 2 else d
 
 
 def _adjugate_cofactor(a: np.ndarray) -> np.ndarray:
@@ -145,30 +162,20 @@ def principal_root(z, k: int) -> complex:
 def takagi_factor(c, tol: float = 1e-8) -> np.ndarray:
     """Factor an invertible complex symmetric C as Q @ Q^T.
 
-    Uses the Autonne/Takagi route: from an SVD C = U S V^H symmetry forces
-    C = U (S B^T) U^T with B = U^H V-bar unitary and B S = S B^T.  A square
-    root of B taken with the branch cut rotated into the widest eigenphase
-    gap inherits that relation, so Q = U B^{1/2} S^{1/2} satisfies
-    Q Q^T = C.  Raises :class:`FactorizationError` if C is numerically
-    singular or the reconstruction misses by more than ``tol``.
+    Uses the real symmetric embedding E = [[Re C, Im C], [Im C, -Re C]]:
+    E [x; y] = w [x; y] is C conj(u) = w u for u = x + i y, the spectrum of
+    E is {+-sigma_k} with sigma_k the Takagi values, and the eigenvectors of
+    the n positive eigenvalues give a unitary U with C = U diag(w) U^T, so
+    Q = U diag(w)^{1/2}.  Raises :class:`FactorizationError` if C is
+    numerically singular or the reconstruction misses by more than ``tol``.
     """
     m = as_square_matrix(c, "symmetric factor input")
     m = 0.5 * (m + m.T)
-    u, s, vh = np.linalg.svd(m)
-    if s[-1] <= 1e-12 * max(s[0], 1.0):
+    n = m.shape[0]
+    w, v = np.linalg.eigh(np.block([[m.real, m.imag], [m.imag, -m.real]]))
+    if w[n] <= 1e-12 * max(w[-1], 1.0):
         raise FactorizationError("matrix is numerically singular")
-    b = u.conj().T @ vh.T
-    phases = np.sort(np.angle(np.linalg.eigvals(b)))
-    ext = np.concatenate([phases, [phases[0] + 2.0 * np.pi]])
-    gaps = np.diff(ext)
-    g = int(np.argmax(gaps))
-    cut = phases[g] + 0.5 * gaps[g]
-    psi = cut - np.pi
-    root = sqrtm(np.exp(-1j * psi) * b)
-    if isinstance(root, tuple):  # older scipy returns (sqrt, errest)
-        root = root[0]
-    b_half = np.exp(1j * psi / 2.0) * np.asarray(root, dtype=complex)
-    q = (u @ b_half) * np.sqrt(s)[None, :]
+    q = (v[:n, n:] + 1j * v[n:, n:]) * np.sqrt(w[n:])
     if matrix_residual(q @ q.T, m) > tol:
         raise FactorizationError("Takagi reconstruction residual exceeds tolerance")
     return q

@@ -15,6 +15,7 @@ __all__ = [
     "mix_seed",
     "contains",
     "sample",
+    "sample_batch",
     "sample_invertible",
     "basis",
     "dual_witness",
@@ -41,6 +42,11 @@ class MatrixClass(Enum):
     SYMMETRIC = "symmetric"
     UPPER_TRIANGULAR = "upper-triangular"
     DIAGONAL = "diagonal"
+
+    @property
+    def triangular(self) -> bool:
+        """Upper-triangular and diagonal classes, where only diagonal data enters."""
+        return self in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL)
 
 
 _CLASS_TAG = {cls: i + 1 for i, cls in enumerate(MatrixClass)}
@@ -75,69 +81,93 @@ def contains(cls: MatrixClass, a, tol: float) -> bool:
     raise ValueError(f"unknown class {cls}")
 
 
-def _gaussian(rng, n: int) -> np.ndarray:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+def _gaussian(rng, shape) -> np.ndarray:
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _haar_unitary(rng, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_gaussian(rng, n))
-    d = np.diagonal(r).copy()
+def _haar_unitaries(rng, count: int, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(_gaussian(rng, (count, n, n)))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[np.abs(d) < 1e-300] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[:, None, :]
 
 
-def sample(cls: MatrixClass, n: int, seed: int) -> np.ndarray:
-    """Deterministic class sample for (class, n, seed).
-
-    PD/PSD samples come from a Haar-like unitary recombination with
-    eigenvalues in [0.1, 10] (resp. [0, 10]), which caps the PD condition
-    number at 100.  Full samples are resampled until |det| > 1e-6.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(mix_seed(_CLASS_TAG[cls], n, seed))
-    if cls is MatrixClass.PD or cls is MatrixClass.PSD:
-        v = _haar_unitary(rng, n)
-        lo = 0.1 if cls is MatrixClass.PD else 0.0
-        lam = rng.uniform(lo, 10.0, size=n)
-        a = (v * lam) @ v.conj().T
-        return 0.5 * (a + a.conj().T)
-    if cls is MatrixClass.HERMITIAN:
-        g = _gaussian(rng, n)
-        return 0.5 * (g + g.conj().T)
-    if cls is MatrixClass.SYMMETRIC:
-        g = _gaussian(rng, n)
-        return 0.5 * (g + g.T)
-    if cls is MatrixClass.UPPER_TRIANGULAR:
-        g = np.triu(_gaussian(rng, n), 1)
-        g[np.arange(n), np.arange(n)] = _invertible_diag(rng, n)
-        return g
-    if cls is MatrixClass.DIAGONAL:
-        return np.diag(_invertible_diag(rng, n))
-    if cls is MatrixClass.FULL:
-        while True:
-            g = _gaussian(rng, n)
-            if abs(determinant(g)) > 1e-6:
-                return g
-    raise ValueError(f"unknown class {cls}")
-
-
-def _invertible_diag(rng, n: int) -> np.ndarray:
-    mod = rng.uniform(0.1, 10.0, size=n)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=n)
+def _invertible_diags(rng, count: int, n: int) -> np.ndarray:
+    mod = rng.uniform(0.1, 10.0, size=(count, n))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(count, n))
     return mod * np.exp(1j * phase)
 
 
+def _draw(cls: MatrixClass, rng, n: int, count: int) -> np.ndarray:
+    """``count`` class members from ``rng``, stacked as (count, n, n)."""
+    if cls is MatrixClass.PD or cls is MatrixClass.PSD:
+        v = _haar_unitaries(rng, count, n)
+        lo = 0.1 if cls is MatrixClass.PD else 0.0
+        lam = rng.uniform(lo, 10.0, size=(count, n))
+        a = (v * lam[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    if cls is MatrixClass.HERMITIAN:
+        g = _gaussian(rng, (count, n, n))
+        return 0.5 * (g + g.conj().swapaxes(-1, -2))
+    if cls is MatrixClass.SYMMETRIC:
+        g = _gaussian(rng, (count, n, n))
+        return 0.5 * (g + g.swapaxes(-1, -2))
+    if cls is MatrixClass.UPPER_TRIANGULAR:
+        g = np.triu(_gaussian(rng, (count, n, n)), 1)
+        g[:, np.arange(n), np.arange(n)] = _invertible_diags(rng, count, n)
+        return g
+    if cls is MatrixClass.DIAGONAL:
+        g = np.zeros((count, n, n), dtype=complex)
+        g[:, np.arange(n), np.arange(n)] = _invertible_diags(rng, count, n)
+        return g
+    if cls is MatrixClass.FULL:
+        return _gaussian(rng, (count, n, n))
+    raise ValueError(f"unknown class {cls}")
+
+
+_FULL_MIN_ABS_DET = 1e-6
+_MAX_REDRAWS = 64
+
+
+def sample_batch(cls: MatrixClass, n: int, seed: int, count: int,
+                 min_abs_det: float | None = None) -> np.ndarray:
+    """``count`` deterministic class samples for (class, n, seed), as (count, n, n).
+
+    All members come from one counter-based Philox stream whose key is
+    ``mix_seed(class tag, n, seed)``, so member ``i`` is reproduced by the
+    same call and index.  PD/PSD samples come from a Haar-like unitary recombination with
+    eigenvalues in [0.1, 10] (resp. [0, 10]), which caps the PD condition
+    number at 100.  Members with |det| <= ``min_abs_det`` (always
+    |det| <= 1e-6 for the full class) are redrawn in place from the same
+    stream, at most 64 times.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.Generator(np.random.Philox(key=mix_seed(_CLASS_TAG[cls], n, seed)))
+    out = _draw(cls, rng, n, count)
+    if cls is MatrixClass.FULL:
+        min_abs_det = max(min_abs_det or 0.0, _FULL_MIN_ABS_DET)
+    if min_abs_det is None:
+        return out
+    bad = np.flatnonzero(np.abs(determinant(out, cls.triangular)) <= min_abs_det)
+    for _ in range(_MAX_REDRAWS):
+        if bad.size == 0:
+            break
+        out[bad] = _draw(cls, rng, n, bad.size)
+        bad = bad[np.abs(determinant(out[bad], cls.triangular)) <= min_abs_det]
+    if bad.size:
+        raise RuntimeError("could not draw an invertible sample")
+    return out
+
+
+def sample(cls: MatrixClass, n: int, seed: int) -> np.ndarray:
+    """One deterministic class sample: ``sample_batch(cls, n, seed, 1)[0]``."""
+    return sample_batch(cls, n, seed, 1)[0]
+
+
 def sample_invertible(cls: MatrixClass, n: int, seed: int, min_abs_det: float = 1e-6) -> np.ndarray:
-    """Class sample with |det| > min_abs_det, resampling on degenerate draws."""
-    a = sample(cls, n, seed)
-    attempt = 0
-    while abs(determinant(a)) <= min_abs_det:
-        attempt += 1
-        if attempt > 64:
-            raise RuntimeError("could not draw an invertible sample")
-        a = sample(cls, n, mix_seed(seed, 0x1A7E, attempt))
-    return a
+    """Class sample with |det| > min_abs_det: ``sample_batch(..., 1, min_abs_det)[0]``."""
+    return sample_batch(cls, n, seed, 1, min_abs_det)[0]
 
 
 def _unit(n: int, i: int, j: int) -> np.ndarray:

@@ -99,25 +99,25 @@ def _tn_filler(n: int, seed: int) -> np.ndarray:
 
 
 def apply_preserver(p: CanonicalPreserver, a) -> np.ndarray:
-    """Evaluate the canonical map on one matrix."""
+    """Evaluate the canonical map on one n x n matrix or a (..., n, n) stack."""
     m = np.asarray(a, dtype=complex)
-    if m.shape != (p.n, p.n):
-        raise DimensionMismatch(f"expected shape {(p.n, p.n)}, got {m.shape}")
+    if m.shape[-2:] != (p.n, p.n):
+        raise DimensionMismatch(f"expected shape (..., {p.n}, {p.n}), got {m.shape}")
+    x = m.swapaxes(-1, -2) if p.transpose else m
     if p.form is PreserverForm.PN_CONGRUENCE:
-        x = m.T if p.transpose else m
         return p.alpha * (p.M.conj().T @ x @ p.M)
     if p.form is PreserverForm.SN_CONGRUENCE:
         return p.alpha * (p.M @ m @ p.M.T)
     if p.form is PreserverForm.MN_TWO_SIDED:
-        x = m.T if p.transpose else m
         return p.alpha * (p.M @ x @ p.N)
     n = p.n
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros(m.shape, dtype=complex)
+    diag = np.arange(n)
     perm = np.asarray(p.sigma, dtype=int)
-    out[np.arange(n), np.arange(n)] = p.alpha * np.asarray(p.lambdas) * m[perm, perm]
+    out[..., diag, diag] = p.alpha * np.asarray(p.lambdas) * m[..., perm, perm]
     if n > 1:
-        iu = np.triu_indices(n, 1)
-        out[iu] = _tn_filler(n, p.offdiag_seed) @ m[iu]
+        iu, ju = np.triu_indices(n, 1)
+        out[..., iu, ju] = m[..., iu, ju] @ _tn_filler(n, p.offdiag_seed).T
     return out
 
 

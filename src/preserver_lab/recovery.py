@@ -232,10 +232,7 @@ def _sign_canonical(m):
 
 def _unit_determinant(map_fn, cls, n):
     unit = np.asarray(map_fn(np.eye(n, dtype=complex)), dtype=complex)
-    if cls in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
-        d = complex(np.prod(np.diagonal(unit)))
-    else:
-        d = determinant(unit)
+    d = determinant(unit, cls.triangular)
     if abs(d) <= 1e-12:
         raise SingularUnit("map(I) is not invertible")
     return unit, d

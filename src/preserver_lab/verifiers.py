@@ -8,6 +8,13 @@ evaluated on the unitalized companion map (phi conjugated by its unit
 image per domain class); the ``inverse`` kind needs no gauge and runs on
 the raw map.  All residuals are scale-aware.
 
+Each battery draws its samples as two stacks, A = ``sample_batch(cls, n,
+mix_seed(seed, 0), samples)`` and B from ``mix_seed(seed, 1)``, evaluates
+the map once over the stack and reduces with stacked determinants,
+inverses, powers and traces.  Only a :class:`CanonicalPreserver` is called
+on a whole stack; any other map is a black box queried once per matrix.
+A non-finite residual counts as the singular sentinel 1e100, so it fails.
+
 For the upper-triangular and diagonal classes only diagonal data enters:
 determinants become diagonal products and traces of triangular products
 reduce to diagonal sums, matching the diagonal-only contract of those
@@ -29,8 +36,9 @@ from .core_linalg import (
     scalar_residual,
     takagi_factor,
 )
-from .domains import MatrixClass, mix_seed, sample, sample_invertible
+from .domains import MatrixClass, mix_seed, sample, sample_batch
 from .errors import DegenerateUnit, NotLinear, NotPositiveDefinite, NotUnital
+from .preservers import CanonicalPreserver
 
 __all__ = [
     "VerificationReport",
@@ -46,8 +54,8 @@ __all__ = [
     "check_homogeneity_additivity",
 ]
 
-_TRIANGULAR = (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL)
 _SINGULAR_SENTINEL = 1e100
+_INVERTIBLE_DET = 1e-6
 
 
 @dataclass
@@ -60,7 +68,7 @@ class VerificationReport:
     max_residual: float
     mean_residual: float
     passed: bool
-    failures: list = field(default_factory=list)  # [(seed, residual)], capped at 10
+    failures: list = field(default_factory=list)  # [(index, residual)], capped at 10
 
     def to_dict(self) -> dict:
         return {
@@ -72,30 +80,48 @@ class VerificationReport:
             "max_residual": self.max_residual,
             "mean_residual": self.mean_residual,
             "pass": self.passed,
-            "failures": [{"seed": int(s), "residual": float(r)} for s, r in self.failures],
+            "failures": [{"index": int(i), "residual": float(r)} for i, r in self.failures],
         }
 
 
-def _report(identity, cls, n, tol, residuals, seeds) -> VerificationReport:
-    mx = float(max(residuals))
-    failures = [(s, float(r)) for s, r in zip(seeds, residuals) if r > tol][:10]
+def _report(identity, cls, n, tol, residuals) -> VerificationReport:
+    r = np.where(np.isfinite(residuals), residuals, _SINGULAR_SENTINEL)
+    mx = float(np.max(r))
     return VerificationReport(
         identity=identity,
         class_name=cls.value,
         n=n,
-        samples=len(residuals),
+        samples=r.size,
         tol=tol,
         max_residual=mx,
-        mean_residual=float(np.mean(residuals)),
+        mean_residual=float(np.mean(r)),
         passed=mx <= tol,
-        failures=failures,
+        failures=[(int(i), float(r[i])) for i in np.flatnonzero(r > tol)[:10]],
     )
 
 
-def _det_for(cls: MatrixClass, x) -> complex:
-    if cls in _TRIANGULAR:
-        return complex(np.prod(np.diagonal(x)))
-    return determinant(x)
+def _images(map_fn, x) -> np.ndarray:
+    """The map on one matrix or on every member of a (count, n, n) stack.
+
+    Canonical maps (and their unitalized companions) take the stack in one
+    call; any other callable is a black box and is queried once per member.
+    """
+    if x.ndim == 2 or isinstance(map_fn, (CanonicalPreserver, _Unitalized)):
+        return np.asarray(map_fn(x), dtype=complex)
+    return np.stack([np.asarray(map_fn(m), dtype=complex) for m in x])
+
+
+@dataclass(frozen=True, eq=False)
+class _Unitalized:
+    """X -> left @ phi(X) (@ right); stack-capable exactly when phi is."""
+
+    map_fn: object
+    left: np.ndarray
+    right: np.ndarray | None = None
+
+    def __call__(self, a):
+        out = self.left @ _images(self.map_fn, np.asarray(a, dtype=complex))
+        return out if self.right is None else out @ self.right
 
 
 def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
@@ -108,23 +134,18 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
     """
     if not weights:
         raise ValueError("weights must be nonempty")
-    unit_det = _det_for(cls, map_fn(np.eye(n, dtype=complex)))
+    unit_det = determinant(map_fn(np.eye(n, dtype=complex)), cls.triangular)
     if abs(unit_det) <= 1e-12:
         raise DegenerateUnit("det(map(I)) vanishes; alpha is undefined")
-    residuals, seeds = [], []
-    for t in range(samples):
-        pair_seed = mix_seed(seed, t)
-        a = sample(cls, n, mix_seed(pair_seed, 0))
-        b = sample(cls, n, mix_seed(pair_seed, 1))
-        fa, fb = map_fn(a), map_fn(b)
-        worst = 0.0
-        for s_, t_ in weights:
-            lhs = _det_for(cls, s_ * fa + t_ * fb)
-            rhs = unit_det * _det_for(cls, s_ * a + t_ * b)
-            worst = max(worst, scalar_residual(lhs, rhs))
-        residuals.append(worst)
-        seeds.append(pair_seed)
-    return _report(identity, cls, n, tol, residuals, seeds)
+    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
+    b = sample_batch(cls, n, mix_seed(seed, 1), samples)
+    fa, fb = np.split(_images(map_fn, np.concatenate([a, b])), 2)
+    worst = np.zeros(samples)
+    for s_, t_ in weights:
+        lhs = determinant(s_ * fa + t_ * fb, cls.triangular)
+        rhs = unit_det * determinant(s_ * a + t_ * b, cls.triangular)
+        worst = np.maximum(worst, scalar_residual(lhs, rhs))
+    return _report(identity, cls, n, tol, worst)
 
 
 def unitalize(map_fn, cls: MatrixClass, n: int):
@@ -133,7 +154,8 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
     PD/PSD/Hermitian classes use phi(I)^{-1/2} (.) phi(I)^{-1/2}; the
     symmetric class uses Q^{-1} (.) Q^{-t} with Q Q^t = phi(I); the
     remaining classes use phi(I)^{-1} (.).  Already-unital maps are
-    returned untouched.
+    returned untouched.  The result takes one matrix, or a whole
+    (count, n, n) stack when the map is a :class:`CanonicalPreserver`.
     """
     eye = np.eye(n, dtype=complex)
     unit = map_fn(eye)
@@ -141,31 +163,44 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
         return map_fn
     if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN):
         w = np.linalg.inv(pd_sqrt(unit))
-        return lambda a: w @ map_fn(a) @ w
+        return _Unitalized(map_fn, w, w)
     if cls is MatrixClass.SYMMETRIC:
-        q = takagi_factor(unit)
-        qi = np.linalg.inv(q)
-        return lambda a: qi @ map_fn(a) @ qi.T
+        qi = np.linalg.inv(takagi_factor(unit))
+        return _Unitalized(map_fn, qi, qi.T)
     if abs(determinant(unit)) <= 1e-12:
         raise DegenerateUnit("map(I) is singular")
-    ui = np.linalg.inv(unit)
-    return lambda a: ui @ map_fn(a)
+    return _Unitalized(map_fn, np.linalg.inv(unit))
 
 
-def _trace_pair(cls, x, y, kind, k):
-    """Both sides' trace functional; diagonal sums for triangular classes."""
-    if cls in _TRIANGULAR:
-        dx, dy = np.diagonal(x), np.diagonal(y)
+def _inverse(y) -> np.ndarray:
+    """Stacked inverse; only a singular member itself comes out as NaN."""
+    try:
+        return np.linalg.inv(y)
+    except np.linalg.LinAlgError:
+        out = np.full_like(y, np.nan)
+        for i, m in enumerate(y):
+            try:
+                out[i] = np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _traces(cls, x, y, kind, k) -> np.ndarray:
+    """Either side's trace functional per stack member; diagonal sums for triangular classes."""
+    if cls.triangular:
+        dx = np.diagonal(x, axis1=-2, axis2=-1)
+        dy = np.diagonal(y, axis1=-2, axis2=-1)
         if kind == "inverse":
-            return complex(np.sum(dx / dy))
+            return np.sum(dx / dy, axis=-1)
         if kind == "product":
-            return complex(np.sum(dx * dy))
-        return complex(np.sum(dx * dy**k))
+            return np.sum(dx * dy, axis=-1)
+        return np.sum(dx * dy**k, axis=-1)
     if kind == "inverse":
-        return complex(np.trace(x @ np.linalg.inv(y)))
-    if kind == "product":
-        return complex(np.trace(x @ y))
-    return complex(np.trace(x @ np.linalg.matrix_power(y, k)))
+        y = _inverse(y)
+    elif kind == "power":
+        y = np.linalg.matrix_power(y, k)
+    return np.trace(x @ y, axis1=-2, axis2=-1)
 
 
 def verify_trace_identity(map_fn, cls: MatrixClass, n: int, kind: str, samples: int,
@@ -173,7 +208,7 @@ def verify_trace_identity(map_fn, cls: MatrixClass, n: int, kind: str, samples: 
     """Check one of the trace identities over sampled pairs.
 
     ``kind`` is one of ``inverse`` (tr(phi(A) phi(B)^{-1}) = tr(A B^{-1}),
-    B resampled invertible), ``product``, ``power`` (with exponent
+    B redrawn until |det B| > 1e-6), ``product``, ``power`` (with exponent
     ``power``) or ``square`` (single samples).  See the module docstring
     for the gauge convention of the last three.
     """
@@ -185,30 +220,18 @@ def verify_trace_identity(map_fn, cls: MatrixClass, n: int, kind: str, samples: 
     k = power if kind == "power" else 2
     label = {"inverse": "trace-inverse", "product": "trace-product",
              "square": "trace-square", "power": f"trace-power-{power}"}[kind]
-    residuals, seeds = [], []
-    for t in range(samples):
-        pair_seed = mix_seed(seed, t)
-        a = sample(cls, n, mix_seed(pair_seed, 0))
-        if kind == "square":
-            fa = fn(a)
-            lhs = _trace_pair(cls, fa, fa, "product", k)
-            rhs = _trace_pair(cls, a, a, "product", k)
-        else:
-            if kind == "inverse":
-                b = sample_invertible(cls, n, mix_seed(pair_seed, 1))
-            else:
-                b = sample(cls, n, mix_seed(pair_seed, 1))
-            fa, fb = fn(a), fn(b)
-            try:
-                lhs = _trace_pair(cls, fa, fb, kind, k)
-                rhs = _trace_pair(cls, a, b, kind, k)
-            except np.linalg.LinAlgError:
-                residuals.append(_SINGULAR_SENTINEL)
-                seeds.append(pair_seed)
-                continue
-        residuals.append(scalar_residual(lhs, rhs))
-        seeds.append(pair_seed)
-    return _report(label, cls, n, tol, residuals, seeds)
+    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
+    if kind == "square":
+        fa = _images(fn, a)
+        lhs = _traces(cls, fa, fa, "product", k)
+        rhs = _traces(cls, a, a, "product", k)
+    else:
+        b = sample_batch(cls, n, mix_seed(seed, 1), samples,
+                         _INVERTIBLE_DET if kind == "inverse" else None)
+        fa, fb = np.split(_images(fn, np.concatenate([a, b])), 2)
+        lhs = _traces(cls, fa, fb, kind, k)
+        rhs = _traces(cls, a, b, kind, k)
+    return _report(label, cls, n, tol, scalar_residual(lhs, rhs))
 
 
 @dataclass
@@ -327,15 +350,11 @@ _HOMOGENEITY_SCALES = (0.5, 2.0, 7.25)
 def check_homogeneity_additivity(map_fn, cls: MatrixClass, n: int, samples: int,
                                  seed: int, tol: float) -> VerificationReport:
     """Residuals of phi(lambda A) - lambda phi(A) and phi(A+B) - phi(A) - phi(B)."""
-    residuals, seeds = [], []
-    for t in range(samples):
-        pair_seed = mix_seed(seed, t)
-        a = sample(cls, n, mix_seed(pair_seed, 0))
-        b = sample(cls, n, mix_seed(pair_seed, 1))
-        fa, fb = map_fn(a), map_fn(b)
-        worst = matrix_residual(map_fn(a + b), fa + fb)
-        for lam in _HOMOGENEITY_SCALES:
-            worst = max(worst, matrix_residual(map_fn(lam * a), lam * fa))
-        residuals.append(worst)
-        seeds.append(pair_seed)
-    return _report("homogeneity-additivity", cls, n, tol, residuals, seeds)
+    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
+    b = sample_batch(cls, n, mix_seed(seed, 1), samples)
+    inputs = [a, b, a + b] + [lam * a for lam in _HOMOGENEITY_SCALES]
+    fa, fb, fab, *scaled = np.split(_images(map_fn, np.concatenate(inputs)), len(inputs))
+    worst = matrix_residual(fab, fa + fb, axis=(-2, -1))
+    for lam, flam in zip(_HOMOGENEITY_SCALES, scaled):
+        worst = np.maximum(worst, matrix_residual(flam, lam * fa, axis=(-2, -1)))
+    return _report("homogeneity-additivity", cls, n, tol, worst)

@@ -145,6 +145,21 @@ class TestVerifyCommand:
             assert code == 0, (identity, out)
             assert json.loads(out)["pass"] is True
 
+    def test_overflowing_map_is_verification_failure(self, tmp_path):
+        # alpha = 1e200, M = 1e200 I: the non-finite residuals must fail with a
+        # serializable report, not abort as an input error
+        eye = np.eye(3, dtype=complex)
+        spec = tmp_path / "overflow.json"
+        spec.write_text(dumps_stable({"kind": "mn-two-sided", "alpha": {"re": 1e200, "im": 0.0},
+                                      "M": matrix_to_json(1e200 * eye),
+                                      "N": matrix_to_json(eye), "transpose": False}))
+        code, out, _ = run_cli("verify", "--identity", "trace-product", "--class", "full",
+                               "--n", "3", "--map", str(spec), "--samples", "20", "--seed", "1")
+        assert code == 2
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["max_residual"] == 1e100
+
     def test_inline_map_spec(self):
         inline = dumps_stable({"kind": "pinching"})
         code, out, _ = run_cli("verify", "--identity", "homogeneity-additivity",
@@ -255,6 +270,12 @@ class TestCounterexampleCommand:
                                "--seed", "1", "--generator", "zero")
         assert code == 2
         assert json.loads(out)["pass"] is False
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import preserver_lab.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestDeterminism:

@@ -6,10 +6,12 @@ import pytest
 from preserver_lab import (
     NotHermitian,
     NotPositiveDefinite,
+    FactorizationError,
     adjugate,
     determinant,
     hermitian_eig,
     matrix_from_json,
+    matrix_residual,
     matrix_to_json,
     numeric_rank,
     pd_sqrt,
@@ -49,6 +51,22 @@ class TestDeterminant:
             t = np.triu(_rand_complex(rng, n))
             expected = complex(np.prod(np.diagonal(t)))
             assert abs(determinant(t) - expected) <= 1e-10 * (1 + abs(expected))
+
+
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 5):
+            stack = rng.standard_normal((4, 3, n, n)) + 1j * rng.standard_normal((4, 3, n, n))
+            got = determinant(stack)
+            assert got.shape == (4, 3)
+            assert np.array_equal(got, [[determinant(m) for m in row] for row in stack])
+
+    def test_triangular_reads_only_the_diagonal(self):
+        rng = np.random.default_rng(9)
+        stack = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+        got = determinant(stack, triangular=True)
+        assert np.array_equal(got, np.prod(np.diagonal(stack, axis1=1, axis2=2), axis=1))
+        assert determinant(stack[0], triangular=True) == complex(got[0])
 
 
 class TestAdjugate:
@@ -193,6 +211,28 @@ class TestTakagiFactor:
                 continue
             q = takagi_factor(c)
             assert np.linalg.norm(q @ q.T - c) <= 1e-8 * (1 + np.linalg.norm(c))
+
+
+    def test_diagonal_n16(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            d = rng.uniform(0.1, 10.0, 16) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 16))
+            c = np.diag(d)
+            q = takagi_factor(c)
+            assert matrix_residual(q @ q.T, c) <= 1e-13
+
+    def test_degenerate_takagi_values_n16(self):
+        # C = U diag(sigma) U^T with repeated sigma, including sigma all equal
+        rng = np.random.default_rng(13)
+        for sigma in (np.ones(16), np.repeat([0.5, 2.0, 7.0, 7.0], 4), np.repeat([1.0, 3.0], 8)):
+            u, _ = np.linalg.qr(_rand_complex(rng, 16))
+            c = (u * sigma) @ u.T
+            q = takagi_factor(c)
+            assert matrix_residual(q @ q.T, c) <= 1e-13
+
+    def test_singular_rejected(self):
+        with pytest.raises(FactorizationError):
+            takagi_factor(np.diag([1.0, 0.0]).astype(complex))
 
 
 class TestMatrixJson:

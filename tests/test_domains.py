@@ -14,6 +14,7 @@ from preserver_lab import (
     sample,
     sample_invertible,
 )
+from preserver_lab.domains import sample_batch
 
 from oracles import project_real_span, real_gram
 
@@ -79,6 +80,43 @@ class TestSample:
                 a = sample_invertible(cls, 3, seed)
                 assert abs(determinant(a)) > 1e-6
                 assert contains(cls, a, 1e-9)
+
+
+class TestSampleBatch:
+    @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.value)
+    def test_sample_is_count_one_view(self, cls):
+        for n in (1, 2, 3, 5):
+            for seed in range(10):
+                assert np.array_equal(sample(cls, n, seed), sample_batch(cls, n, seed, 1)[0])
+                assert np.array_equal(sample_invertible(cls, n, seed),
+                                      sample_batch(cls, n, seed, 1, 1e-6)[0])
+
+    @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.value)
+    def test_members_in_class(self, cls):
+        for n in (1, 2, 5, 16):
+            stack = sample_batch(cls, n, 77, 60)
+            assert stack.shape == (60, n, n)
+            assert all(contains(cls, m, 1e-9) for m in stack)
+            if cls is MatrixClass.PD:
+                w = np.linalg.eigvalsh(stack)
+                assert np.max(w[:, -1] / w[:, 0]) <= 100.0
+            if cls is MatrixClass.FULL:
+                assert np.min(np.abs(np.linalg.det(stack))) > 1e-6
+
+    def test_redraws_in_place_from_the_same_stream(self):
+        # PSD eigenvalues start at 0, so a floor of 1 forces redraws of some
+        # members; every other member must stay exactly as first drawn
+        plain = sample_batch(MatrixClass.PSD, 3, 5, 200)
+        redrawn = sample_batch(MatrixClass.PSD, 3, 5, 200, min_abs_det=1.0)
+        low = np.abs(np.linalg.det(plain)) <= 1.0
+        assert low.any() and not low.all()
+        assert np.array_equal(redrawn[~low], plain[~low])
+        assert np.min(np.abs(np.linalg.det(redrawn))) > 1.0
+        assert all(contains(MatrixClass.PSD, m, 1e-9) for m in redrawn)
+
+    def test_redraw_cap(self):
+        with pytest.raises(RuntimeError):
+            sample_batch(MatrixClass.DIAGONAL, 2, 0, 3, min_abs_det=1e300)
 
 
 class TestBasis:

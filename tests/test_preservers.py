@@ -45,6 +45,28 @@ class TestApply:
         with pytest.raises(DimensionMismatch):
             p(np.eye(4))
 
+    @pytest.mark.parametrize("form", ALL_FORMS, ids=lambda f: f.value)
+    def test_stack_matches_per_matrix(self, form):
+        branches = (False,) if form in (PreserverForm.SN_CONGRUENCE,
+                                        PreserverForm.TN_DIAGONAL) else (False, True)
+        for transpose in branches:
+            for n in (1, 2, 4):
+                p = random_canonical(form, n, 6, transpose=transpose)
+                stack = np.stack([sample(MatrixClass.FULL, n, seed) for seed in range(9)])
+                got = apply_preserver(p, stack)
+                assert got.shape == stack.shape
+                for x, y in zip(stack, got):
+                    # tn-diagonal's filler is a vector product one by one and a
+                    # matrix product on the stack, so the last bits may differ
+                    np.testing.assert_allclose(y, p(x), rtol=1e-13, atol=1e-13)
+                nested = apply_preserver(p, stack.reshape(3, 3, n, n))
+                assert np.array_equal(nested.reshape(stack.shape), got)
+
+    def test_stack_dimension_mismatch(self):
+        p = CanonicalPreserver(PreserverForm.PN_CONGRUENCE, 3, 1.0, M=np.eye(3, dtype=complex))
+        with pytest.raises(DimensionMismatch):
+            p(np.zeros((5, 3, 4)))
+
     def test_no_transpose_branch_for_sn_tn(self):
         with pytest.raises(ValueError):
             CanonicalPreserver(PreserverForm.SN_CONGRUENCE, 2, 1.0,

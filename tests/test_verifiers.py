@@ -1,9 +1,12 @@
 """Tests for the identity verifiers and oracle checks."""
 
+import json
+
 import numpy as np
 import pytest
 
 from preserver_lab import (
+    CanonicalPreserver,
     DegenerateUnit,
     MatrixClass,
     NotLinear,
@@ -15,13 +18,18 @@ from preserver_lab import (
     check_jacobi,
     check_kadison_choi,
     check_minkowski,
+    determinant,
+    mix_seed,
     pinching,
     random_canonical,
     remark1_map,
     sample,
+    scalar_residual,
     verify_det_identity,
     verify_trace_identity,
 )
+from preserver_lab.domains import sample_batch
+from preserver_lab.jsonio import dumps_stable
 
 CONVEX = [(t, 1.0 - t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
 SUM = [(1.0, 1.0)]
@@ -95,6 +103,35 @@ class TestDetIdentity:
             assert report.max_residual >= 1e-5
 
 
+    def test_overflowing_map_fails_and_serializes(self):
+        # alpha = 1e200 and M = 1e200 I overflow to inf, so every residual is NaN
+        eye = np.eye(2, dtype=complex)
+        p = CanonicalPreserver(PreserverForm.MN_TWO_SIDED, 2, 1e200 + 0j, M=1e200 * eye, N=eye)
+        with np.errstate(all="ignore"):
+            rep = verify_det_identity(p, MatrixClass.FULL, 2, SUM, 50, 1, 1e-8,
+                                      identity="det-sum")
+        report = json.loads(dumps_stable(rep.to_dict()))
+        assert report["pass"] is False
+        assert report["max_residual"] == 1e100
+        assert len(report["failures"]) == 10
+
+    def test_failure_recipe_reproduces_pair(self):
+        # README: failure {"index": i} is pair i of the stacks drawn from
+        # mix_seed(seed, 0) and mix_seed(seed, 1)
+        n, samples, seed = 3, 100, 3
+        rep = verify_det_identity(affine_map, MatrixClass.PD, n, SUM, samples, seed, 1e-8,
+                                  identity="det-sum")
+        failures = rep.to_dict()["failures"]
+        assert failures and all(list(f) == ["index", "residual"] for f in failures)
+        a_all = sample_batch(MatrixClass.PD, n, mix_seed(seed, 0), samples)
+        b_all = sample_batch(MatrixClass.PD, n, mix_seed(seed, 1), samples)
+        unit_det = determinant(affine_map(np.eye(n)))
+        for f in failures:
+            a, b = a_all[f["index"]], b_all[f["index"]]
+            lhs = determinant(affine_map(a) + affine_map(b))
+            assert scalar_residual(lhs, unit_det * determinant(a + b)) == f["residual"]
+
+
 class TestTraceIdentity:
     def test_identity_map_trivial(self):
         for kind in ("inverse", "product", "square", "power"):
@@ -136,6 +173,34 @@ class TestTraceIdentity:
         pr = verify_trace_identity(remark1_map, MatrixClass.HERMITIAN, 3, "product", 100, 1, 1e-8)
         assert not pr.passed
         assert pr.max_residual > 1e-3
+
+    def test_singular_images_fail_only_their_own_index(self):
+        # the box zeroes the last row of inputs with Re a_11 < 0, so the stacked
+        # inverse of the B images hits singular members
+        n, samples, seed = 3, 40, 8
+
+        def box(a):
+            out = np.array(a, dtype=complex)
+            if out[0, 0].real < 0:
+                out[-1] = 0.0
+            return out
+
+        rep = verify_trace_identity(box, MatrixClass.FULL, n, "inverse", samples, seed, 1e-8)
+        a_all = sample_batch(MatrixClass.FULL, n, mix_seed(seed, 0), samples)
+        b_all = sample_batch(MatrixClass.FULL, n, mix_seed(seed, 1), samples, 1e-6)
+        singular = b_all[:, 0, 0].real < 0
+        assert 0 < singular.sum() < samples
+        expected = []
+        for a, b, sing in zip(a_all, b_all, singular):
+            if sing:
+                expected.append(1e100)
+            else:
+                lhs = np.trace(box(a) @ np.linalg.inv(box(b)))
+                expected.append(scalar_residual(lhs, np.trace(a @ np.linalg.inv(b))))
+        failing = [(i, r) for i, r in enumerate(expected) if r > 1e-8][:10]
+        assert [i for i, _ in rep.failures] == [i for i, _ in failing]
+        assert [r for _, r in rep.failures] == pytest.approx([r for _, r in failing], rel=1e-12)
+        assert rep.max_residual == 1e100
 
     def test_tn_diagonal_power(self):
         p = random_canonical(PreserverForm.TN_DIAGONAL, 4, 3)

@@ -1,11 +1,20 @@
 """Dense complex matrix kernel for desk-scale (n <= 16) matrices.
 
 Everything operates on plain numpy ``complex128`` arrays and is a pure
-function of its arguments.  Heavy lifting (LU determinants, Hermitian
-eigendecompositions, SVD) is delegated to LAPACK through numpy; the
-determinant and the residuals also take (..., n, n) stacks.  The cofactor
-adjugate keeps Adj(A) well defined near singularity, where det(A) * inv(A)
-is not.
+function of its arguments.  The stacked small-matrix kernels take one
+n x n matrix or any (..., n, n) stack:
+
+* ``sandwich`` forms left @ X @ right as two flat gemms over the whole
+  stack instead of one tiny gemm per member;
+* ``trace_product`` contracts tr(XY) without forming the product stack;
+* ``determinant`` uses the explicit formulas for n <= 3 and LAPACK's LU
+  above, and a stack member's determinant is bit-identical to the
+  single-matrix value at any stack size;
+* ``scalar_residual`` and ``matrix_residual`` reduce per member.
+
+Hermitian eigendecompositions and SVDs are delegated to LAPACK through
+numpy.  The cofactor adjugate keeps Adj(A) well defined near singularity,
+where det(A) * inv(A) is not.
 """
 
 from __future__ import annotations
@@ -19,6 +28,8 @@ __all__ = [
     "frob",
     "scalar_residual",
     "matrix_residual",
+    "sandwich",
+    "trace_product",
     "determinant",
     "adjugate",
     "hermitian_eig",
@@ -69,16 +80,66 @@ def matrix_residual(x, y, axis=None):
     return float(r) if axis is None else r
 
 
+def sandwich(left, x, right=None) -> np.ndarray:
+    """left @ X @ right (or left @ X) for one n x n matrix or every member of a stack.
+
+    Both products run as one flat gemm over the (-1, n) rows of the whole
+    stack; the left one as (X^T left^T)^T.  The result may be a transposed
+    view.
+    """
+    x = np.asarray(x)
+    n = x.shape[-1]
+    if right is not None:
+        x = (x.reshape(-1, n) @ right).reshape(x.shape)
+    y = x.swapaxes(-1, -2).reshape(-1, n) @ left.T
+    return y.reshape(x.shape).swapaxes(-1, -2)
+
+
+def trace_product(x, y):
+    """tr(XY) per member, contracted without forming the product stack."""
+    return np.einsum("...ij,...ji->...", x, y)
+
+
+def _det2(m):
+    a, b = m[..., 0, 0], m[..., 0, 1]
+    c, d = m[..., 1, 0], m[..., 1, 1]
+    ad = a * d
+    bc = b * c
+    return ad - bc
+
+
+def _det3(m):
+    # Every intermediate is named: numpy reuses a temporary operand in place
+    # above 256 KiB, which changes the last bits of e.g. a * (e * i - f * h)
+    # on large stacks and breaks stack/single-matrix bit equality.
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    ei, fh = e * i, f * h
+    di, fg = d * i, f * g
+    dh, eg = d * h, e * g
+    c0, c1, c2 = ei - fh, di - fg, dh - eg
+    t0, t1, t2 = a * c0, b * c1, c * c2
+    s = t0 - t1
+    return s + t2
+
+
 def determinant(a, triangular: bool = False):
-    """Determinant via LAPACK's partially pivoted LU; exact for n = 1.
+    """Determinant: explicit formulas for n <= 3, LAPACK's partially pivoted LU above.
 
     ``triangular`` takes the product of the diagonal instead, which is exact
     for triangular input and reads only diagonal data.  A complex for one
-    n x n matrix, an array of shape ``a.shape[:-2]`` for a stack.
+    n x n matrix, an array of shape ``a.shape[:-2]`` for a stack; every
+    member's value is bit-identical to the single-matrix one.
     """
     m = np.asarray(a, dtype=complex)
-    if triangular or m.shape[-1] == 1:
+    n = m.shape[-1]
+    if triangular or n == 1:
         d = np.prod(np.diagonal(m, axis1=-2, axis2=-1), axis=-1)
+    elif n == 2:
+        d = _det2(m)
+    elif n == 3:
+        d = _det3(m)
     else:
         d = np.linalg.det(m)
     return complex(d) if m.ndim == 2 else d

@@ -82,7 +82,12 @@ def contains(cls: MatrixClass, a, tol: float) -> bool:
 
 
 def _gaussian(rng, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    # Same values as (x + 1j * y) / sqrt(2), without the complex temporaries.
+    g = np.empty(shape, dtype=complex)
+    g.real = rng.standard_normal(shape)
+    g.imag = rng.standard_normal(shape)
+    g /= np.sqrt(2.0)
+    return g
 
 
 def _haar_unitaries(rng, count: int, n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core_linalg import determinant, frob, principal_root
+from .core_linalg import determinant, frob, principal_root, sandwich
 from .domains import mix_seed
 from .errors import DimensionMismatch
 
@@ -105,11 +105,11 @@ def apply_preserver(p: CanonicalPreserver, a) -> np.ndarray:
         raise DimensionMismatch(f"expected shape (..., {p.n}, {p.n}), got {m.shape}")
     x = m.swapaxes(-1, -2) if p.transpose else m
     if p.form is PreserverForm.PN_CONGRUENCE:
-        return p.alpha * (p.M.conj().T @ x @ p.M)
+        return p.alpha * sandwich(p.M.conj().T, x, p.M)
     if p.form is PreserverForm.SN_CONGRUENCE:
-        return p.alpha * (p.M @ m @ p.M.T)
+        return p.alpha * sandwich(p.M, m, p.M.T)
     if p.form is PreserverForm.MN_TWO_SIDED:
-        return p.alpha * (p.M @ x @ p.N)
+        return p.alpha * sandwich(p.M, x, p.N)
     n = p.n
     out = np.zeros(m.shape, dtype=complex)
     diag = np.arange(n)

@@ -24,7 +24,7 @@ reshaping rules M0[a, i] = u[(i, a)], N0[j, b] = w[(j, b)] depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .core_linalg import (
     numeric_rank,
     principal_root,
 )
-from .domains import MatrixClass, basis, mix_seed, sample
+from .domains import MatrixClass, _unit, basis, mix_seed, sample
 from .errors import (
     NotCanonical,
     NotLinear,
@@ -89,12 +89,6 @@ class LinearRep:
         """How far L is from commuting with conjugation (Choi Hermiticity)."""
         j = self.choi()
         return matrix_residual(j, j.conj().T)
-
-
-def _unit(n, i, j):
-    e = np.zeros((n, n), dtype=complex)
-    e[i, j] = 1.0
-    return e
 
 
 def _columns_from_pd_basis(map_fn, n):
@@ -243,8 +237,9 @@ def _recover_two_sided(map_fn, cls, n, tol, rank_tol):
     j = lin.choi()
     transpose = False
     if n >= 2 and numeric_rank(j, rank_tol) != 1:
-        r4t = lin.rep.reshape(n, n, n, n).transpose(0, 1, 3, 2)  # L composed with transpose
-        jt = r4t.transpose(2, 0, 3, 1).reshape(n * n, n * n)
+        # L composed with transpose: rep[(a, b), (i, j)] -> rep[(a, b), (j, i)]
+        flipped = lin.rep.reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
+        jt = replace(lin, rep=flipped).choi()
         if numeric_rank(jt, rank_tol) != 1:
             raise NotCanonical("neither Choi branch has rank one")
         j = jt

@@ -10,10 +10,12 @@ the raw map.  All residuals are scale-aware.
 
 Each battery draws its samples as two stacks, A = ``sample_batch(cls, n,
 mix_seed(seed, 0), samples)`` and B from ``mix_seed(seed, 1)``, evaluates
-the map once over the stack and reduces with stacked determinants,
-inverses, powers and traces.  Only a :class:`CanonicalPreserver` is called
-on a whole stack; any other map is a black box queried once per matrix.
-A non-finite residual counts as the singular sentinel 1e100, so it fails.
+the map once over the stack and reduces with the stacked kernels of
+:mod:`core_linalg` and stacked inverses and powers.  Only a
+:class:`CanonicalPreserver` is called on a whole stack; any other map is a
+black box queried once per matrix.  A non-finite residual counts as the
+singular sentinel 1e100, so it fails; numpy's overflow and invalid-value
+warnings are silenced inside the batteries for that reason.
 
 For the upper-triangular and diagonal classes only diagonal data enters:
 determinants become diagonal products and traces of triangular products
@@ -33,8 +35,10 @@ from .core_linalg import (
     frob,
     matrix_residual,
     pd_sqrt,
+    sandwich,
     scalar_residual,
     takagi_factor,
+    trace_product,
 )
 from .domains import MatrixClass, mix_seed, sample, sample_batch
 from .errors import DegenerateUnit, NotLinear, NotPositiveDefinite, NotUnital
@@ -56,9 +60,16 @@ __all__ = [
 
 _SINGULAR_SENTINEL = 1e100
 _INVERTIBLE_DET = 1e-6
+# Non-finite values become the failing sentinel, so their warnings are noise.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
-@dataclass
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
+@dataclass(slots=True)
 class VerificationReport:
     identity: str
     class_name: str
@@ -120,8 +131,7 @@ class _Unitalized:
     right: np.ndarray | None = None
 
     def __call__(self, a):
-        out = self.left @ _images(self.map_fn, np.asarray(a, dtype=complex))
-        return out if self.right is None else out @ self.right
+        return sandwich(self.left, _images(self.map_fn, np.asarray(a, dtype=complex)), self.right)
 
 
 def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
@@ -134,17 +144,19 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
     """
     if not weights:
         raise ValueError("weights must be nonempty")
-    unit_det = determinant(map_fn(np.eye(n, dtype=complex)), cls.triangular)
-    if abs(unit_det) <= 1e-12:
-        raise DegenerateUnit("det(map(I)) vanishes; alpha is undefined")
-    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
-    b = sample_batch(cls, n, mix_seed(seed, 1), samples)
-    fa, fb = np.split(_images(map_fn, np.concatenate([a, b])), 2)
-    worst = np.zeros(samples)
-    for s_, t_ in weights:
-        lhs = determinant(s_ * fa + t_ * fb, cls.triangular)
-        rhs = unit_det * determinant(s_ * a + t_ * b, cls.triangular)
-        worst = np.maximum(worst, scalar_residual(lhs, rhs))
+    _require_samples(samples)
+    with np.errstate(**_QUIET):
+        unit_det = determinant(map_fn(np.eye(n, dtype=complex)), cls.triangular)
+        if abs(unit_det) <= 1e-12:
+            raise DegenerateUnit("det(map(I)) vanishes; alpha is undefined")
+        a = sample_batch(cls, n, mix_seed(seed, 0), samples)
+        b = sample_batch(cls, n, mix_seed(seed, 1), samples)
+        fa, fb = np.split(_images(map_fn, np.concatenate([a, b])), 2)
+        worst = np.zeros(samples)
+        for s_, t_ in weights:
+            lhs = determinant(s_ * fa + t_ * fb, cls.triangular)
+            rhs = unit_det * determinant(s_ * a + t_ * b, cls.triangular)
+            worst = np.maximum(worst, scalar_residual(lhs, rhs))
     return _report(identity, cls, n, tol, worst)
 
 
@@ -200,7 +212,7 @@ def _traces(cls, x, y, kind, k) -> np.ndarray:
         y = _inverse(y)
     elif kind == "power":
         y = np.linalg.matrix_power(y, k)
-    return np.trace(x @ y, axis1=-2, axis2=-1)
+    return trace_product(x, y)
 
 
 def verify_trace_identity(map_fn, cls: MatrixClass, n: int, kind: str, samples: int,
@@ -216,22 +228,25 @@ def verify_trace_identity(map_fn, cls: MatrixClass, n: int, kind: str, samples: 
         raise ValueError(f"unknown trace identity kind {kind!r}")
     if kind == "power" and power < 1:
         raise ValueError("power must be >= 1")
-    fn = map_fn if kind == "inverse" else unitalize(map_fn, cls, n)
+    _require_samples(samples)
     k = power if kind == "power" else 2
     label = {"inverse": "trace-inverse", "product": "trace-product",
              "square": "trace-square", "power": f"trace-power-{power}"}[kind]
-    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
-    if kind == "square":
-        fa = _images(fn, a)
-        lhs = _traces(cls, fa, fa, "product", k)
-        rhs = _traces(cls, a, a, "product", k)
-    else:
-        b = sample_batch(cls, n, mix_seed(seed, 1), samples,
-                         _INVERTIBLE_DET if kind == "inverse" else None)
-        fa, fb = np.split(_images(fn, np.concatenate([a, b])), 2)
-        lhs = _traces(cls, fa, fb, kind, k)
-        rhs = _traces(cls, a, b, kind, k)
-    return _report(label, cls, n, tol, scalar_residual(lhs, rhs))
+    with np.errstate(**_QUIET):
+        fn = map_fn if kind == "inverse" else unitalize(map_fn, cls, n)
+        a = sample_batch(cls, n, mix_seed(seed, 0), samples)
+        if kind == "square":
+            fa = _images(fn, a)
+            lhs = _traces(cls, fa, fa, "product", k)
+            rhs = _traces(cls, a, a, "product", k)
+        else:
+            b = sample_batch(cls, n, mix_seed(seed, 1), samples,
+                             _INVERTIBLE_DET if kind == "inverse" else None)
+            fa, fb = np.split(_images(fn, np.concatenate([a, b])), 2)
+            lhs = _traces(cls, fa, fb, kind, k)
+            rhs = _traces(cls, a, b, kind, k)
+        residuals = scalar_residual(lhs, rhs)
+    return _report(label, cls, n, tol, residuals)
 
 
 @dataclass
@@ -315,6 +330,7 @@ def check_kadison_choi(map_fn, n: int, samples: int, seed: int, tol: float = 1e-
     unital but nonlinear, and the inequalities are stated for linear maps).
     Reports the worst lower eigenvalue of each gap over PD samples.
     """
+    _require_samples(samples)
     eye = np.eye(n, dtype=complex)
     if frob(map_fn(eye) - eye) > 1e-9:
         raise NotUnital("map(I) differs from I by more than 1e-9")
@@ -350,11 +366,13 @@ _HOMOGENEITY_SCALES = (0.5, 2.0, 7.25)
 def check_homogeneity_additivity(map_fn, cls: MatrixClass, n: int, samples: int,
                                  seed: int, tol: float) -> VerificationReport:
     """Residuals of phi(lambda A) - lambda phi(A) and phi(A+B) - phi(A) - phi(B)."""
+    _require_samples(samples)
     a = sample_batch(cls, n, mix_seed(seed, 0), samples)
     b = sample_batch(cls, n, mix_seed(seed, 1), samples)
     inputs = [a, b, a + b] + [lam * a for lam in _HOMOGENEITY_SCALES]
-    fa, fb, fab, *scaled = np.split(_images(map_fn, np.concatenate(inputs)), len(inputs))
-    worst = matrix_residual(fab, fa + fb, axis=(-2, -1))
-    for lam, flam in zip(_HOMOGENEITY_SCALES, scaled):
-        worst = np.maximum(worst, matrix_residual(flam, lam * fa, axis=(-2, -1)))
+    with np.errstate(**_QUIET):
+        fa, fb, fab, *scaled = np.split(_images(map_fn, np.concatenate(inputs)), len(inputs))
+        worst = matrix_residual(fab, fa + fb, axis=(-2, -1))
+        for lam, flam in zip(_HOMOGENEITY_SCALES, scaled):
+            worst = np.maximum(worst, matrix_residual(flam, lam * fa, axis=(-2, -1)))
     return _report("homogeneity-additivity", cls, n, tol, worst)

@@ -153,12 +153,18 @@ class TestVerifyCommand:
         spec.write_text(dumps_stable({"kind": "mn-two-sided", "alpha": {"re": 1e200, "im": 0.0},
                                       "M": matrix_to_json(1e200 * eye),
                                       "N": matrix_to_json(eye), "transpose": False}))
-        code, out, _ = run_cli("verify", "--identity", "trace-product", "--class", "full",
-                               "--n", "3", "--map", str(spec), "--samples", "20", "--seed", "1")
+        code, out, err = run_cli("verify", "--identity", "trace-product", "--class", "full",
+                                 "--n", "3", "--map", str(spec), "--samples", "20", "--seed", "1")
         assert code == 2
         report = json.loads(out)
         assert report["pass"] is False
         assert report["max_residual"] == 1e100
+        assert b"RuntimeWarning" not in err
+        code, out, err = run_cli("verify", "--identity", "det-sum", "--class", "full",
+                                 "--n", "3", "--map", str(spec), "--samples", "20", "--seed", "1")
+        assert code == 2
+        assert json.loads(out)["max_residual"] == 1e100
+        assert b"RuntimeWarning" not in err
 
     def test_inline_map_spec(self):
         inline = dumps_stable({"kind": "pinching"})

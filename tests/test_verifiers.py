@@ -331,3 +331,14 @@ class TestReportShape:
         assert good.passed and good.failures == []
         bad = verify_det_identity(affine_map, MatrixClass.PD, 2, SUM, 20, 1, 1e-8)
         assert not bad.passed and len(bad.failures) > 0
+
+    @pytest.mark.parametrize("battery", [
+        lambda s: verify_det_identity(identity_map, MatrixClass.PD, 2, SUM, s, 1, 1e-8),
+        lambda s: verify_trace_identity(identity_map, MatrixClass.PD, 2, "inverse", s, 1, 1e-8),
+        lambda s: check_homogeneity_additivity(identity_map, MatrixClass.PD, 2, s, 1, 1e-8),
+        lambda s: check_kadison_choi(identity_map, 2, s, 1),
+    ], ids=["det", "trace", "homogeneity-additivity", "kadison-choi"])
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_below_one_rejected(self, battery, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            battery(samples)

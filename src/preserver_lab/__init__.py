@@ -13,6 +13,7 @@ from .core_linalg import (
     as_square_matrix,
     determinant,
     hermitian_eig,
+    inverse,
     matrix_from_json,
     matrix_residual,
     matrix_to_json,
@@ -75,6 +76,10 @@ from .verifiers import (
     check_jacobi,
     check_kadison_choi,
     check_minkowski,
+    oracle_dual_witness,
+    oracle_jacobi,
+    oracle_kadison_choi,
+    oracle_minkowski,
     unitalize,
     verify_det_identity,
     verify_trace_identity,

@@ -13,19 +13,18 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from .domains import MatrixClass, dual_witness, mix_seed, sample
+from .domains import MatrixClass
 from .errors import RECOVERY_ERRORS, PreserverLabError
 from .jsonio import dumps_stable
 from .mapspec import realize_map, recovery_to_json
-from .preservers import remark1_map, pinching
+from .preservers import remark1_map
 from .recovery import recover
 from .verifiers import (
     check_homogeneity_additivity,
-    check_jacobi,
-    check_kadison_choi,
-    check_minkowski,
+    oracle_dual_witness,
+    oracle_jacobi,
+    oracle_kadison_choi,
+    oracle_minkowski,
     verify_det_identity,
     verify_trace_identity,
 )
@@ -42,6 +41,10 @@ _IDENTITY_TAGS = (
 )
 
 _CLASSES = {cls.value: cls for cls in MatrixClass}
+# The classes each command handles: recovery's characterizations, and the
+# classes dual_witness constructs witnesses for.
+_RECOVER_CLASSES = ("full", "pd", "symmetric", "upper-triangular", "diagonal")
+_ORACLE_CLASSES = ("full", "symmetric", "diagonal", "hermitian")
 
 
 def _default_seed() -> int:
@@ -131,12 +134,9 @@ def _cmd_verify(args) -> int:
         weights = _parse_weights(args.weights) if args.weights else _default_weights(identity, args.n)
         report = verify_det_identity(map_fn, cls, args.n, weights, args.samples,
                                      args.seed, args.tol, identity=identity)
-    elif identity == "trace-inverse":
-        report = verify_trace_identity(map_fn, cls, args.n, "inverse", args.samples, args.seed, args.tol)
-    elif identity == "trace-product":
-        report = verify_trace_identity(map_fn, cls, args.n, "product", args.samples, args.seed, args.tol)
-    elif identity == "trace-square":
-        report = verify_trace_identity(map_fn, cls, args.n, "square", args.samples, args.seed, args.tol)
+    elif identity in ("trace-inverse", "trace-product", "trace-square"):
+        report = verify_trace_identity(map_fn, cls, args.n, identity.removeprefix("trace-"),
+                                       args.samples, args.seed, args.tol)
     elif identity == "trace-power-k" or power_match:
         k = int(power_match.group(1)) if power_match else args.k
         report = verify_trace_identity(map_fn, cls, args.n, "power", args.samples,
@@ -163,116 +163,20 @@ def _cmd_recover(args) -> int:
     return 0
 
 
-def _oracle_minkowski(args) -> tuple[dict, bool]:
-    worst_violation = 0.0
-    false_equalities = 0
-    for t in range(args.samples):
-        a = sample(MatrixClass.PD, args.n, mix_seed(args.seed, t, 0))
-        b = sample(MatrixClass.PD, args.n, mix_seed(args.seed, t, 1))
-        res = check_minkowski(a, b)
-        worst_violation = max(worst_violation, res.rhs - res.lhs)
-        if res.equality and not res.proportional:
-            false_equalities += 1
-    eq_pairs = max(1, args.samples // 10)
-    worst_gap = 0.0
-    for t in range(eq_pairs):
-        a = sample(MatrixClass.PD, args.n, mix_seed(args.seed, t, 2))
-        lam = 0.25 + 3.0 * (t % 7) / 7.0
-        res = check_minkowski(a, lam * a)
-        if not (res.equality and res.proportional):
-            false_equalities += 1
-        worst_gap = max(worst_gap, abs(res.lhs - res.rhs) / max(res.lhs, 1e-30))
-    ok = worst_violation <= 1e-10 and false_equalities == 0 and worst_gap <= 1e-8
-    report = {
-        "oracle": "minkowski",
-        "n": args.n,
-        "samples": args.samples,
-        "proportional_pairs": eq_pairs,
-        "max_direction_violation": float(worst_violation),
-        "max_equality_gap": float(worst_gap),
-        "false_equalities": int(false_equalities),
-        "pass": ok,
-    }
-    return report, ok
-
-
-def _oracle_jacobi(args) -> tuple[dict, bool]:
-    h = 1e-4
-    worst = 0.0
-    total = 0.0
-    for t in range(args.samples):
-        a0 = sample(MatrixClass.FULL, args.n, mix_seed(args.seed, t, 0))
-        adir = sample(MatrixClass.FULL, args.n, mix_seed(args.seed, t, 1))
-        adir = adir / np.linalg.norm(adir)
-        rng = np.random.default_rng(mix_seed(args.seed, t, 2))
-        t0 = float(rng.uniform(0.0, 1.0))
-        res = check_jacobi(a0, adir, t0, h)
-        worst = max(worst, res.residual)
-        total += res.residual
-    ok = worst <= 1e-6
-    report = {
-        "oracle": "jacobi",
-        "n": args.n,
-        "samples": args.samples,
-        "h": h,
-        "max_residual": float(worst),
-        "mean_residual": float(total / max(args.samples, 1)),
-        "pass": ok,
-    }
-    return report, ok
-
-
-def _oracle_kadison_choi(args) -> tuple[dict, bool]:
-    rng = np.random.default_rng(mix_seed(args.seed, 0xF1A9))
-    g = (rng.standard_normal((args.n, args.n)) + 1j * rng.standard_normal((args.n, args.n)))
-    u, _ = np.linalg.qr(g)
-    maps = {
-        "unitary-congruence": lambda a: u.conj().T @ a @ u,
-        "pinching": pinching,
-    }
-    sub = {}
-    ok = True
-    for name, fn in maps.items():
-        rep = check_kadison_choi(fn, args.n, args.samples, args.seed, tol=args.tol)
-        sub[name] = rep.to_dict()
-        ok = ok and rep.passed
-    return {"oracle": "kadison-choi", "n": args.n, "samples": args.samples, "maps": sub, "pass": ok}, ok
-
-
-def _oracle_dual_witness(args) -> tuple[dict, bool]:
-    cls = _CLASSES[args.klass]
-    found = 0
-    min_margin = float("inf")
-    for t in range(args.samples):
-        a = sample(cls, args.n, mix_seed(args.seed, t))
-        b = dual_witness(a, cls)
-        margin = abs(np.trace(np.asarray(a) @ b)) / float(np.linalg.norm(a))
-        min_margin = min(min_margin, margin)
-        found += 1
-    ok = found == args.samples and min_margin >= 1e-6
-    report = {
-        "oracle": "dual-witness",
-        "class": cls.value,
-        "n": args.n,
-        "samples": args.samples,
-        "found": found,
-        "min_margin": float(min_margin),
-        "pass": ok,
-    }
-    return report, ok
+_ORACLES = {
+    "minkowski": lambda args: oracle_minkowski(args.n, args.samples, args.seed),
+    "jacobi": lambda args: oracle_jacobi(args.n, args.samples, args.seed),
+    "kadison-choi": lambda args: oracle_kadison_choi(args.n, args.samples, args.seed, args.tol),
+    "dual-witness": lambda args: oracle_dual_witness(_CLASSES[args.klass], args.n,
+                                                     args.samples, args.seed),
+}
 
 
 def _cmd_oracle(args) -> int:
     _validate_common(args)
-    runner = {
-        "minkowski": _oracle_minkowski,
-        "jacobi": _oracle_jacobi,
-        "kadison-choi": _oracle_kadison_choi,
-        "dual-witness": _oracle_dual_witness,
-    }[args.oracle]
-    report, ok = runner(args)
+    report = _ORACLES[args.oracle](args)
     _emit(report, args.out)
-    return 0 if ok else 2
+    return 0 if report["pass"] else 2
 
 
 def _cmd_counterexample(args) -> int:
@@ -313,9 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="verify, recover and probe determinant/trace preserving matrix maps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_class=True, with_map=False):
-        if with_class:
-            p.add_argument("--class", dest="klass", choices=sorted(_CLASSES), required=with_class)
+    def common(p, classes, with_map=False):
+        p.add_argument("--class", dest="klass", choices=classes, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--samples", type=int, default=100)
         p.add_argument("--seed", type=int, default=_default_seed())
@@ -326,18 +229,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run one identity battery against a map spec")
     pv.add_argument("--identity", required=True)
-    common(pv, with_map=True)
+    common(pv, sorted(_CLASSES), with_map=True)
     pv.add_argument("--weights", default=None, help="semicolon list of s,t pairs (components may be complex)")
     pv.add_argument("--k", type=int, default=2, help="exponent for trace-power-k")
     pv.set_defaults(fn=_cmd_verify)
 
     pr = sub.add_parser("recover", help="recover canonical parameters of a map spec")
-    common(pr, with_map=True)
+    common(pr, _RECOVER_CLASSES, with_map=True)
     pr.set_defaults(fn=_cmd_recover)
 
     po = sub.add_parser("oracle", help="run a named oracle battery")
     po.add_argument("oracle", choices=("minkowski", "jacobi", "kadison-choi", "dual-witness"))
-    po.add_argument("--class", dest="klass", choices=sorted(_CLASSES), default="full")
+    po.add_argument("--class", dest="klass", choices=_ORACLE_CLASSES, default="full")
     po.add_argument("--n", type=int, required=True)
     po.add_argument("--samples", type=int, default=100)
     po.add_argument("--seed", type=int, default=_default_seed())
@@ -363,9 +266,6 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except RECOVERY_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3 if args.command == "recover" else 2
     except (PreserverLabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

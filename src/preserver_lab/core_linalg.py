@@ -8,9 +8,11 @@ n x n matrix or any (..., n, n) stack:
   stack instead of one tiny gemm per member;
 * ``trace_product`` contracts tr(XY) without forming the product stack;
 * ``determinant`` uses the explicit formulas for n <= 3 and LAPACK's LU
-  above, and a stack member's determinant is bit-identical to the
-  single-matrix value at any stack size;
-* ``scalar_residual`` and ``matrix_residual`` reduce per member.
+  above, and ``inverse`` the cofactor adjugate over that determinant for
+  n <= 3 and LAPACK above; a stack member's value is bit-identical to the
+  single-matrix one at any stack size;
+* ``scalar_residual`` and ``matrix_residual`` reduce per member, and every
+  non-finite residual becomes the failing sentinel ``SENTINEL``.
 
 Hermitian eigendecompositions and SVDs are delegated to LAPACK through
 numpy.  The cofactor adjugate keeps Adj(A) well defined near singularity,
@@ -25,12 +27,15 @@ from .errors import FactorizationError, NotHermitian, NotPositiveDefinite
 
 __all__ = [
     "as_square_matrix",
+    "SENTINEL",
+    "finite_or",
     "frob",
     "scalar_residual",
     "matrix_residual",
     "sandwich",
     "trace_product",
     "determinant",
+    "inverse",
     "adjugate",
     "hermitian_eig",
     "pd_sqrt",
@@ -56,28 +61,41 @@ def frob(a) -> float:
     return float(np.linalg.norm(a))
 
 
+# A non-finite residual, gap or margin stands for a failed check: it is
+# replaced by this value (by -SENTINEL where small values fail), so it fails
+# every tolerance, survives max/min folds and serializes.
+SENTINEL = 1e100
+
+
+def finite_or(x, fill: float = SENTINEL):
+    """``x`` with every NaN or infinity replaced by ``fill``.
+
+    A float for scalars, an array of the same shape otherwise.
+    """
+    r = np.where(np.isfinite(x), x, fill)
+    return float(r) if r.ndim == 0 else r
+
+
 def scalar_residual(x, y):
-    """Scale-aware scalar deviation |x - y| / (1 + |x| + |y|).
+    """Scale-aware scalar deviation |x - y| / (1 + |x| + |y|), ``SENTINEL`` if not finite.
 
     A float for scalars; elementwise on arrays.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    r = np.abs(x - y) / (1.0 + np.abs(x) + np.abs(y))
-    return float(r) if r.ndim == 0 else r
+    return finite_or(np.abs(x - y) / (1.0 + np.abs(x) + np.abs(y)))
 
 
 def matrix_residual(x, y, axis=None):
-    """Scale-aware Frobenius deviation ||X - Y|| / (1 + ||X|| + ||Y||).
+    """Scale-aware Frobenius deviation ||X - Y|| / (1 + ||X|| + ||Y||), ``SENTINEL`` if not finite.
 
     ``axis=None`` takes the norm over all entries and returns a float;
     ``axis=(-2, -1)`` gives one residual per member of a stack.
     """
     x = np.asarray(x)
     y = np.asarray(y)
-    r = np.linalg.norm(x - y, axis=axis) / (
-        1.0 + np.linalg.norm(x, axis=axis) + np.linalg.norm(y, axis=axis))
-    return float(r) if axis is None else r
+    return finite_or(np.linalg.norm(x - y, axis=axis) / (
+        1.0 + np.linalg.norm(x, axis=axis) + np.linalg.norm(y, axis=axis)))
 
 
 def sandwich(left, x, right=None) -> np.ndarray:
@@ -155,23 +173,66 @@ def _adjugate_cofactor(a: np.ndarray) -> np.ndarray:
     return adj
 
 
+def _adjugate_small(m: np.ndarray) -> np.ndarray:
+    """Adjugate of one matrix or of every stack member for n <= 3, in closed form.
+
+    For n = 3 the cofactor of entry (j, i) is the 2 x 2 minor on the cyclic
+    successors of j and of i, which carries its own sign.  Every operand is
+    named, for the reason given in :func:`_det3`.
+    """
+    n = m.shape[-1]
+    if n == 1:
+        return np.ones_like(m)
+    if n == 2:
+        return m[..., ::-1, ::-1].swapaxes(-1, -2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    s1, s2 = np.array([[1], [2], [0]]), np.array([[2], [0], [1]])
+    w, x = m[..., s1, s1.T], m[..., s2, s2.T]
+    y, z = m[..., s1, s2.T], m[..., s2, s1.T]
+    wx = w * x
+    yz = y * z
+    cofactors = wx - yz
+    return cofactors.swapaxes(-1, -2)
+
+
+def inverse(a) -> np.ndarray:
+    """Inverse of one n x n matrix or of every member of a stack.
+
+    For n <= 3 it is the closed-form adjugate over the closed-form
+    determinant, so a member's inverse is bit-identical to the single-matrix
+    one at any stack size; above, LAPACK's LU.  A singular member comes out
+    non-finite, and only that member, without a numpy warning.
+    """
+    m = np.asarray(a, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m.shape[-1] <= 3:
+            adj = _adjugate_small(m)
+            d = np.asarray(determinant(m))[..., None, None]
+            return adj / d
+        try:
+            return np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            if m.ndim == 2:
+                return np.full_like(m, np.nan)
+            return np.stack([inverse(member) for member in m])
+
+
 def adjugate(a) -> np.ndarray:
     """Adjugate Adj(A) with A @ Adj(A) = det(A) I.
 
-    Cofactors for n <= 4; det(A) * inv(A) for larger n, falling back to
-    cofactors when |det A| < 1e-12 * max(1, ||A||_F)^n so the result stays
-    meaningful for (near-)singular input.
+    Closed form for n <= 3, cofactors for n = 4; det(A) * inv(A) for larger
+    n, falling back to cofactors when |det A| < 1e-12 * max(1, ||A||_F)^n so
+    the result stays meaningful for (near-)singular input.
     """
     m = np.asarray(a, dtype=complex)
     n = m.shape[0]
-    if n == 1:
-        return np.ones((1, 1), dtype=complex)
-    if n <= 4:
+    if n <= 3:
+        return _adjugate_small(m)
+    if n == 4:
         return _adjugate_cofactor(m)
     d = determinant(m)
     if abs(d) < 1e-12 * max(1.0, frob(m)) ** n:
         return _adjugate_cofactor(m)
-    return d * np.linalg.inv(m)
+    return d * inverse(m)
 
 
 def hermitian_eig(a):

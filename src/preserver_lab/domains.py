@@ -90,13 +90,6 @@ def _gaussian(rng, shape) -> np.ndarray:
     return g
 
 
-def _haar_unitaries(rng, count: int, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_gaussian(rng, (count, n, n)))
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    d[np.abs(d) < 1e-300] = 1.0
-    return q * (d / np.abs(d))[:, None, :]
-
-
 def _invertible_diags(rng, count: int, n: int) -> np.ndarray:
     mod = rng.uniform(0.1, 10.0, size=(count, n))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(count, n))
@@ -106,11 +99,15 @@ def _invertible_diags(rng, count: int, n: int) -> np.ndarray:
 def _draw(cls: MatrixClass, rng, n: int, count: int) -> np.ndarray:
     """``count`` class members from ``rng``, stacked as (count, n, n)."""
     if cls is MatrixClass.PD or cls is MatrixClass.PSD:
-        v = _haar_unitaries(rng, count, n)
+        # V diag(lam) V^* is unchanged by V -> V D for diagonal unitary D, so
+        # the unitary factor of the QR needs no phase correction.
+        v = np.linalg.qr(_gaussian(rng, (count, n, n)))[0]
         lo = 0.1 if cls is MatrixClass.PD else 0.0
         lam = rng.uniform(lo, 10.0, size=(count, n))
         a = (v * lam[:, None, :]) @ v.conj().swapaxes(-1, -2)
-        return 0.5 * (a + a.conj().swapaxes(-1, -2))
+        a += a.conj().swapaxes(-1, -2)
+        a *= 0.5
+        return a
     if cls is MatrixClass.HERMITIAN:
         g = _gaussian(rng, (count, n, n))
         return 0.5 * (g + g.conj().swapaxes(-1, -2))

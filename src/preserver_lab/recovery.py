@@ -20,6 +20,10 @@ The pipeline realizes the constructive direction of the characterizations:
 
 The composite index (i, a) -> i*n + a (0-based) is fixed globally; the
 reshaping rules M0[a, i] = u[(i, a)], N0[j, b] = w[(j, b)] depend on it.
+
+Basis images and the consistency and round-trip probes are one stack each;
+a black box is queried once per matrix, n^2 + 71 times for the full and PD
+classes (basis, 20 consistency probes, the unit, 50 round-trip probes).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .core_linalg import (
     numeric_rank,
     principal_root,
 )
-from .domains import MatrixClass, _unit, basis, mix_seed, sample
+from .domains import MatrixClass, basis, mix_seed, sample_batch
 from .errors import (
     NotCanonical,
     NotLinear,
@@ -44,6 +48,7 @@ from .errors import (
     SingularUnit,
 )
 from .preservers import CanonicalPreserver, PreserverForm, apply_preserver
+from .verifiers import _QUIET, _images
 
 __all__ = [
     "LinearRep",
@@ -77,8 +82,9 @@ class LinearRep:
     source_class: MatrixClass
 
     def apply(self, x) -> np.ndarray:
+        """L on one matrix or on every member of a (..., n, n) stack."""
         m = np.asarray(x, dtype=complex)
-        return (self.rep @ m.reshape(-1)).reshape(self.n, self.n)
+        return (m.reshape(*m.shape[:-2], -1) @ self.rep.T).reshape(m.shape)
 
     def choi(self) -> np.ndarray:
         r4 = self.rep.reshape(self.n, self.n, self.n, self.n)
@@ -91,75 +97,43 @@ class LinearRep:
         return matrix_residual(j, j.conj().T)
 
 
-def _columns_from_pd_basis(map_fn, n):
-    """Action on matrix units from evaluations on the shifted PD basis."""
-    hbasis = basis(MatrixClass.HERMITIAN, n)
-    imgs = [np.asarray(map_fn(h + 2.0 * np.eye(n)), dtype=complex) for h in hbasis]
-    # sum_i (E_ii + 2I) = (2n + 1) I pins the extension at the identity
-    unit_img = sum(imgs[:n]) / (2.0 * n + 1.0)
-    himgs = [img - 2.0 * unit_img for img in imgs]
-
-    m = n * (n - 1) // 2
-    off_index = {}
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            off_index[(i, j)] = pos
-            pos += 1
-
-    cols = {}
-    for i in range(n):
-        cols[(i, i)] = himgs[i]
-    for (i, j), p in off_index.items():
-        d_img = himgs[n + p]
-        k_img = himgs[n + m + p]
-        cols[(i, j)] = 0.5 * (d_img - 1j * k_img)
-        cols[(j, i)] = 0.5 * (d_img + 1j * k_img)
-    return cols
-
-
 def build_linear_rep(map_fn, cls: MatrixClass, n: int, tol: float) -> LinearRep:
     """Sample the black box on a class basis and assemble its linear rep.
 
     Raises :class:`NotLinear` when the assembled representation deviates
     from the box by more than ``tol`` on 20 fresh class samples (e.g. for
-    the norm-dependent conjugation counterexample).  For the symmetric
-    class the rep is the symmetrized extension L(E_ij) = L(D_ij)/2; for
-    the triangular class strict-lower units map to zero.
+    the norm-dependent conjugation counterexample, or a box that returns
+    non-finite values).  For the symmetric class the rep is the symmetrized
+    extension L(E_ij) = L(D_ij)/2; for the triangular class strict-lower
+    units map to zero.
     """
-    if cls is MatrixClass.FULL:
-        cols = {(i, j): np.asarray(map_fn(_unit(n, i, j)), dtype=complex)
-                for i in range(n) for j in range(n)}
-    elif cls is MatrixClass.SYMMETRIC:
-        cols = {}
-        for i in range(n):
-            cols[(i, i)] = np.asarray(map_fn(_unit(n, i, i)), dtype=complex)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d_img = np.asarray(map_fn(_unit(n, i, j) + _unit(n, j, i)), dtype=complex)
-                cols[(i, j)] = 0.5 * d_img
-                cols[(j, i)] = 0.5 * d_img
-    elif cls is MatrixClass.UPPER_TRIANGULAR:
-        zero = np.zeros((n, n), dtype=complex)
-        cols = {}
-        for i in range(n):
-            for j in range(n):
-                cols[(i, j)] = (np.asarray(map_fn(_unit(n, i, j)), dtype=complex)
-                                if i <= j else zero)
-    elif cls is MatrixClass.PD:
-        cols = _columns_from_pd_basis(map_fn, n)
-    else:
+    if cls not in (MatrixClass.FULL, MatrixClass.SYMMETRIC, MatrixClass.UPPER_TRIANGULAR,
+                   MatrixClass.PD):
         raise ValueError(f"linear rep not defined for class {cls.value}")
-
-    rep = np.zeros((n * n, n * n), dtype=complex)
-    for (j, b), img in cols.items():
-        rep[:, j * n + b] = img.reshape(-1)
-
-    lin = LinearRep(n=n, rep=rep, consistency_residual=0.0, source_class=cls)
-    worst = 0.0
-    for t in range(_CONSISTENCY_SAMPLES):
-        x = sample(cls, n, mix_seed(_CONSISTENCY_TAG, n, t))
-        worst = max(worst, matrix_residual(lin.apply(x), map_fn(x)))
+    with np.errstate(**_QUIET):
+        # cols[j, b] = L(E_jb); the class bases list their elements row-major
+        imgs = _images(map_fn, np.stack(basis(cls, n)))
+        cols = np.zeros((n, n, n, n), dtype=complex)
+        diag, upper = (np.arange(n), np.arange(n)), np.triu_indices(n, 1)
+        if cls is MatrixClass.FULL:
+            cols[:] = imgs.reshape(cols.shape)
+        elif cls is MatrixClass.UPPER_TRIANGULAR:
+            cols[np.triu_indices(n)] = imgs
+        elif cls is MatrixClass.SYMMETRIC:
+            cols[diag] = imgs[:n]
+            cols[upper] = cols[upper[::-1]] = 0.5 * imgs[n:]
+        else:
+            # The PD basis is the Hermitian one shifted by 2I, and
+            # sum_i (E_ii + 2I) = (2n + 1) I pins the extension at the identity.
+            himgs = imgs - 2.0 * (imgs[:n].sum(axis=0) / (2.0 * n + 1.0))
+            d_img, k_img = np.split(himgs[n:], 2)
+            cols[diag] = himgs[:n]
+            cols[upper] = 0.5 * (d_img - 1j * k_img)
+            cols[upper[::-1]] = 0.5 * (d_img + 1j * k_img)
+        lin = LinearRep(n=n, rep=cols.reshape(n * n, n * n).T, consistency_residual=0.0,
+                        source_class=cls)
+        x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)
+        worst = float(np.max(matrix_residual(lin.apply(x), _images(map_fn, x), axis=(-2, -1))))
     lin.consistency_residual = worst
     if worst > tol:
         raise NotLinear(f"linear rep misses the black box by {worst:.3e} > {tol:.1e}")
@@ -189,20 +163,20 @@ def roundtrip_residual(map_fn, p: CanonicalPreserver, cls: MatrixClass, n: int,
                        samples: int, seed: int) -> float:
     """Worst scale-aware deviation between the box and the canonical map.
 
-    Diagonal-restricted for the tn-diagonal form, whose off-diagonal
-    completion is not part of the characterization.
+    The probes are ``sample_batch(cls, n, seed, samples)``.  Diagonal-restricted
+    for the tn-diagonal form, whose off-diagonal completion is not part of
+    the characterization.
     """
-    worst = 0.0
-    diag_only = p.form is PreserverForm.TN_DIAGONAL
-    for t in range(samples):
-        x = sample(cls, n, mix_seed(seed, t))
-        y1 = np.asarray(map_fn(x), dtype=complex)
+    x = sample_batch(cls, n, seed, samples)
+    with np.errstate(**_QUIET):
+        y1 = _images(map_fn, x)
         y2 = apply_preserver(p, x)
-        if diag_only:
-            worst = max(worst, matrix_residual(np.diagonal(y1), np.diagonal(y2)))
+        if p.form is PreserverForm.TN_DIAGONAL:
+            r = matrix_residual(np.diagonal(y1, axis1=-2, axis2=-1),
+                                np.diagonal(y2, axis1=-2, axis2=-1), axis=-1)
         else:
-            worst = max(worst, matrix_residual(y1, y2))
-    return worst
+            r = matrix_residual(y1, y2, axis=(-2, -1))
+    return float(np.max(r))
 
 
 def _phase_canonical(m):
@@ -328,16 +302,13 @@ def _recover_diagonal(map_fn, cls, n, tol):
     du = np.diagonal(unit)
     if np.min(np.abs(du)) <= 1e-12:
         raise SingularUnit("map(I) has a vanishing diagonal entry")
-    model = np.empty((n, n), dtype=complex)  # model[i, k] = [psi(E_kk)]_ii
-    for k in range(n):
-        img = np.asarray(map_fn(_unit(n, k, k)), dtype=complex)
-        model[:, k] = np.diagonal(img) / du
-    for t in range(_CONSISTENCY_SAMPLES):
-        x = sample(cls, n, mix_seed(_CONSISTENCY_TAG, n, t))
-        predicted = du * (model @ np.diagonal(x))
-        got = np.diagonal(np.asarray(map_fn(x), dtype=complex))
-        if matrix_residual(got, predicted) > tol:
-            raise NotLinear("diagonal action is not linear in the input diagonal")
+    imgs = _images(map_fn, np.stack(basis(MatrixClass.DIAGONAL, n)))
+    model = (np.diagonal(imgs, axis1=-2, axis2=-1) / du).T  # model[i, k] = [psi(E_kk)]_ii
+    x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)
+    predicted = du * (np.diagonal(x, axis1=-2, axis2=-1) @ model.T)
+    got = np.diagonal(_images(map_fn, x), axis1=-2, axis2=-1)
+    if np.max(matrix_residual(got, predicted, axis=-1)) > tol:
+        raise NotLinear("diagonal action is not linear in the input diagonal")
 
     sigma = [-1] * n
     for k in range(n):
@@ -366,14 +337,15 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8,
     / :class:`SingularUnit` when the box falls outside the characterized
     family.
     """
-    if cls in (MatrixClass.FULL, MatrixClass.PD):
-        p = _recover_two_sided(map_fn, cls, n, tol, rank_ratio_tol)
-    elif cls is MatrixClass.SYMMETRIC:
-        p = _recover_symmetric(map_fn, n, tol, rank_ratio_tol)
-    elif cls in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
-        p = _recover_diagonal(map_fn, cls, n, tol)
-    else:
-        raise ValueError(f"recovery not defined for class {cls.value}")
+    with np.errstate(**_QUIET):
+        if cls in (MatrixClass.FULL, MatrixClass.PD):
+            p = _recover_two_sided(map_fn, cls, n, tol, rank_ratio_tol)
+        elif cls is MatrixClass.SYMMETRIC:
+            p = _recover_symmetric(map_fn, n, tol, rank_ratio_tol)
+        elif cls in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
+            p = _recover_diagonal(map_fn, cls, n, tol)
+        else:
+            raise ValueError(f"recovery not defined for class {cls.value}")
     residual = roundtrip_residual(map_fn, p, cls, n, _RESIDUAL_SAMPLES,
                                   mix_seed(_ROUNDTRIP_TAG, n))
     if residual > tol:

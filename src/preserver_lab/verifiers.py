@@ -8,13 +8,15 @@ evaluated on the unitalized companion map (phi conjugated by its unit
 image per domain class); the ``inverse`` kind needs no gauge and runs on
 the raw map.  All residuals are scale-aware.
 
-Each battery draws its samples as two stacks, A = ``sample_batch(cls, n,
-mix_seed(seed, 0), samples)`` and B from ``mix_seed(seed, 1)``, evaluates
-the map once over the stack and reduces with the stacked kernels of
-:mod:`core_linalg` and stacked inverses and powers.  Only a
+Every battery, the oracle batteries included, draws its samples as
+stacks, A = ``sample_batch(cls, n, mix_seed(seed, 0), samples)`` and B from
+``mix_seed(seed, 1)``, evaluates the map once per stack and reduces with
+the stacked kernels of :mod:`core_linalg`.  Only a
 :class:`CanonicalPreserver` is called on a whole stack; any other map is a
-black box queried once per matrix.  A non-finite residual counts as the
-singular sentinel 1e100, so it fails; numpy's overflow and invalid-value
+black box queried once per matrix.  Checks stated for one matrix (Minkowski,
+Jacobi, dual witness) loop over the drawn stacks.  A non-finite residual
+counts as the failing sentinel 1e100 (-1e100 for the Kadison/Choi
+eigenvalue minima), so it fails; numpy's overflow and invalid-value
 warnings are silenced inside the batteries for that reason.
 
 For the upper-triangular and diagonal classes only diagonal data enters:
@@ -30,9 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_linalg import (
+    SENTINEL,
     adjugate,
     determinant,
+    finite_or,
     frob,
+    inverse,
     matrix_residual,
     pd_sqrt,
     sandwich,
@@ -40,9 +45,9 @@ from .core_linalg import (
     takagi_factor,
     trace_product,
 )
-from .domains import MatrixClass, mix_seed, sample, sample_batch
+from .domains import MatrixClass, dual_witness, mix_seed, sample_batch
 from .errors import DegenerateUnit, NotLinear, NotPositiveDefinite, NotUnital
-from .preservers import CanonicalPreserver
+from .preservers import CanonicalPreserver, pinching
 
 __all__ = [
     "VerificationReport",
@@ -56,9 +61,12 @@ __all__ = [
     "KadisonChoiReport",
     "check_kadison_choi",
     "check_homogeneity_additivity",
+    "oracle_minkowski",
+    "oracle_jacobi",
+    "oracle_kadison_choi",
+    "oracle_dual_witness",
 ]
 
-_SINGULAR_SENTINEL = 1e100
 _INVERTIBLE_DET = 1e-6
 # Non-finite values become the failing sentinel, so their warnings are noise.
 _QUIET = {"over": "ignore", "invalid": "ignore"}
@@ -96,18 +104,17 @@ class VerificationReport:
 
 
 def _report(identity, cls, n, tol, residuals) -> VerificationReport:
-    r = np.where(np.isfinite(residuals), residuals, _SINGULAR_SENTINEL)
-    mx = float(np.max(r))
+    mx = float(np.max(residuals))
     return VerificationReport(
         identity=identity,
         class_name=cls.value,
         n=n,
-        samples=r.size,
+        samples=residuals.size,
         tol=tol,
         max_residual=mx,
-        mean_residual=float(np.mean(r)),
+        mean_residual=float(np.mean(residuals)),
         passed=mx <= tol,
-        failures=[(int(i), float(r[i])) for i in np.flatnonzero(r > tol)[:10]],
+        failures=[(int(i), float(residuals[i])) for i in np.flatnonzero(residuals > tol)[:10]],
     )
 
 
@@ -151,7 +158,7 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
             raise DegenerateUnit("det(map(I)) vanishes; alpha is undefined")
         a = sample_batch(cls, n, mix_seed(seed, 0), samples)
         b = sample_batch(cls, n, mix_seed(seed, 1), samples)
-        fa, fb = np.split(_images(map_fn, np.concatenate([a, b])), 2)
+        fa, fb = _images(map_fn, a), _images(map_fn, b)
         worst = np.zeros(samples)
         for s_, t_ in weights:
             lhs = determinant(s_ * fa + t_ * fb, cls.triangular)
@@ -174,28 +181,14 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
     if matrix_residual(unit, eye) <= 1e-12:
         return map_fn
     if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN):
-        w = np.linalg.inv(pd_sqrt(unit))
+        w = inverse(pd_sqrt(unit))
         return _Unitalized(map_fn, w, w)
     if cls is MatrixClass.SYMMETRIC:
-        qi = np.linalg.inv(takagi_factor(unit))
+        qi = inverse(takagi_factor(unit))
         return _Unitalized(map_fn, qi, qi.T)
     if abs(determinant(unit)) <= 1e-12:
         raise DegenerateUnit("map(I) is singular")
-    return _Unitalized(map_fn, np.linalg.inv(unit))
-
-
-def _inverse(y) -> np.ndarray:
-    """Stacked inverse; only a singular member itself comes out as NaN."""
-    try:
-        return np.linalg.inv(y)
-    except np.linalg.LinAlgError:
-        out = np.full_like(y, np.nan)
-        for i, m in enumerate(y):
-            try:
-                out[i] = np.linalg.inv(m)
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    return _Unitalized(map_fn, inverse(unit))
 
 
 def _traces(cls, x, y, kind, k) -> np.ndarray:
@@ -209,7 +202,7 @@ def _traces(cls, x, y, kind, k) -> np.ndarray:
             return np.sum(dx * dy, axis=-1)
         return np.sum(dx * dy**k, axis=-1)
     if kind == "inverse":
-        y = _inverse(y)
+        y = inverse(y)
     elif kind == "power":
         y = np.linalg.matrix_power(y, k)
     return trace_product(x, y)
@@ -242,7 +235,7 @@ def verify_trace_identity(map_fn, cls: MatrixClass, n: int, kind: str, samples: 
         else:
             b = sample_batch(cls, n, mix_seed(seed, 1), samples,
                              _INVERTIBLE_DET if kind == "inverse" else None)
-            fa, fb = np.split(_images(fn, np.concatenate([a, b])), 2)
+            fa, fb = _images(fn, a), _images(fn, b)
             lhs = _traces(cls, fa, fb, kind, k)
             rhs = _traces(cls, a, b, kind, k)
         residuals = scalar_residual(lhs, rhs)
@@ -322,40 +315,45 @@ class KadisonChoiReport:
         }
 
 
+def _lowest_eigenvalues(g) -> np.ndarray:
+    """Lowest eigenvalue of each member's Hermitian part; -SENTINEL where it is not finite."""
+    h = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    low = np.full(len(h), -SENTINEL)
+    low[finite] = np.linalg.eigvalsh(h[finite])[:, 0]
+    return low
+
+
 def check_kadison_choi(map_fn, n: int, samples: int, seed: int, tol: float = 1e-8) -> KadisonChoiReport:
     """Operator inequalities phi(A)^2 <= phi(A^2), phi(A)^{-1} <= phi(A^{-1}).
 
     The caller asserts the map is unital positive linear; unitality and
     linearity are spot-checked first (the squared-trace counterexample is
     unital but nonlinear, and the inequalities are stated for linear maps).
-    Reports the worst lower eigenvalue of each gap over PD samples.
+    Reports the worst lower eigenvalue of each gap over the PD stack from
+    ``mix_seed(seed, 0)``; a non-finite gap counts as -1e100 and fails.
     """
     _require_samples(samples)
     eye = np.eye(n, dtype=complex)
-    if frob(map_fn(eye) - eye) > 1e-9:
-        raise NotUnital("map(I) differs from I by more than 1e-9")
-    for t in range(5):
-        x = sample(MatrixClass.HERMITIAN, n, mix_seed(seed, 0x11AEA, t, 0))
-        y = sample(MatrixClass.HERMITIAN, n, mix_seed(seed, 0x11AEA, t, 1))
-        rng = np.random.default_rng(mix_seed(seed, 0x11AEA, t, 2))
-        c0, c1 = rng.uniform(-2.0, 2.0, size=2)
-        if matrix_residual(map_fn(c0 * x + c1 * y), c0 * map_fn(x) + c1 * map_fn(y)) > 1e-8:
+    with np.errstate(**_QUIET):
+        if finite_or(frob(map_fn(eye) - eye)) > 1e-9:
+            raise NotUnital("map(I) differs from I by more than 1e-9")
+        x, y = (sample_batch(MatrixClass.HERMITIAN, n, mix_seed(seed, 0x11AEA, k), 5) for k in (0, 1))
+        c = np.random.default_rng(mix_seed(seed, 0x11AEA, 2)).uniform(-2.0, 2.0, size=(2, 5, 1, 1))
+        combo = _images(map_fn, c[0] * x + c[1] * y)
+        if np.max(matrix_residual(combo, c[0] * _images(map_fn, x) + c[1] * _images(map_fn, y),
+                                  axis=(-2, -1))) > 1e-8:
             raise NotLinear("map failed the linear-combination spot check")
-    min_kad = np.inf
-    min_choi = np.inf
-    for t in range(samples):
-        a = sample(MatrixClass.PD, n, mix_seed(seed, t))
-        fa = map_fn(a)
-        g1 = map_fn(a @ a) - fa @ fa
-        g2 = map_fn(np.linalg.inv(a)) - np.linalg.inv(fa)
-        min_kad = min(min_kad, float(np.linalg.eigvalsh(0.5 * (g1 + g1.conj().T))[0]))
-        min_choi = min(min_choi, float(np.linalg.eigvalsh(0.5 * (g2 + g2.conj().T))[0]))
+        a = sample_batch(MatrixClass.PD, n, mix_seed(seed, 0), samples)
+        fa = _images(map_fn, a)
+        min_kad = float(np.min(_lowest_eigenvalues(_images(map_fn, a @ a) - fa @ fa)))
+        min_choi = float(np.min(_lowest_eigenvalues(_images(map_fn, inverse(a)) - inverse(fa))))
     return KadisonChoiReport(
         n=n,
         samples=samples,
         tol=tol,
-        min_eig_kadison=float(min_kad),
-        min_eig_choi=float(min_choi),
+        min_eig_kadison=min_kad,
+        min_eig_choi=min_choi,
         passed=min_kad >= -tol and min_choi >= -tol,
     )
 
@@ -369,10 +367,70 @@ def check_homogeneity_additivity(map_fn, cls: MatrixClass, n: int, samples: int,
     _require_samples(samples)
     a = sample_batch(cls, n, mix_seed(seed, 0), samples)
     b = sample_batch(cls, n, mix_seed(seed, 1), samples)
-    inputs = [a, b, a + b] + [lam * a for lam in _HOMOGENEITY_SCALES]
     with np.errstate(**_QUIET):
-        fa, fb, fab, *scaled = np.split(_images(map_fn, np.concatenate(inputs)), len(inputs))
-        worst = matrix_residual(fab, fa + fb, axis=(-2, -1))
-        for lam, flam in zip(_HOMOGENEITY_SCALES, scaled):
-            worst = np.maximum(worst, matrix_residual(flam, lam * fa, axis=(-2, -1)))
+        fa, fb = _images(map_fn, a), _images(map_fn, b)
+        worst = matrix_residual(_images(map_fn, a + b), fa + fb, axis=(-2, -1))
+        for lam in _HOMOGENEITY_SCALES:
+            worst = np.maximum(worst, matrix_residual(_images(map_fn, lam * a), lam * fa, axis=(-2, -1)))
     return _report("homogeneity-additivity", cls, n, tol, worst)
+
+
+def oracle_minkowski(n: int, samples: int, seed: int) -> dict:
+    """:func:`check_minkowski` on PD pairs and on proportional pairs.
+
+    Pair i is member i of the PD stacks from ``mix_seed(seed, 0)`` and
+    ``(seed, 1)``; proportional pair i is member i of ``(seed, 2)`` against
+    itself scaled by 0.25 + 3 (i mod 7) / 7, for i < max(1, samples // 10).
+    """
+    _require_samples(samples)
+    a, b = (sample_batch(MatrixClass.PD, n, mix_seed(seed, k), samples) for k in (0, 1))
+    c = sample_batch(MatrixClass.PD, n, mix_seed(seed, 2), max(1, samples // 10))
+    pairs = [check_minkowski(x, y) for x, y in zip(a, b)]
+    equal = [check_minkowski(x, (0.25 + 3.0 * (i % 7) / 7.0) * x) for i, x in enumerate(c)]
+    violation = float(np.max(finite_or([r.rhs - r.lhs for r in pairs]), initial=0.0))
+    gap = float(np.max(finite_or([abs(r.lhs - r.rhs) / max(r.lhs, 1e-30) for r in equal])))
+    false_equalities = (sum(r.equality and not r.proportional for r in pairs)
+                        + sum(not (r.equality and r.proportional) for r in equal))
+    return {"oracle": "minkowski", "n": n, "samples": samples, "proportional_pairs": len(c),
+            "max_direction_violation": violation, "max_equality_gap": gap,
+            "false_equalities": false_equalities,
+            "pass": violation <= 1e-10 and false_equalities == 0 and gap <= 1e-8}
+
+
+def oracle_jacobi(n: int, samples: int, seed: int) -> dict:
+    """:func:`check_jacobi` with h = 1e-4 along A0 + t Adir.
+
+    A0 and Adir (normalized) are the full stacks from ``mix_seed(seed, 0)``
+    and ``(seed, 1)``; t0 is uniform in [0, 1) from ``default_rng(mix_seed(seed, 2))``.
+    """
+    _require_samples(samples)
+    h = 1e-4
+    a0, adir = (sample_batch(MatrixClass.FULL, n, mix_seed(seed, k), samples) for k in (0, 1))
+    adir /= np.linalg.norm(adir, axis=(-2, -1), keepdims=True)
+    t0 = np.random.default_rng(mix_seed(seed, 2)).uniform(0.0, 1.0, samples)
+    r = np.array([check_jacobi(x, d, t, h).residual for x, d, t in zip(a0, adir, t0)])
+    worst = float(np.max(r))
+    return {"oracle": "jacobi", "n": n, "samples": samples, "h": h, "max_residual": worst,
+            "mean_residual": float(np.mean(r)), "pass": worst <= 1e-6}
+
+
+def oracle_kadison_choi(n: int, samples: int, seed: int, tol: float = 1e-8) -> dict:
+    """:func:`check_kadison_choi` on a seeded unitary congruence and on the pinching."""
+    rng = np.random.default_rng(mix_seed(seed, 0xF1A9))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    maps = {"unitary-congruence": lambda a: u.conj().T @ a @ u, "pinching": pinching}
+    reports = {name: check_kadison_choi(fn, n, samples, seed, tol=tol).to_dict()
+               for name, fn in maps.items()}
+    ok = all(r["pass"] for r in reports.values())
+    return {"oracle": "kadison-choi", "n": n, "samples": samples, "maps": reports, "pass": ok}
+
+
+def oracle_dual_witness(cls: MatrixClass, n: int, samples: int, seed: int) -> dict:
+    """:func:`dual_witness` margins |tr(AB)| / ||A||_F over the class stack from ``mix_seed(seed, 0)``."""
+    _require_samples(samples)
+    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
+    b = np.stack([dual_witness(m, cls) for m in a])
+    margin = float(np.min(finite_or(np.abs(trace_product(a, b)) / np.linalg.norm(a, axis=(-2, -1)),
+                                    -SENTINEL)))
+    return {"oracle": "dual-witness", "class": cls.value, "n": n, "samples": samples,
+            "found": len(b), "min_margin": margin, "pass": len(b) == samples and margin >= 1e-6}

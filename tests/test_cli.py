@@ -12,9 +12,14 @@ from preserver_lab import (
     PreserverForm,
     build_linear_rep,
     matrix_to_json,
+    oracle_dual_witness,
+    oracle_jacobi,
+    oracle_kadison_choi,
+    oracle_minkowski,
     preserver_to_spec,
     random_canonical,
 )
+from preserver_lab.cli import main
 from preserver_lab.jsonio import dumps_stable
 
 
@@ -228,7 +233,46 @@ class TestRecoverCommand:
         assert rec["residual"] <= 1e-8
 
 
+class TestRecoverNonFinite:
+    @pytest.mark.parametrize("klass", ["full", "pd", "symmetric", "upper-triangular", "diagonal"])
+    def test_overflowing_map_is_not_linear(self, klass, tmp_path, capfd):
+        # alpha = 1e200, M = 1e200 I: the box's images overflow, so the linear
+        # rep cannot reproduce it; no warning, LAPACK noise or traceback
+        eye = np.eye(3, dtype=complex)
+        spec = tmp_path / "overflow.json"
+        spec.write_text(dumps_stable({"kind": "mn-two-sided", "alpha": {"re": 1e200, "im": 0.0},
+                                      "M": matrix_to_json(1e200 * eye),
+                                      "N": matrix_to_json(eye), "transpose": False}))
+        assert main(["recover", "--class", klass, "--n", "3", "--map", str(spec)]) == 3
+        out, err = capfd.readouterr()
+        assert json.loads(out)["error"] == "NotLinear"
+        assert err.startswith("recovery failed: NotLinear")
+        for noise in ("Warning", "DLASCL", "LinAlgError", "Traceback"):
+            assert noise not in out + err
+
+
+class TestClassChoices:
+    @pytest.mark.parametrize("argv", [
+        ["recover", "--class", "hermitian", "--n", "3", "--map", "{}"],
+        ["oracle", "dual-witness", "--class", "pd", "--n", "3"],
+    ], ids=["recover-hermitian", "dual-witness-pd"])
+    def test_unsupported_class_is_rejected_by_the_parser(self, argv, capsys):
+        assert main(argv) == 1
+        assert "invalid choice" in capsys.readouterr().err
+
+
 class TestOracleCommand:
+    @pytest.mark.parametrize("argv,battery", [
+        (["minkowski", "--n", "3"], lambda: oracle_minkowski(3, 30, 5)),
+        (["jacobi", "--n", "3"], lambda: oracle_jacobi(3, 30, 5)),
+        (["kadison-choi", "--n", "3", "--tol", "1e-9"], lambda: oracle_kadison_choi(3, 30, 5, 1e-9)),
+        (["dual-witness", "--class", "diagonal", "--n", "3"],
+         lambda: oracle_dual_witness(MatrixClass.DIAGONAL, 3, 30, 5)),
+    ], ids=["minkowski", "jacobi", "kadison-choi", "dual-witness"])
+    def test_emits_the_library_battery(self, argv, battery, capsys):
+        assert main(["oracle", *argv, "--samples", "30", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == dumps_stable(battery()) + "\n"
+
     def test_jacobi(self):
         code, out, _ = run_cli("oracle", "jacobi", "--n", "5", "--samples", "100",
                                "--seed", "1")

@@ -1,5 +1,7 @@
 """Tests for the dense matrix kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from preserver_lab import (
     adjugate,
     determinant,
     hermitian_eig,
+    inverse,
     matrix_from_json,
     matrix_residual,
     matrix_to_json,
@@ -102,6 +105,34 @@ class TestAdjugate:
             d = determinant(a)
             res = np.linalg.norm(a @ adjugate(a) - d * np.eye(n))
             assert res <= 1e-9 * (1.0 + np.linalg.norm(a) ** n)
+
+
+class TestInverse:
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 5):
+            stack = rng.standard_normal((4, 3, n, n)) + 1j * rng.standard_normal((4, 3, n, n))
+            got = inverse(stack)
+            assert got.shape == stack.shape
+            assert np.array_equal(got, [[inverse(m) for m in row] for row in stack])
+            assert np.allclose(stack @ got, np.eye(n), atol=1e-12)
+        # past numpy's 256 KiB temporary-elision threshold; every 5th member
+        for n in (2, 3):
+            stack = rng.standard_normal((20000, n, n)) + 1j * rng.standard_normal((20000, n, n))
+            assert np.array_equal(inverse(stack)[::5], [inverse(m) for m in stack[::5]])
+
+    def test_singular_member_is_non_finite_only_at_its_index(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3, 5):
+            stack = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+            stack[2, -1] = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = inverse(stack)
+                single = inverse(stack[2])
+            finite = np.isfinite(got).all(axis=(1, 2))
+            assert finite.tolist() == [True, True, False, True, True, True], n
+            assert not np.isfinite(single).all()
 
 
 class TestHermitianEig:

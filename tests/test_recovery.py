@@ -247,6 +247,37 @@ class TestRecover:
         with pytest.raises(NotCanonical):
             recover(fn, MatrixClass.SYMMETRIC, 3)
 
+    @pytest.mark.parametrize("cls", [MatrixClass.FULL, MatrixClass.PD, MatrixClass.SYMMETRIC,
+                                     MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL],
+                             ids=lambda c: c.value)
+    def test_non_finite_box_is_not_linear(self, cls):
+        # identity on matrix units, NaN everywhere else: the NaN consistency
+        # residuals must fail instead of vanishing in a max()
+        def box(a):
+            m = np.asarray(a, dtype=complex)
+            if np.count_nonzero(m) == 1 and np.max(np.abs(m)) == 1.0:
+                return m.copy()
+            return np.full(m.shape, np.nan, dtype=complex)
+
+        with pytest.raises(NotLinear):
+            recover(box, cls, 3)
+
+    @pytest.mark.parametrize("form,cls", [(PreserverForm.MN_TWO_SIDED, MatrixClass.FULL),
+                                          (PreserverForm.PN_CONGRUENCE, MatrixClass.PD)],
+                             ids=["full", "pd"])
+    def test_query_count(self, form, cls):
+        # n^2 basis images, 20 consistency probes, the unit, 50 round-trip probes
+        for n in (2, 3):
+            hidden = random_canonical(form, n, 6)
+            queries = []
+
+            def box(a):
+                queries.append(a)
+                return hidden(a)
+
+            recover(box, cls, n)
+            assert len(queries) == n * n + 71
+
     def test_swap_map_not_canonical_on_full(self):
         # X -> diag-swapped non-two-sided linear map: rank of both Choi
         # branches exceeds one, recovery must refuse

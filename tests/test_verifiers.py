@@ -19,7 +19,12 @@ from preserver_lab import (
     check_kadison_choi,
     check_minkowski,
     determinant,
+    dual_witness,
     mix_seed,
+    oracle_dual_witness,
+    oracle_jacobi,
+    oracle_kadison_choi,
+    oracle_minkowski,
     pinching,
     random_canonical,
     remark1_map,
@@ -294,6 +299,55 @@ class TestKadisonChoi:
         with pytest.raises(NotLinear):
             check_kadison_choi(remark1_map, 3, 10, 1)
 
+    def test_non_finite_gaps_fail_and_serialize(self):
+        # the identity on the unit and the (indefinite) linearity probes, NaN
+        # on every other PD input, so every gap is non-finite
+        n = 3
+
+        def box(a):
+            m = np.array(a, dtype=complex)
+            if np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] > 0 and not np.array_equal(m, np.eye(n)):
+                m[:] = np.nan
+            return m
+
+        rep = check_kadison_choi(box, n, 20, 1)
+        report = json.loads(dumps_stable(rep.to_dict()))
+        assert report["pass"] is False
+        assert report["min_eig_kadison"] == report["min_eig_choi"] == -1e100
+
+    def test_query_count(self):
+        # the unit, 5 x 3 linearity probes, 3 images per PD sample
+        queries = []
+
+        def box(a):
+            queries.append(a)
+            return pinching(a)
+
+        assert check_kadison_choi(box, 3, 20, 1).passed
+        assert len(queries) == 76
+
+
+class TestOracleBatteries:
+    def test_all_pass_on_their_contracts(self):
+        mk = oracle_minkowski(3, 60, 2)
+        assert mk["pass"] and mk["proportional_pairs"] == 6 and mk["false_equalities"] == 0
+        assert mk["max_direction_violation"] == 0.0 and mk["max_equality_gap"] <= 1e-8
+        jac = oracle_jacobi(4, 40, 2)
+        assert jac["pass"] and jac["max_residual"] <= 1e-6
+        kc = oracle_kadison_choi(3, 20, 2)
+        assert kc["pass"] and list(kc["maps"]) == ["unitary-congruence", "pinching"]
+        for cls in (MatrixClass.FULL, MatrixClass.SYMMETRIC, MatrixClass.DIAGONAL,
+                    MatrixClass.HERMITIAN):
+            dw = oracle_dual_witness(cls, 3, 40, 2)
+            assert dw["pass"] and dw["found"] == 40 and dw["min_margin"] >= 1e-6
+
+    def test_dual_witness_margins_come_from_the_drawn_stack(self):
+        a_all = sample_batch(MatrixClass.SYMMETRIC, 3, mix_seed(4, 0), 30)
+        margins = [abs(np.trace(a @ dual_witness(a, MatrixClass.SYMMETRIC))) / np.linalg.norm(a)
+                   for a in a_all]
+        got = oracle_dual_witness(MatrixClass.SYMMETRIC, 3, 30, 4)["min_margin"]
+        assert got == pytest.approx(min(margins), rel=1e-12)
+
 
 class TestHomogeneityAdditivity:
     def test_canonical_maps_linear(self):
@@ -337,7 +391,12 @@ class TestReportShape:
         lambda s: verify_trace_identity(identity_map, MatrixClass.PD, 2, "inverse", s, 1, 1e-8),
         lambda s: check_homogeneity_additivity(identity_map, MatrixClass.PD, 2, s, 1, 1e-8),
         lambda s: check_kadison_choi(identity_map, 2, s, 1),
-    ], ids=["det", "trace", "homogeneity-additivity", "kadison-choi"])
+        lambda s: oracle_minkowski(2, s, 1),
+        lambda s: oracle_jacobi(2, s, 1),
+        lambda s: oracle_kadison_choi(2, s, 1),
+        lambda s: oracle_dual_witness(MatrixClass.FULL, 2, s, 1),
+    ], ids=["det", "trace", "homogeneity-additivity", "kadison-choi", "oracle-minkowski",
+            "oracle-jacobi", "oracle-kadison-choi", "oracle-dual-witness"])
     @pytest.mark.parametrize("samples", [0, -3])
     def test_samples_below_one_rejected(self, battery, samples):
         with pytest.raises(ValueError, match="samples must be >= 1"):

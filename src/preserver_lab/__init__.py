@@ -52,6 +52,7 @@ from .errors import (
 from .mapspec import preserver_to_spec, realize_map, recovery_to_json, spec_to_preserver
 from .preservers import (
     CanonicalPreserver,
+    LinearRep,
     PreserverForm,
     apply_preserver,
     gauge_residual,
@@ -59,14 +60,7 @@ from .preservers import (
     random_canonical,
     remark1_map,
 )
-from .recovery import (
-    LinearRep,
-    build_linear_rep,
-    choi_matrix,
-    rank_one_split,
-    recover,
-    roundtrip_residual,
-)
+from .recovery import build_linear_rep, rank_one_split, recover, roundtrip_residual
 from .verifiers import (
     JacobiCheck,
     KadisonChoiReport,

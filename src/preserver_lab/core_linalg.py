@@ -8,15 +8,17 @@ n x n matrix or any (..., n, n) stack:
   stack instead of one tiny gemm per member;
 * ``trace_product`` contracts tr(XY) without forming the product stack;
 * ``determinant`` uses the explicit formulas for n <= 3 and LAPACK's LU
-  above, and ``inverse`` the cofactor adjugate over that determinant for
+  above, and ``inverse`` the closed-form adjugate over that determinant for
   n <= 3 and LAPACK above; a stack member's value is bit-identical to the
   single-matrix one at any stack size;
+* ``adjugate`` is that closed form for n <= 3 and Stewart's SVD formula
+  above, which stays well defined at (near-)singular input, where
+  det(A) * inv(A) does not;
 * ``scalar_residual`` and ``matrix_residual`` reduce per member, and every
   non-finite residual becomes the failing sentinel ``SENTINEL``.
 
 Hermitian eigendecompositions and SVDs are delegated to LAPACK through
-numpy.  The cofactor adjugate keeps Adj(A) well defined near singularity,
-where det(A) * inv(A) is not.
+numpy.
 """
 
 from __future__ import annotations
@@ -163,16 +165,6 @@ def determinant(a, triangular: bool = False):
     return complex(d) if m.ndim == 2 else d
 
 
-def _adjugate_cofactor(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    adj = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(a, j, axis=0), i, axis=1)
-            adj[i, j] = (-1) ** (i + j) * determinant(minor)
-    return adj
-
-
 def _adjugate_small(m: np.ndarray) -> np.ndarray:
     """Adjugate of one matrix or of every stack member for n <= 3, in closed form.
 
@@ -217,22 +209,25 @@ def inverse(a) -> np.ndarray:
 
 
 def adjugate(a) -> np.ndarray:
-    """Adjugate Adj(A) with A @ Adj(A) = det(A) I.
+    """Adjugate Adj(A) with A @ Adj(A) = det(A) I, for one matrix or a stack.
 
-    Closed form for n <= 3, cofactors for n = 4; det(A) * inv(A) for larger
-    n, falling back to cofactors when |det A| < 1e-12 * max(1, ||A||_F)^n so
-    the result stays meaningful for (near-)singular input.
+    Closed form for n <= 3.  Above, with A = U diag(sigma) V^H, Stewart's
+    formula Adj(A) = det(U V^H) V diag(prod_{j != i} sigma_j) U^H, the
+    products taken from prefix and suffix products without division, so it
+    holds at any rank (G. W. Stewart, "On the adjugate matrix", LAA 1998).
+    A member with a non-finite entry gets an all-NaN adjugate.
     """
     m = np.asarray(a, dtype=complex)
-    n = m.shape[0]
-    if n <= 3:
+    if m.shape[-1] <= 3:
         return _adjugate_small(m)
-    if n == 4:
-        return _adjugate_cofactor(m)
-    d = determinant(m)
-    if abs(d) < 1e-12 * max(1.0, frob(m)) ** n:
-        return _adjugate_cofactor(m)
-    return d * inverse(m)
+    bad = ~np.isfinite(m).all(axis=(-2, -1))[..., None, None]
+    u, s, vh = np.linalg.svd(np.where(bad, 0.0, m))
+    ones = np.ones_like(s[..., :1])
+    before = np.cumprod(np.concatenate([ones, s[..., :-1]], axis=-1), axis=-1)
+    after = np.cumprod(np.concatenate([ones, s[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+    phase = np.asarray(determinant(u @ vh))[..., None, None]
+    v_scaled = vh.conj().swapaxes(-1, -2) * (before * after)[..., None, :]
+    return np.where(bad, np.nan, phase * v_scaled @ u.conj().swapaxes(-1, -2))
 
 
 def hermitian_eig(a):

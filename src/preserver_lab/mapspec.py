@@ -8,7 +8,7 @@ A map spec is an object with a ``kind`` key:
   ``lambdas``, optional ``offdiag_seed``);
 * ``linear-rep`` carries an n^2 x n^2 matrix under the global row-major
   vectorization convention, which is how arbitrary external linear maps
-  are submitted;
+  are submitted; it is realized as a :class:`LinearRep`;
 * ``remark1`` and ``pinching`` take no parameters.
 
 Gauge constraints are deliberately not enforced on load; loaded specs are
@@ -21,7 +21,8 @@ import numpy as np
 
 from .core_linalg import matrix_from_json, matrix_to_json
 from .jsonio import complex_from_json, complex_to_json
-from .preservers import CanonicalPreserver, PreserverForm, gauge_residual, pinching, remark1_map
+from .preservers import (CanonicalPreserver, LinearRep, PreserverForm, gauge_residual, pinching,
+                         remark1_map)
 
 __all__ = [
     "spec_to_preserver",
@@ -87,14 +88,7 @@ def realize_map(spec: dict, n: int):
         rep = matrix_from_json(spec["rep"])
         if rep.shape != (n * n, n * n):
             raise ValueError(f"linear-rep matrix must be {n * n} x {n * n}")
-
-        def rep_map(a, _rep=rep, _n=n):
-            m = np.asarray(a, dtype=complex)
-            if m.shape != (_n, _n):
-                raise ValueError(f"expected shape {(_n, _n)}")
-            return (_rep @ m.reshape(-1)).reshape(_n, _n)
-
-        return rep_map
+        return LinearRep(n, rep)
     if kind == "remark1":
         return remark1_map
     if kind == "pinching":

@@ -10,6 +10,7 @@ project:
 
 plus the norm-dependent unitary conjugation counterexample and the
 diagonal pinching (a unital positive linear non-congruence map).
+:class:`LinearRep` holds any linear map as its explicit n^2 x n^2 matrix.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from enum import Enum
 
 import numpy as np
 
-from .core_linalg import determinant, frob, principal_root, sandwich
+from .core_linalg import determinant, frob, matrix_residual, principal_root, sandwich
 from .domains import mix_seed
 from .errors import DimensionMismatch
 
 __all__ = [
     "PreserverForm",
     "CanonicalPreserver",
+    "LinearRep",
     "apply_preserver",
     "random_canonical",
     "remark1_map",
@@ -82,6 +84,40 @@ class CanonicalPreserver:
         return apply_preserver(self, a)
 
 
+@dataclass(frozen=True, eq=False)
+class LinearRep:
+    """A linear map on n x n matrices as its n^2 x n^2 matrix; takes (..., n, n) stacks.
+
+    ``rep`` acts on row-major vectorized matrices: vec(L(X)) = rep @ vec(X)
+    with vec index (i, a) -> i*n + a.
+    """
+
+    n: int
+    rep: np.ndarray
+
+    def __call__(self, a):
+        m = _square_stack(a, self.n)
+        return (m.reshape(*m.shape[:-2], -1) @ self.rep.T).reshape(m.shape)
+
+    def choi(self) -> np.ndarray:
+        """Choi layout J[(i,a),(j,b)] = [L(E_ij)]_{ab}."""
+        r4 = self.rep.reshape(self.n, self.n, self.n, self.n)
+        # J4[i,a,j,b] = L(E_ij)[a,b] = R4[a,b,i,j]
+        return r4.transpose(2, 0, 3, 1).reshape(self.n * self.n, self.n * self.n)
+
+    def hermiticity_residual(self) -> float:
+        """How far L is from commuting with conjugation (Choi Hermiticity)."""
+        j = self.choi()
+        return matrix_residual(j, j.conj().T)
+
+
+def _square_stack(a, n: int) -> np.ndarray:
+    m = np.asarray(a, dtype=complex)
+    if m.shape[-2:] != (n, n):
+        raise DimensionMismatch(f"expected shape (..., {n}, {n}), got {m.shape}")
+    return m
+
+
 _FILLER_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -100,9 +136,7 @@ def _tn_filler(n: int, seed: int) -> np.ndarray:
 
 def apply_preserver(p: CanonicalPreserver, a) -> np.ndarray:
     """Evaluate the canonical map on one n x n matrix or a (..., n, n) stack."""
-    m = np.asarray(a, dtype=complex)
-    if m.shape[-2:] != (p.n, p.n):
-        raise DimensionMismatch(f"expected shape (..., {p.n}, {p.n}), got {m.shape}")
+    m = _square_stack(a, p.n)
     x = m.swapaxes(-1, -2) if p.transpose else m
     if p.form is PreserverForm.PN_CONGRUENCE:
         return p.alpha * sandwich(p.M.conj().T, x, p.M)

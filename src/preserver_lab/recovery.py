@@ -10,7 +10,7 @@ The pipeline realizes the constructive direction of the characterizations:
    X = H1 + i H2.  Linearity is not assumed: the representation must
    reproduce the box on fresh samples or :class:`NotLinear` is raised.
 
-2. ``choi_matrix`` reshuffles the representation into the Choi layout
+2. ``LinearRep.choi`` reshuffles the representation into the Choi layout
    J[(i,a),(j,b)] = [L(E_ij)]_{ab}.  J has numeric rank one exactly for
    two-sided multiplications X -> M X N, which is what ``recover`` exploits
    for the full and PD classes (precomposing with transpose to find the
@@ -21,14 +21,14 @@ The pipeline realizes the constructive direction of the characterizations:
 The composite index (i, a) -> i*n + a (0-based) is fixed globally; the
 reshaping rules M0[a, i] = u[(i, a)], N0[j, b] = w[(j, b)] depend on it.
 
-Basis images and the consistency and round-trip probes are one stack each;
-a black box is queried once per matrix, n^2 + 71 times for the full and PD
-classes (basis, 20 consistency probes, the unit, 50 round-trip probes).
+Basis images and the consistency and round-trip probes are one stack each,
+evaluated through :func:`verifiers._images`: a canonical map or a
+:class:`LinearRep` takes each stack in one call, and a black box queried one
+matrix at a time is queried n^2 + 71 times for the full and PD classes
+(basis, 20 consistency probes, the unit, 50 round-trip probes).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,13 +47,11 @@ from .errors import (
     NotStarForm,
     SingularUnit,
 )
-from .preservers import CanonicalPreserver, PreserverForm, apply_preserver
+from .preservers import CanonicalPreserver, LinearRep, PreserverForm, apply_preserver
 from .verifiers import _QUIET, _images
 
 __all__ = [
-    "LinearRep",
     "build_linear_rep",
-    "choi_matrix",
     "rank_one_split",
     "recover",
     "roundtrip_residual",
@@ -64,37 +62,6 @@ _CONSISTENCY_SAMPLES = 20
 _RESIDUAL_SAMPLES = 50
 _CONSISTENCY_TAG = 0xC0451
 _ROUNDTRIP_TAG = 0x407A11
-
-
-@dataclass(eq=False)
-class LinearRep:
-    """Explicit matrix representation of a linear map on n x n matrices.
-
-    ``rep`` acts on row-major vectorized matrices: vec(L(X)) = rep @ vec(X)
-    with vec index (i, a) -> i*n + a.  ``consistency_residual`` is the
-    largest deviation of the representation from the black box on fresh
-    class samples.
-    """
-
-    n: int
-    rep: np.ndarray
-    consistency_residual: float
-    source_class: MatrixClass
-
-    def apply(self, x) -> np.ndarray:
-        """L on one matrix or on every member of a (..., n, n) stack."""
-        m = np.asarray(x, dtype=complex)
-        return (m.reshape(*m.shape[:-2], -1) @ self.rep.T).reshape(m.shape)
-
-    def choi(self) -> np.ndarray:
-        r4 = self.rep.reshape(self.n, self.n, self.n, self.n)
-        # J4[i,a,j,b] = L(E_ij)[a,b] = R4[a,b,i,j]
-        return r4.transpose(2, 0, 3, 1).reshape(self.n * self.n, self.n * self.n)
-
-    def hermiticity_residual(self) -> float:
-        """How far L is from commuting with conjugation (Choi Hermiticity)."""
-        j = self.choi()
-        return matrix_residual(j, j.conj().T)
 
 
 def build_linear_rep(map_fn, cls: MatrixClass, n: int, tol: float) -> LinearRep:
@@ -130,19 +97,12 @@ def build_linear_rep(map_fn, cls: MatrixClass, n: int, tol: float) -> LinearRep:
             cols[diag] = himgs[:n]
             cols[upper] = 0.5 * (d_img - 1j * k_img)
             cols[upper[::-1]] = 0.5 * (d_img + 1j * k_img)
-        lin = LinearRep(n=n, rep=cols.reshape(n * n, n * n).T, consistency_residual=0.0,
-                        source_class=cls)
+        lin = LinearRep(n, cols.reshape(n * n, n * n).T)
         x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)
-        worst = float(np.max(matrix_residual(lin.apply(x), _images(map_fn, x), axis=(-2, -1))))
-    lin.consistency_residual = worst
+        worst = float(np.max(matrix_residual(lin(x), _images(map_fn, x), axis=(-2, -1))))
     if worst > tol:
         raise NotLinear(f"linear rep misses the black box by {worst:.3e} > {tol:.1e}")
     return lin
-
-
-def choi_matrix(lin: LinearRep) -> np.ndarray:
-    """Choi layout J[(i,a),(j,b)] = [L(E_ij)]_{ab} of a linear rep."""
-    return lin.choi()
 
 
 def rank_one_split(j, ratio_tol: float):
@@ -213,7 +173,7 @@ def _recover_two_sided(map_fn, cls, n, tol, rank_tol):
     if n >= 2 and numeric_rank(j, rank_tol) != 1:
         # L composed with transpose: rep[(a, b), (i, j)] -> rep[(a, b), (j, i)]
         flipped = lin.rep.reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
-        jt = replace(lin, rep=flipped).choi()
+        jt = LinearRep(n, flipped).choi()
         if numeric_rank(jt, rank_tol) != 1:
             raise NotCanonical("neither Choi branch has rank one")
         j = jt

@@ -10,10 +10,13 @@ the raw map.  All residuals are scale-aware.
 
 Every battery, the oracle batteries included, draws its samples as
 stacks, A = ``sample_batch(cls, n, mix_seed(seed, 0), samples)`` and B from
-``mix_seed(seed, 1)``, evaluates the map once per stack and reduces with
-the stacked kernels of :mod:`core_linalg`.  Only a
-:class:`CanonicalPreserver` is called on a whole stack; any other map is a
-black box queried once per matrix.  Checks stated for one matrix (Minkowski,
+``mix_seed(seed, 1)``, evaluates the map through :func:`_images` and
+reduces with the stacked kernels of :mod:`core_linalg`.  :func:`_images`
+alone decides how a map is called: a :class:`CanonicalPreserver`, a
+:class:`LinearRep` or a unitalized companion takes a whole stack in one
+call, also behind a wrapper that sets ``__wrapped__`` (the
+:func:`functools.wraps` convention); any other map is a black box queried
+once per matrix.  Checks stated for one matrix (Minkowski,
 Jacobi, dual witness) loop over the drawn stacks.  A non-finite residual
 counts as the failing sentinel 1e100 (-1e100 for the Kadison/Choi
 eigenvalue minima), so it fails; numpy's overflow and invalid-value
@@ -27,6 +30,7 @@ maps.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +51,7 @@ from .core_linalg import (
 )
 from .domains import MatrixClass, dual_witness, mix_seed, sample_batch
 from .errors import DegenerateUnit, NotLinear, NotPositiveDefinite, NotUnital
-from .preservers import CanonicalPreserver, pinching
+from .preservers import CanonicalPreserver, LinearRep, pinching
 
 __all__ = [
     "VerificationReport",
@@ -119,12 +123,8 @@ def _report(identity, cls, n, tol, residuals) -> VerificationReport:
 
 
 def _images(map_fn, x) -> np.ndarray:
-    """The map on one matrix or on every member of a (count, n, n) stack.
-
-    Canonical maps (and their unitalized companions) take the stack in one
-    call; any other callable is a black box and is queried once per member.
-    """
-    if x.ndim == 2 or isinstance(map_fn, (CanonicalPreserver, _Unitalized)):
+    """The map on one matrix or on every member of a (count, n, n) stack (see the module doc)."""
+    if x.ndim == 2 or isinstance(inspect.unwrap(map_fn), (CanonicalPreserver, LinearRep, _Unitalized)):
         return np.asarray(map_fn(x), dtype=complex)
     return np.stack([np.asarray(map_fn(m), dtype=complex) for m in x])
 
@@ -173,11 +173,14 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
     PD/PSD/Hermitian classes use phi(I)^{-1/2} (.) phi(I)^{-1/2}; the
     symmetric class uses Q^{-1} (.) Q^{-t} with Q Q^t = phi(I); the
     remaining classes use phi(I)^{-1} (.).  Already-unital maps are
-    returned untouched.  The result takes one matrix, or a whole
-    (count, n, n) stack when the map is a :class:`CanonicalPreserver`.
+    returned untouched.  A non-finite phi(I) gives a companion whose every
+    image is NaN, so every residual on it fails.  The result takes a whole
+    (count, n, n) stack where the map does (see :func:`_images`).
     """
     eye = np.eye(n, dtype=complex)
     unit = map_fn(eye)
+    if not np.isfinite(unit).all():
+        return _Unitalized(map_fn, np.full((n, n), np.nan))
     if matrix_residual(unit, eye) <= 1e-12:
         return map_fn
     if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN):

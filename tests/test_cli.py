@@ -150,9 +150,9 @@ class TestVerifyCommand:
             assert code == 0, (identity, out)
             assert json.loads(out)["pass"] is True
 
-    def test_overflowing_map_is_verification_failure(self, tmp_path):
+    def test_overflowing_map_is_verification_failure(self, tmp_path, capfd):
         # alpha = 1e200, M = 1e200 I: the non-finite residuals must fail with a
-        # serializable report, not abort as an input error
+        # serializable report, not abort as an input error, on every class
         eye = np.eye(3, dtype=complex)
         spec = tmp_path / "overflow.json"
         spec.write_text(dumps_stable({"kind": "mn-two-sided", "alpha": {"re": 1e200, "im": 0.0},
@@ -170,6 +170,19 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(out)["max_residual"] == 1e100
         assert b"RuntimeWarning" not in err
+        # the symmetric class Takagi-factors phi(I), which is not finite here
+        for klass in sorted(c.value for c in MatrixClass):
+            for identity in ("trace-product", "det-sum"):
+                assert main(["verify", "--identity", identity, "--class", klass, "--n", "3",
+                             "--map", str(spec), "--samples", "20", "--seed", "1"]) == 2
+                out, err = capfd.readouterr()
+                assert json.loads(out)["max_residual"] == 1e100, (klass, identity)
+                assert err == ""
+
+    def test_linear_rep_of_another_size_is_input_error(self, spec_dir, capsys):
+        assert main(["verify", "--identity", "det-sum", "--class", "full", "--n", "2",
+                     "--map", str(spec_dir / "perturbed.json")]) == 1
+        assert "linear-rep matrix must be 4 x 4" in capsys.readouterr().err
 
     def test_inline_map_spec(self):
         inline = dumps_stable({"kind": "pinching"})

@@ -106,6 +106,44 @@ class TestAdjugate:
             res = np.linalg.norm(a @ adjugate(a) - d * np.eye(n))
             assert res <= 1e-9 * (1.0 + np.linalg.norm(a) ** n)
 
+    @pytest.mark.parametrize("n", [4, 5, 8, 16])
+    def test_product_invariant_by_rank(self, n):
+        rng = np.random.default_rng(n)
+        for rank in (n, n - 1, n - 2):
+            a = _rand_complex(rng, n)[:, :rank] @ _rand_complex(rng, n)[:rank]
+            scale = (1.0 + np.linalg.norm(a)) ** n
+            res = np.linalg.norm(a @ adjugate(a) - determinant(a) * np.eye(n))
+            assert res <= 1e-13 * scale, rank
+            sv = np.linalg.svd(adjugate(a), compute_uv=False)
+            if rank == n - 1:  # the adjugate has rank one
+                assert sv[1] <= 1e-12 * sv[0]
+            elif rank == n - 2:  # and vanishes below
+                assert np.linalg.norm(sv) <= 1e-13 * (1.0 + np.linalg.norm(a)) ** (n - 1)
+
+    def test_matches_cofactor_oracle(self):
+        rng = np.random.default_rng(6)
+        for n in (4, 5, 6):
+            for rank in (n, n - 1, n - 2):
+                a = _rand_complex(rng, n)[:, :rank] @ _rand_complex(rng, n)[:rank]
+                ref = np.array([[(-1) ** (i + j) * det_cofactor(np.delete(np.delete(a, j, 0), i, 1))
+                                 for j in range(n)] for i in range(n)])
+                assert np.linalg.norm(adjugate(a) - ref) <= 1e-13 * (1.0 + np.linalg.norm(a)) ** (n - 1)
+
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 5):
+            stack = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+            got = adjugate(stack)
+            for x, y in zip(stack, got):
+                np.testing.assert_allclose(y, adjugate(x), rtol=1e-14, atol=1e-14)
+
+    def test_non_finite_member_is_nan(self):
+        stack = np.stack([np.eye(5), np.eye(5)]).astype(complex)
+        stack[1, 2, 3] = np.inf
+        got = adjugate(stack)
+        assert np.allclose(got[0], np.eye(5))
+        assert np.isnan(got[1]).all()
+
 
 class TestInverse:
     def test_stack_matches_per_matrix(self):

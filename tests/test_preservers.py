@@ -6,16 +6,20 @@ import pytest
 from preserver_lab import (
     CanonicalPreserver,
     DimensionMismatch,
+    LinearRep,
     MatrixClass,
     PreserverForm,
     apply_preserver,
+    build_linear_rep,
     determinant,
     gauge_residual,
     pinching,
     random_canonical,
+    realize_map,
     remark1_map,
     sample,
 )
+from preserver_lab.core_linalg import matrix_to_json
 
 ALL_FORMS = list(PreserverForm)
 
@@ -71,6 +75,30 @@ class TestApply:
         with pytest.raises(ValueError):
             CanonicalPreserver(PreserverForm.SN_CONGRUENCE, 2, 1.0,
                                M=np.eye(2, dtype=complex), transpose=True)
+
+
+class TestLinearRep:
+    def test_stack_matches_per_matrix(self):
+        p = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 5, transpose=True)
+        lin = build_linear_rep(p, MatrixClass.FULL, 3, 1e-8)
+        stack = np.stack([sample(MatrixClass.FULL, 3, seed) for seed in range(6)])
+        got = lin(stack.reshape(2, 3, 3, 3))
+        assert got.shape == (2, 3, 3, 3)
+        for x, y in zip(stack, got.reshape(stack.shape)):
+            np.testing.assert_allclose(y, lin(x), rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(y, p(x), rtol=1e-12, atol=1e-12)
+
+    def test_realized_spec_is_a_linear_rep(self):
+        rep = np.arange(16.0).reshape(4, 4) + 0j
+        lin = realize_map({"kind": "linear-rep", "rep": matrix_to_json(rep)}, 2)
+        assert isinstance(lin, LinearRep)
+        assert np.array_equal(lin.rep, rep)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (5, 2, 3)])
+    def test_dimension_mismatch(self, shape):
+        lin = LinearRep(2, np.eye(4, dtype=complex))
+        with pytest.raises(DimensionMismatch):
+            lin(np.zeros(shape))
 
 
 class TestRandomCanonical:

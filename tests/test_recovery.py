@@ -10,7 +10,6 @@ from preserver_lab import (
     NotRankOne,
     PreserverForm,
     build_linear_rep,
-    choi_matrix,
     gauge_residual,
     numeric_rank,
     random_canonical,
@@ -41,9 +40,9 @@ def _swap_operator(n):
 
 class TestBuildLinearRep:
     def test_identity_rep_is_identity_matrix(self):
-        lin = build_linear_rep(identity_map, MatrixClass.PD, 3, 1e-8)
+        # tol 1e-12: the build raises NotLinear unless the rep reproduces the box to 1e-12
+        lin = build_linear_rep(identity_map, MatrixClass.PD, 3, 1e-12)
         assert np.linalg.norm(lin.rep - np.eye(9)) <= 1e-12
-        assert lin.consistency_residual <= 1e-12
 
     def test_transpose_rep_is_swap(self):
         n = 3
@@ -85,13 +84,13 @@ class TestBuildLinearRep:
         p = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 4)
         lin = build_linear_rep(p, MatrixClass.FULL, 3, 1e-8)
         x = sample(MatrixClass.FULL, 3, 9)
-        assert np.linalg.norm(lin.apply(x) - p(x)) <= 1e-10
+        assert np.linalg.norm(lin(x) - p(x)) <= 1e-10
 
 
 class TestChoiMatrix:
     def test_identity_choi_rank_one(self):
         lin = build_linear_rep(identity_map, MatrixClass.PD, 3, 1e-8)
-        j = choi_matrix(lin)
+        j = lin.choi()
         u = np.eye(3, dtype=complex).reshape(-1)
         assert np.linalg.norm(j - np.outer(u, u)) <= 1e-12
         assert numeric_rank(j, 1e-7) == 1
@@ -99,8 +98,8 @@ class TestChoiMatrix:
     def test_transpose_choi_is_swap(self):
         n = 3
         lin = build_linear_rep(transpose_map, MatrixClass.PD, n, 1e-8)
-        assert np.linalg.norm(choi_matrix(lin) - _swap_operator(n)) <= 1e-12
-        assert numeric_rank(choi_matrix(lin), 1e-7) == n * n
+        assert np.linalg.norm(lin.choi() - _swap_operator(n)) <= 1e-12
+        assert numeric_rank(lin.choi(), 1e-7) == n * n
 
     def test_two_sided_choi_factors(self):
         n = 3
@@ -108,7 +107,7 @@ class TestChoiMatrix:
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         nn = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         lin = build_linear_rep(lambda a: m @ a @ nn, MatrixClass.FULL, n, 1e-8)
-        j = choi_matrix(lin)
+        j = lin.choi()
         assert numeric_rank(j, 1e-7) == 1
         for i in range(n):
             for a in range(n):
@@ -199,7 +198,7 @@ class TestRecover:
             for tr in (False, True):
                 hidden = random_canonical(PreserverForm.MN_TWO_SIDED, n, 3, transpose=tr)
                 lin = build_linear_rep(hidden, MatrixClass.FULL, n, 1e-8)
-                j = choi_matrix(lin)
+                j = lin.choi()
                 r4t = lin.rep.reshape(n, n, n, n).transpose(0, 1, 3, 2)
                 jt = r4t.transpose(2, 0, 3, 1).reshape(n * n, n * n)
                 ranks = (numeric_rank(j, 1e-7) == 1, numeric_rank(jt, 1e-7) == 1)

@@ -1,5 +1,6 @@
 """Tests for the identity verifiers and oracle checks."""
 
+import functools
 import json
 
 import numpy as np
@@ -27,12 +28,14 @@ from preserver_lab import (
     oracle_minkowski,
     pinching,
     random_canonical,
+    realize_map,
     remark1_map,
     sample,
     scalar_residual,
     verify_det_identity,
     verify_trace_identity,
 )
+from preserver_lab.core_linalg import matrix_to_json
 from preserver_lab.domains import sample_batch
 from preserver_lab.jsonio import dumps_stable
 
@@ -211,6 +214,48 @@ class TestTraceIdentity:
         p = random_canonical(PreserverForm.TN_DIAGONAL, 4, 3)
         rep = verify_trace_identity(p, MatrixClass.UPPER_TRIANGULAR, 4, "power", 50, 7, 1e-8, power=3)
         assert rep.passed
+
+
+class TestStackDispatch:
+    @staticmethod
+    def _batteries(fn):
+        cls = MatrixClass.FULL
+        return [verify_det_identity(fn, cls, 3, CONVEX, 30, 4, 1e-8, identity="det-convex"),
+                verify_trace_identity(fn, cls, 3, "inverse", 30, 4, 1e-8),
+                verify_trace_identity(fn, cls, 3, "product", 30, 4, 1e-8)]
+
+    @pytest.mark.parametrize("kind", ["canonical", "linear-rep"])
+    def test_transparent_wrapper_keeps_the_stacked_path(self, kind):
+        p = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 8)
+        if kind == "linear-rep":
+            rep = build_linear_rep(p, MatrixClass.FULL, 3, 1e-8).rep
+            p = realize_map({"kind": "linear-rep", "rep": matrix_to_json(rep)}, 3)
+        shapes = []
+
+        @functools.wraps(p)
+        def wrapped(a):
+            shapes.append(np.shape(a))
+            return p(a)
+
+        got = self._batteries(wrapped)
+        # phi(I) (not for trace-inverse), then one call per 30-member stack
+        stacks = [(30, 3, 3), (30, 3, 3)]
+        assert shapes == [(3, 3), *stacks, *stacks, (3, 3), *stacks]
+        for mine, plain in zip(got, self._batteries(p)):
+            assert dumps_stable(mine.to_dict()) == dumps_stable(plain.to_dict())
+            assert mine.passed
+
+    def test_plain_closure_is_queried_per_matrix(self):
+        p = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 8)
+        shapes = []
+
+        def box(a):
+            shapes.append(np.shape(a))
+            return p(a)
+
+        self._batteries(box)
+        assert set(shapes) == {(3, 3)}
+        assert len(shapes) == 3 * 2 * 30 + 2
 
 
 class TestMinkowski:

@@ -53,6 +53,7 @@ from .mapspec import preserver_to_spec, realize_map, recovery_to_json, spec_to_p
 from .preservers import (
     CanonicalPreserver,
     LinearRep,
+    NormConjugation,
     PreserverForm,
     apply_preserver,
     gauge_residual,

@@ -17,7 +17,7 @@ from .domains import MatrixClass
 from .errors import RECOVERY_ERRORS, PreserverLabError
 from .jsonio import dumps_stable
 from .mapspec import realize_map, recovery_to_json
-from .preservers import remark1_map
+from .preservers import NormConjugation
 from .recovery import recover
 from .verifiers import (
     check_homogeneity_additivity,
@@ -180,8 +180,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    scale = 0.0 if args.generator == "zero" else 1.0
-    map_fn = lambda a: remark1_map(a, generator_scale=scale)  # noqa: E731
+    map_fn = NormConjugation(0.0 if args.generator == "zero" else 1.0)
     square = verify_trace_identity(map_fn, MatrixClass.PD, args.n, "square",
                                    args.samples, args.seed, 1e-9)
     add = check_homogeneity_additivity(map_fn, MatrixClass.PD, args.n,

@@ -8,9 +8,13 @@ project:
 * ``mn-two-sided``    A -> alpha M A N            (optionally A^t first)
 * ``tn-diagonal``     upper triangular output, [phi(A)]_ii = alpha lambda_i A_{sigma(i) sigma(i)}
 
-plus the norm-dependent unitary conjugation counterexample and the
-diagonal pinching (a unital positive linear non-congruence map).
+plus the norm-dependent unitary conjugation counterexample
+(:class:`NormConjugation`, shipped as ``remark1_map``) and the diagonal
+pinching (a unital positive linear non-congruence map).
 :class:`LinearRep` holds any linear map as its explicit n^2 x n^2 matrix.
+:class:`CanonicalPreserver`, :class:`LinearRep` and
+:class:`NormConjugation` take whole (..., n, n) stacks; ``pinching``
+takes one matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core_linalg import determinant, frob, matrix_residual, principal_root, sandwich
+from .core_linalg import determinant, matrix_residual, principal_root, sandwich
 from .domains import mix_seed
 from .errors import DimensionMismatch
 
@@ -30,6 +34,7 @@ __all__ = [
     "LinearRep",
     "apply_preserver",
     "random_canonical",
+    "NormConjugation",
     "remark1_map",
     "pinching",
     "gauge_residual",
@@ -202,23 +207,36 @@ def random_canonical(form: PreserverForm, n: int, seed: int, transpose: bool = F
     raise ValueError(f"unknown form {form}")
 
 
-def remark1_map(a, generator_scale: float = 1.0) -> np.ndarray:
-    """Norm-dependent unitary conjugation U(s) A U(s)^*, s = ||A||_F.
+@dataclass(frozen=True, eq=False)
+class NormConjugation:
+    """Norm-dependent unitary conjugation U(s) A U(s)^*, s = scale ||A||_F; takes (..., n, n) stacks.
 
     U(s) = exp(i s H0) with the fixed Hermitian generator H0 = E_12 + E_21
     (zero-padded), so every value is unitarily similar to its input: the
     squared-trace identity and all spectra survive, but the map is not
-    additive.  ``generator_scale=0`` collapses it to the identity map.
+    additive.  Each stack member gets its own U from its own norm, and its
+    image is bit-identical to the single-matrix one.  ``generator_scale=0``
+    collapses it to the identity map.
     """
-    m = np.asarray(a, dtype=complex)
-    n = m.shape[0]
-    if n < 2 or generator_scale == 0.0:
-        return m.copy()
-    theta = generator_scale * frob(m)
-    u = np.eye(n, dtype=complex)
-    u[0, 0] = u[1, 1] = np.cos(theta)
-    u[0, 1] = u[1, 0] = 1j * np.sin(theta)
-    return u @ m @ u.conj().T
+
+    generator_scale: float = 1.0
+
+    def __call__(self, a):
+        m = np.asarray(a, dtype=complex)
+        n = m.shape[-1]
+        if n < 2 or self.generator_scale == 0.0:
+            return m.copy()
+        # Each member's squares summed along one contiguous row, so the
+        # summation order does not depend on the stack size or layout.
+        squares = (m.real * m.real + m.imag * m.imag).reshape(*m.shape[:-2], n * n)
+        theta = self.generator_scale * np.sqrt(squares.sum(axis=-1))
+        u = np.broadcast_to(np.eye(n, dtype=complex), m.shape).copy()
+        u[..., 0, 0] = u[..., 1, 1] = np.cos(theta)
+        u[..., 0, 1] = u[..., 1, 0] = 1j * np.sin(theta)
+        return u @ m @ u.conj().swapaxes(-1, -2)
+
+
+remark1_map = NormConjugation()
 
 
 def pinching(a) -> np.ndarray:

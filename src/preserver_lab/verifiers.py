@@ -13,11 +13,13 @@ stacks, A = ``sample_batch(cls, n, mix_seed(seed, 0), samples)`` and B from
 ``mix_seed(seed, 1)``, evaluates the map through :func:`_images` and
 reduces with the stacked kernels of :mod:`core_linalg`.  :func:`_images`
 alone decides how a map is called: a :class:`CanonicalPreserver`, a
-:class:`LinearRep` or a unitalized companion takes a whole stack in one
-call, also behind a wrapper that sets ``__wrapped__`` (the
-:func:`functools.wraps` convention); any other map is a black box queried
-once per matrix.  Checks stated for one matrix (Minkowski,
-Jacobi, dual witness) loop over the drawn stacks.  A non-finite residual
+:class:`LinearRep`, a :class:`NormConjugation` or a unitalized companion
+takes a whole stack in one call, also behind a wrapper that sets
+``__wrapped__`` (the :func:`functools.wraps` convention); any other map is
+a black box queried once per matrix.  The Minkowski and Jacobi oracles run
+as one stacked computation each, of which :func:`check_minkowski` and
+:func:`check_jacobi` are the one-pair views; only the dual witness search
+loops over the drawn stack.  A non-finite residual
 counts as the failing sentinel 1e100 (-1e100 for the Kadison/Choi
 eigenvalue minima), so it fails; numpy's overflow and invalid-value
 warnings are silenced inside the batteries for that reason.
@@ -31,7 +33,7 @@ maps.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +53,7 @@ from .core_linalg import (
 )
 from .domains import MatrixClass, dual_witness, mix_seed, sample_batch
 from .errors import DegenerateUnit, NotLinear, NotPositiveDefinite, NotUnital
-from .preservers import CanonicalPreserver, LinearRep, pinching
+from .preservers import CanonicalPreserver, LinearRep, NormConjugation, PreserverForm, pinching
 
 __all__ = [
     "VerificationReport",
@@ -91,7 +93,8 @@ class VerificationReport:
     max_residual: float
     mean_residual: float
     passed: bool
-    failures: list = field(default_factory=list)  # [(index, residual)], capped at 10
+    # ((index, residual), ...), capped at 10; a passing report shares the empty tuple
+    failures: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -118,13 +121,14 @@ def _report(identity, cls, n, tol, residuals) -> VerificationReport:
         max_residual=mx,
         mean_residual=float(np.mean(residuals)),
         passed=mx <= tol,
-        failures=[(int(i), float(residuals[i])) for i in np.flatnonzero(residuals > tol)[:10]],
+        failures=tuple((int(i), float(residuals[i])) for i in np.flatnonzero(residuals > tol)[:10]),
     )
 
 
 def _images(map_fn, x) -> np.ndarray:
     """The map on one matrix or on every member of a (count, n, n) stack (see the module doc)."""
-    if x.ndim == 2 or isinstance(inspect.unwrap(map_fn), (CanonicalPreserver, LinearRep, _Unitalized)):
+    if x.ndim == 2 or isinstance(inspect.unwrap(map_fn),
+                                 (CanonicalPreserver, LinearRep, _Unitalized, NormConjugation)):
         return np.asarray(map_fn(x), dtype=complex)
     return np.stack([np.asarray(map_fn(m), dtype=complex) for m in x])
 
@@ -254,12 +258,33 @@ class MinkowskiCheck:
 
 
 def _require_pd(a, name):
+    """The stack ``a`` as complex; raises unless every member is Hermitian PD."""
     m = np.asarray(a, dtype=complex)
-    if np.linalg.norm(m - m.conj().T) > 1e-10 * (1.0 + frob(m)):
+    skew = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.any(skew > 1e-10 * (1.0 + np.linalg.norm(m, axis=(-2, -1)))):
         raise NotPositiveDefinite(f"{name} is not Hermitian")
-    if np.linalg.eigvalsh(m)[0] <= 1e-10:
+    if np.any(np.linalg.eigvalsh(m)[..., 0] <= 1e-10):
         raise NotPositiveDefinite(f"{name} is not positive definite")
     return m
+
+
+def _real_root(d, n: int):
+    """Real n-th root of the real part of ``d``, keeping its sign (never complex)."""
+    return np.sign(d.real) * np.abs(d.real) ** (1.0 / n)
+
+
+def _minkowski(a, b):
+    """(lhs, rhs, proportional, equality) of :func:`check_minkowski` per member of two stacks."""
+    a = _require_pd(a, "A")
+    b = _require_pd(b, "B")
+    n = a.shape[-1]
+    lhs = _real_root(determinant(a + b), n)
+    rhs = _real_root(determinant(a), n) + _real_root(determinant(b), n)
+    ah = a.conj().swapaxes(-1, -2)
+    lam = np.trace(ah @ b, axis1=-2, axis2=-1) / np.trace(ah @ a, axis1=-2, axis2=-1)
+    gap = np.linalg.norm(b - lam[:, None, None] * a, axis=(-2, -1))
+    proportional = gap <= 1e-8 * np.linalg.norm(b, axis=(-2, -1))
+    return lhs, rhs, proportional, (lhs - rhs) <= 1e-8 * lhs
 
 
 def check_minkowski(a, b) -> MinkowskiCheck:
@@ -268,16 +293,11 @@ def check_minkowski(a, b) -> MinkowskiCheck:
     ``proportional`` tests B = lambda A with lambda = tr(A^* B)/tr(A^* A);
     ``equality`` flags lhs - rhs <= 1e-8 lhs.  For PD input lhs >= rhs
     always holds (up to 1e-10) with equality exactly on proportional pairs.
+    The n-th roots are real and keep the sign of a (rounding-)negative det.
     """
-    a = _require_pd(a, "A")
-    b = _require_pd(b, "B")
-    n = a.shape[0]
-    lhs = float(determinant(a + b).real) ** (1.0 / n)
-    rhs = float(determinant(a).real) ** (1.0 / n) + float(determinant(b).real) ** (1.0 / n)
-    lam = complex(np.trace(a.conj().T @ b) / np.trace(a.conj().T @ a))
-    proportional = frob(b - lam * a) <= 1e-8 * frob(b)
-    equality = (lhs - rhs) <= 1e-8 * lhs
-    return MinkowskiCheck(lhs=lhs, rhs=rhs, proportional=proportional, equality=equality)
+    lhs, rhs, proportional, equality = _minkowski(np.asarray(a)[None], np.asarray(b)[None])
+    return MinkowskiCheck(lhs=float(lhs[0]), rhs=float(rhs[0]), proportional=bool(proportional[0]),
+                          equality=bool(equality[0]))
 
 
 @dataclass
@@ -287,14 +307,22 @@ class JacobiCheck:
     residual: float
 
 
-def check_jacobi(a0, adir, t0: float, h: float) -> JacobiCheck:
-    """Derivative of det along A(t) = A0 + t Adir: adjugate trace vs central difference."""
+def _jacobi(a0, adir, t0, h):
+    """(formula, finite difference) of :func:`check_jacobi` per member of stacked paths."""
     if not 0.0 < h <= 0.1:
         raise ValueError("h must lie in (0, 0.1]")
     a0 = np.asarray(a0, dtype=complex)
     adir = np.asarray(adir, dtype=complex)
-    formula = complex(np.trace(adjugate(a0 + t0 * adir) @ adir))
+    t0 = np.asarray(t0)[:, None, None]
+    formula = np.trace(adjugate(a0 + t0 * adir) @ adir, axis1=-2, axis2=-1)
     fd = (determinant(a0 + (t0 + h) * adir) - determinant(a0 + (t0 - h) * adir)) / (2.0 * h)
+    return formula, fd
+
+
+def check_jacobi(a0, adir, t0: float, h: float) -> JacobiCheck:
+    """Derivative of det along A(t) = A0 + t Adir: adjugate trace vs central difference."""
+    formula, fd = _jacobi(np.asarray(a0)[None], np.asarray(adir)[None], [t0], h)
+    formula, fd = complex(formula[0]), complex(fd[0])
     return JacobiCheck(formula=formula, finite_diff=fd, residual=scalar_residual(formula, fd))
 
 
@@ -388,12 +416,13 @@ def oracle_minkowski(n: int, samples: int, seed: int) -> dict:
     _require_samples(samples)
     a, b = (sample_batch(MatrixClass.PD, n, mix_seed(seed, k), samples) for k in (0, 1))
     c = sample_batch(MatrixClass.PD, n, mix_seed(seed, 2), max(1, samples // 10))
-    pairs = [check_minkowski(x, y) for x, y in zip(a, b)]
-    equal = [check_minkowski(x, (0.25 + 3.0 * (i % 7) / 7.0) * x) for i, x in enumerate(c)]
-    violation = float(np.max(finite_or([r.rhs - r.lhs for r in pairs]), initial=0.0))
-    gap = float(np.max(finite_or([abs(r.lhs - r.rhs) / max(r.lhs, 1e-30) for r in equal])))
-    false_equalities = (sum(r.equality and not r.proportional for r in pairs)
-                        + sum(not (r.equality and r.proportional) for r in equal))
+    lhs, rhs, proportional, equality = _minkowski(a, b)
+    scale = 0.25 + 3.0 * (np.arange(len(c)) % 7) / 7.0
+    c_lhs, c_rhs, c_proportional, c_equality = _minkowski(c, scale[:, None, None] * c)
+    violation = float(np.max(finite_or(rhs - lhs), initial=0.0))
+    gap = float(np.max(finite_or(np.abs(c_lhs - c_rhs) / np.maximum(c_lhs, 1e-30))))
+    false_equalities = int(np.count_nonzero(equality & ~proportional)
+                           + np.count_nonzero(~(c_equality & c_proportional)))
     return {"oracle": "minkowski", "n": n, "samples": samples, "proportional_pairs": len(c),
             "max_direction_violation": violation, "max_equality_gap": gap,
             "false_equalities": false_equalities,
@@ -411,7 +440,7 @@ def oracle_jacobi(n: int, samples: int, seed: int) -> dict:
     a0, adir = (sample_batch(MatrixClass.FULL, n, mix_seed(seed, k), samples) for k in (0, 1))
     adir /= np.linalg.norm(adir, axis=(-2, -1), keepdims=True)
     t0 = np.random.default_rng(mix_seed(seed, 2)).uniform(0.0, 1.0, samples)
-    r = np.array([check_jacobi(x, d, t, h).residual for x, d, t in zip(a0, adir, t0)])
+    r = scalar_residual(*_jacobi(a0, adir, t0, h))
     worst = float(np.max(r))
     return {"oracle": "jacobi", "n": n, "samples": samples, "h": h, "max_residual": worst,
             "mean_residual": float(np.mean(r)), "pass": worst <= 1e-6}
@@ -421,7 +450,8 @@ def oracle_kadison_choi(n: int, samples: int, seed: int, tol: float = 1e-8) -> d
     """:func:`check_kadison_choi` on a seeded unitary congruence and on the pinching."""
     rng = np.random.default_rng(mix_seed(seed, 0xF1A9))
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    maps = {"unitary-congruence": lambda a: u.conj().T @ a @ u, "pinching": pinching}
+    maps = {"unitary-congruence": CanonicalPreserver(PreserverForm.PN_CONGRUENCE, n, M=u),
+            "pinching": pinching}
     reports = {name: check_kadison_choi(fn, n, samples, seed, tol=tol).to_dict()
                for name, fn in maps.items()}
     ok = all(r["pass"] for r in reports.values())

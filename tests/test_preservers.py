@@ -8,6 +8,7 @@ from preserver_lab import (
     DimensionMismatch,
     LinearRep,
     MatrixClass,
+    NormConjugation,
     PreserverForm,
     apply_preserver,
     build_linear_rep,
@@ -183,13 +184,38 @@ class TestRemark1:
 
     def test_zero_generator_is_identity(self):
         a = sample(MatrixClass.FULL, 3, 5)
-        assert np.array_equal(remark1_map(a, generator_scale=0.0), a)
+        assert np.array_equal(NormConjugation(0.0)(a), a)
 
     def test_preserves_pd(self):
         for seed in range(10):
             a = sample(MatrixClass.PD, 3, seed)
             out = remark1_map(a)
             assert np.linalg.eigvalsh(0.5 * (out + out.conj().T))[0] > 0
+
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(21)
+        for scale in (0.0, 1.0):
+            fn = NormConjugation(scale)
+            for n in (1, 2, 3, 5):
+                stack = rng.standard_normal((4, 3, n, n)) + 1j * rng.standard_normal((4, 3, n, n))
+                got = fn(stack)
+                assert got.shape == stack.shape
+                assert np.array_equal(got, [[fn(m) for m in row] for row in stack])
+        # past numpy's 256 KiB temporary-elision threshold; every 5th member
+        stack = rng.standard_normal((20000, 3, 3)) + 1j * rng.standard_normal((20000, 3, 3))
+        assert np.array_equal(remark1_map(stack)[::5], [remark1_map(m) for m in stack[::5]])
+
+    def test_non_finite_member_is_nan_only_at_its_index(self):
+        rng = np.random.default_rng(22)
+        stack = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+        stack[2, 1, 0] = np.nan
+        got = remark1_map(stack)
+        assert np.isnan(got).any(axis=(1, 2)).tolist() == [False, False, True, False, False, False]
+        assert np.array_equal(got[[0, 1, 3, 4, 5]], remark1_map(stack[[0, 1, 3, 4, 5]]))
+
+    def test_realized_spec_is_the_shipped_map(self):
+        assert realize_map({"kind": "remark1"}, 3) is remark1_map
+        assert isinstance(remark1_map, NormConjugation) and remark1_map.generator_scale == 1.0
 
 
 class TestPinching:

@@ -58,7 +58,7 @@ class TestDetIdentity:
         rep = verify_det_identity(p, MatrixClass.PD, 3, CONVEX, 100, 7, 1e-8,
                                   identity="det-convex")
         assert rep.passed
-        assert rep.failures == []
+        assert rep.failures == ()
 
     def test_affine_shift_fails(self):
         # worked instance: alpha^n = det(2I) so at A = B = I both sides are 4^n,
@@ -257,6 +257,29 @@ class TestStackDispatch:
         assert set(shapes) == {(3, 3)}
         assert len(shapes) == 3 * 2 * 30 + 2
 
+    def test_norm_conjugation_takes_stacks_with_per_matrix_values(self):
+        shapes = []
+
+        @functools.wraps(remark1_map)
+        def wrapped(a):
+            shapes.append(np.shape(a))
+            return remark1_map(a)
+
+        def batteries(fn):
+            cls = MatrixClass.PD
+            return [verify_det_identity(fn, cls, 3, SUM, 30, 4, 1e-8, identity="det-sum"),
+                    verify_trace_identity(fn, cls, 3, "square", 30, 4, 1e-9),
+                    check_homogeneity_additivity(fn, cls, 3, 30, 4, 1e-8)]
+
+        got = batteries(wrapped)
+        stack = (30, 3, 3)
+        # det-sum costs exactly 3 queries: phi(I) and the two stacks; the map is
+        # unital, so trace-square runs on it directly after its phi(I) check
+        assert shapes == [(3, 3), stack, stack, (3, 3), stack, *[stack] * 6]
+        for mine, plain in zip(got, batteries(lambda a: remark1_map(a))):
+            assert dumps_stable(mine.to_dict()) == dumps_stable(plain.to_dict())
+        assert [r.passed for r in got] == [False, True, False]
+
 
 class TestMinkowski:
     def test_proportional_equality(self):
@@ -427,7 +450,7 @@ class TestReportShape:
 
     def test_failures_iff_not_pass(self):
         good = verify_det_identity(identity_map, MatrixClass.PD, 2, SUM, 20, 1, 1e-8)
-        assert good.passed and good.failures == []
+        assert good.passed and good.failures == ()
         bad = verify_det_identity(affine_map, MatrixClass.PD, 2, SUM, 20, 1, 1e-8)
         assert not bad.passed and len(bad.failures) > 0
 

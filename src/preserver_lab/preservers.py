@@ -209,7 +209,7 @@ def random_canonical(form: PreserverForm, n: int, seed: int, transpose: bool = F
 
 @dataclass(frozen=True, eq=False)
 class NormConjugation:
-    """Norm-dependent unitary conjugation U(s) A U(s)^*, s = scale ||A||_F; takes (..., n, n) stacks.
+    """Unitary conjugation U(s) A U(s)^* with s = scale ||A||_F; takes (..., n, n) stacks.
 
     U(s) = exp(i s H0) with the fixed Hermitian generator H0 = E_12 + E_21
     (zero-padded), so every value is unitarily similar to its input: the

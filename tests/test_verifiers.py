@@ -311,6 +311,16 @@ class TestMinkowski:
         with pytest.raises(NotPositiveDefinite):
             check_minkowski(np.diag([1.0, -1.0]), np.eye(2))
 
+    def test_negative_det_past_the_pd_gate_gives_real_roots(self):
+        # eigvalsh puts the lowest eigenvalue at +2.4e-7, while det(A) rounds
+        # to -1024 (exactly, the stored A has det -1002.7); the real n-th root
+        # keeps that sign instead of turning complex
+        z = 2022615014.5701785 + 2057734377.0118203j
+        a = np.array([[3433196802.4556975, z], [z.conjugate(), 2424924273.9437675]])
+        res = check_minkowski(a, np.eye(2))
+        assert isinstance(res.lhs, float) and isinstance(res.rhs, float)
+        assert res.rhs == -31.0 and res.lhs > 0 and not res.equality
+
 
 class TestJacobi:
     def test_scaling_path(self):
@@ -408,6 +418,25 @@ class TestOracleBatteries:
                     MatrixClass.HERMITIAN):
             dw = oracle_dual_witness(cls, 3, 40, 2)
             assert dw["pass"] and dw["found"] == 40 and dw["min_margin"] >= 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16])
+    def test_stacked_oracles_equal_their_one_pair_loops(self, n):
+        samples, seed = 40, 3
+        a, b = (sample_batch(MatrixClass.PD, n, mix_seed(seed, k), samples) for k in (0, 1))
+        c = sample_batch(MatrixClass.PD, n, mix_seed(seed, 2), samples // 10)
+        pairs = [check_minkowski(x, y) for x, y in zip(a, b)]
+        equal = [check_minkowski(x, (0.25 + 3.0 * (i % 7) / 7.0) * x) for i, x in enumerate(c)]
+        mk = oracle_minkowski(n, samples, seed)
+        assert mk["max_direction_violation"] == max(0.0, *(r.rhs - r.lhs for r in pairs))
+        assert mk["max_equality_gap"] == max(abs(r.lhs - r.rhs) / r.lhs for r in equal)
+        assert mk["false_equalities"] == sum(r.equality for r in pairs) == 0
+        assert all(r.equality and r.proportional for r in equal)
+        a0, adir = (sample_batch(MatrixClass.FULL, n, mix_seed(seed, k), samples) for k in (0, 1))
+        adir /= np.linalg.norm(adir, axis=(-2, -1), keepdims=True)
+        t0 = np.random.default_rng(mix_seed(seed, 2)).uniform(0.0, 1.0, samples)
+        r = [check_jacobi(x, d, t, 1e-4).residual for x, d, t in zip(a0, adir, t0)]
+        jac = oracle_jacobi(n, samples, seed)
+        assert jac["max_residual"] == max(r) and jac["mean_residual"] == float(np.mean(r))
 
     def test_dual_witness_margins_come_from_the_drawn_stack(self):
         a_all = sample_batch(MatrixClass.SYMMETRIC, 3, mix_seed(4, 0), 30)

@@ -17,8 +17,8 @@ n x n matrix or any (..., n, n) stack:
 * ``scalar_residual`` and ``matrix_residual`` reduce per member, and every
   non-finite residual becomes the failing sentinel ``SENTINEL``.
 
-Hermitian eigendecompositions and SVDs are delegated to LAPACK through
-numpy.
+``hermitian_defect`` is the one Hermitian measure and ``is_pd`` the one
+positive-definiteness decision; factorizations are LAPACK's, through numpy.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ __all__ = [
     "determinant",
     "inverse",
     "adjugate",
+    "hermitian_defect",
+    "is_pd",
     "hermitian_eig",
     "pd_sqrt",
     "numeric_rank",
@@ -230,25 +232,49 @@ def adjugate(a) -> np.ndarray:
     return np.where(bad, np.nan, phase * v_scaled @ u.conj().swapaxes(-1, -2))
 
 
+def hermitian_defect(a):
+    """||A - A^*||_F / (1 + ||A||_F) per member (a float for one matrix); inf where not finite."""
+    m = np.asarray(a, dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) / (
+            1.0 + np.linalg.norm(m, axis=(-2, -1)))
+    return finite_or(d, np.inf)
+
+
+def is_pd(a) -> bool:
+    """True only when every member is finite, Hermitian within 1e-10 and passes Cholesky of A - cI.
+
+    With c = (n + 2) eps tr(A), that success proves A positive definite at any scale (S. M. Rump,
+    "Verification of positive definiteness", BIT 46, 2006).
+    """
+    m = np.asarray(a, dtype=complex)
+    if not np.isfinite(m).all() or np.any(hermitian_defect(m) > 1e-10):
+        return False
+    c = (m.shape[-1] + 2) * np.finfo(float).eps * np.trace(m, axis1=-2, axis2=-1).real
+    try:
+        np.linalg.cholesky(m - c[..., None, None] * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` real ascending and ``v``
     unitary, so that A = v @ diag(w) @ v^*.  Raises :class:`NotHermitian`
-    when ||A - A^*||_F > 1e-10 (1 + ||A||_F).
+    when the :func:`hermitian_defect` exceeds 1e-10.
     """
-    m = np.asarray(a, dtype=complex)
-    if np.linalg.norm(m - m.conj().T) > 1e-10 * (1.0 + frob(m)):
+    if hermitian_defect(a) > 1e-10:
         raise NotHermitian("input is not Hermitian within tolerance 1e-10")
-    w, v = np.linalg.eigh(m)
-    return w, v
+    return np.linalg.eigh(np.asarray(a, dtype=complex))
 
 
 def pd_sqrt(a) -> np.ndarray:
-    """Unique positive definite square root of a PD matrix."""
-    w, v = hermitian_eig(a)
-    if w[0] <= 1e-10:
-        raise NotPositiveDefinite(f"minimum eigenvalue {w[0]:.3e} is not > 1e-10")
+    """Unique positive definite square root of a matrix that :func:`is_pd` accepts."""
+    if not is_pd(a):
+        raise NotPositiveDefinite("matrix is not certified positive definite")
+    w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
     s = (v * np.sqrt(w)) @ v.conj().T
     return 0.5 * (s + s.conj().T)
 

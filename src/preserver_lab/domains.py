@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core_linalg import determinant, frob
+from .core_linalg import determinant, frob, hermitian_defect, is_pd
 from .errors import WitnessNotFound, ZeroInput
 
 __all__ = [
@@ -53,7 +53,7 @@ _CLASS_TAG = {cls: i + 1 for i, cls in enumerate(MatrixClass)}
 
 
 def contains(cls: MatrixClass, a, tol: float) -> bool:
-    """Structural membership predicate within a scale-aware tolerance."""
+    """Structural membership within a scale-aware tolerance; PD is :func:`is_pd` of the Hermitian part."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
     m = np.asarray(a, dtype=complex)
@@ -61,17 +61,13 @@ def contains(cls: MatrixClass, a, tol: float) -> bool:
     if cls is MatrixClass.FULL:
         return True
     if cls is MatrixClass.HERMITIAN:
-        return float(np.linalg.norm(m - m.conj().T)) <= tol * scale
+        return hermitian_defect(m) <= tol
     if cls is MatrixClass.SYMMETRIC:
         return float(np.linalg.norm(m - m.T)) <= tol * scale
     if cls is MatrixClass.PD:
-        if float(np.linalg.norm(m - m.conj().T)) > tol * scale:
-            return False
-        return float(np.linalg.eigvalsh(m)[0]) > tol
+        return hermitian_defect(m) <= tol and is_pd(0.5 * (m + m.conj().T))
     if cls is MatrixClass.PSD:
-        if float(np.linalg.norm(m - m.conj().T)) > tol * scale:
-            return False
-        return float(np.linalg.eigvalsh(m)[0]) >= -tol * scale
+        return hermitian_defect(m) <= tol and float(np.linalg.eigvalsh(m)[0]) >= -tol * scale
     if cls is MatrixClass.UPPER_TRIANGULAR:
         lower = np.tril(m, -1)
         return float(np.max(np.abs(lower), initial=0.0)) <= tol * scale

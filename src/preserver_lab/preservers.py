@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core_linalg import determinant, matrix_residual, principal_root, sandwich
+from .core_linalg import determinant, principal_root, sandwich
 from .domains import mix_seed
 from .errors import DimensionMismatch
 
@@ -109,11 +109,6 @@ class LinearRep:
         r4 = self.rep.reshape(self.n, self.n, self.n, self.n)
         # J4[i,a,j,b] = L(E_ij)[a,b] = R4[a,b,i,j]
         return r4.transpose(2, 0, 3, 1).reshape(self.n * self.n, self.n * self.n)
-
-    def hermiticity_residual(self) -> float:
-        """How far L is from commuting with conjugation (Choi Hermiticity)."""
-        j = self.choi()
-        return matrix_residual(j, j.conj().T)
 
 
 def _square_stack(a, n: int) -> np.ndarray:

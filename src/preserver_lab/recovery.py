@@ -106,11 +106,13 @@ def build_linear_rep(map_fn, cls: MatrixClass, n: int, tol: float) -> LinearRep:
 
 
 def rank_one_split(j, ratio_tol: float):
-    """Balanced factors (u, w) with J = u w^T for a numerically rank-one J."""
+    """Balanced factors (u, w) with J = u w^T for a numerically rank-one J, from one SVD."""
+    if not 0.0 < ratio_tol < 1.0:
+        raise ValueError(f"ratio_tol must lie in (0, 1), got {ratio_tol}")
     m = np.asarray(j, dtype=complex)
-    if numeric_rank(m, ratio_tol) != 1:
-        raise NotRankOne("matrix does not have numeric rank one")
     uu, ss, vh = np.linalg.svd(m)
+    if np.count_nonzero(ss > ratio_tol * ss[0]) != 1:
+        raise NotRankOne("matrix does not have numeric rank one")
     root = np.sqrt(ss[0])
     u = root * uu[:, 0]
     w = root * vh[0, :]
@@ -168,17 +170,17 @@ def _unit_determinant(map_fn, cls, n):
 
 def _recover_two_sided(map_fn, cls, n, tol, rank_tol):
     lin = build_linear_rep(map_fn, cls, n, tol)
-    j = lin.choi()
     transpose = False
-    if n >= 2 and numeric_rank(j, rank_tol) != 1:
+    try:
+        u, w = rank_one_split(lin.choi(), rank_tol)
+    except NotRankOne:
         # L composed with transpose: rep[(a, b), (i, j)] -> rep[(a, b), (j, i)]
         flipped = lin.rep.reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
-        jt = LinearRep(n, flipped).choi()
-        if numeric_rank(jt, rank_tol) != 1:
-            raise NotCanonical("neither Choi branch has rank one")
-        j = jt
+        try:
+            u, w = rank_one_split(LinearRep(n, flipped).choi(), rank_tol)
+        except NotRankOne:
+            raise NotCanonical("neither Choi branch has rank one") from None
         transpose = True
-    u, w = rank_one_split(j, rank_tol)
     m0 = u.reshape(n, n).T
     n0 = w.reshape(n, n)
 
@@ -207,7 +209,7 @@ def _recover_two_sided(map_fn, cls, n, tol, rank_tol):
     return p
 
 
-def _extract_rank_one_symmetric(c1, rank_tol):
+def _extract_rank_one_symmetric(c1):
     """q with q q^T = C1 for a rank-one complex symmetric C1 (sign free)."""
     norms = np.linalg.norm(c1, axis=0)
     kstar = int(np.argmax(norms))
@@ -237,7 +239,7 @@ def _recover_symmetric(map_fn, n, tol, rank_tol):
     for i, c in enumerate(c_diag):
         if numeric_rank(c, rank_tol) != 1:
             raise NotCanonical(f"image of E_{i}{i} does not have rank one")
-    q1 = _extract_rank_one_symmetric(c_diag[0], rank_tol)
+    q1 = _extract_rank_one_symmetric(c_diag[0])
     widx = int(np.argmax(np.abs(q1)))
     if abs(q1[widx]) < 1e-10 * np.linalg.norm(q1):
         raise NotCanonical("anchor vector is numerically isotropic")

@@ -19,10 +19,11 @@ takes a whole stack in one call, also behind a wrapper that sets
 a black box queried once per matrix.  The Minkowski and Jacobi oracles run
 as one stacked computation each, of which :func:`check_minkowski` and
 :func:`check_jacobi` are the one-pair views; only the dual witness search
-loops over the drawn stack.  A non-finite residual
-counts as the failing sentinel 1e100 (-1e100 for the Kadison/Choi
-eigenvalue minima), so it fails; numpy's overflow and invalid-value
-warnings are silenced inside the batteries for that reason.
+loops over the drawn stack.  Minkowski's PD gate and the PD unitalization
+are views of :func:`core_linalg.is_pd`.  A non-finite residual counts as
+the failing sentinel 1e100 (-1e100 for the Kadison/Choi eigenvalue
+minima), so it fails; numpy's overflow and invalid-value warnings are
+silenced inside the batteries for that reason.
 
 For the upper-triangular and diagonal classes only diagonal data enters:
 determinants become diagonal products and traces of triangular products
@@ -44,6 +45,7 @@ from .core_linalg import (
     finite_or,
     frob,
     inverse,
+    is_pd,
     matrix_residual,
     pd_sqrt,
     sandwich,
@@ -257,26 +259,15 @@ class MinkowskiCheck:
     equality: bool
 
 
-def _require_pd(a, name):
-    """The stack ``a`` as complex; raises unless every member is Hermitian PD."""
-    m = np.asarray(a, dtype=complex)
-    skew = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
-    if np.any(skew > 1e-10 * (1.0 + np.linalg.norm(m, axis=(-2, -1)))):
-        raise NotPositiveDefinite(f"{name} is not Hermitian")
-    if np.any(np.linalg.eigvalsh(m)[..., 0] <= 1e-10):
-        raise NotPositiveDefinite(f"{name} is not positive definite")
-    return m
-
-
 def _real_root(d, n: int):
     """Real n-th root of the real part of ``d``, keeping its sign (never complex)."""
     return np.sign(d.real) * np.abs(d.real) ** (1.0 / n)
 
 
 def _minkowski(a, b):
-    """(lhs, rhs, proportional, equality) of :func:`check_minkowski` per member of two stacks."""
-    a = _require_pd(a, "A")
-    b = _require_pd(b, "B")
+    """(lhs, rhs, proportional, equality) of :func:`check_minkowski` per member of two complex stacks."""
+    if not (is_pd(a) and is_pd(b)):
+        raise NotPositiveDefinite("A and B must be certified positive definite")
     n = a.shape[-1]
     lhs = _real_root(determinant(a + b), n)
     rhs = _real_root(determinant(a), n) + _real_root(determinant(b), n)
@@ -295,7 +286,7 @@ def check_minkowski(a, b) -> MinkowskiCheck:
     always holds (up to 1e-10) with equality exactly on proportional pairs.
     The n-th roots are real and keep the sign of a (rounding-)negative det.
     """
-    lhs, rhs, proportional, equality = _minkowski(np.asarray(a)[None], np.asarray(b)[None])
+    lhs, rhs, proportional, equality = _minkowski(*(np.asarray(m, dtype=complex)[None] for m in (a, b)))
     return MinkowskiCheck(lhs=float(lhs[0]), rhs=float(rhs[0]), proportional=bool(proportional[0]),
                           equality=bool(equality[0]))
 

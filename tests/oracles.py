@@ -2,8 +2,11 @@
 
 These deliberately avoid the library's own code paths: the determinant
 oracle is a literal cofactor expansion, the Gram test works entrywise,
-and the projection test solves the normal equations directly.
+and the projection test solves the normal equations directly, and the
+positive-definiteness test is exact rational LDL^T.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,3 +43,27 @@ def project_real_span(mats, target):
     for c, m in zip(coeff, mats):
         out = out + c * m
     return out
+
+
+def exact_pd(h, shift=Fraction(0)):
+    """Whether the stored Hermitian H - shift I is positive definite, in exact arithmetic.
+
+    LDL^T without pivoting in ``Fraction`` on the real symmetric embedding
+    [[Re H, -Im H], [Im H, Re H]], which is PD exactly when H is: PD iff
+    every pivot is positive.  Every float entry converts to a Fraction
+    exactly, so the verdict is about the matrix as stored.
+    """
+    h = np.asarray(h, dtype=complex)
+    e = [[Fraction(float(x)) for x in row]
+         for row in np.block([[h.real, -h.imag], [h.imag, h.real]])]
+    size = len(e)
+    for i in range(size):
+        e[i][i] -= shift
+    for k in range(size):
+        if e[k][k] <= 0:
+            return False
+        for i in range(k + 1, size):
+            f = e[i][k] / e[k][k]
+            for j in range(k + 1, size):
+                e[i][j] -= f * e[k][j]
+    return True

@@ -1,9 +1,12 @@
 """Tests for the dense matrix kernel."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preserver_lab import (
     NotHermitian,
@@ -21,9 +24,18 @@ from preserver_lab import (
     principal_root,
     takagi_factor,
 )
-from preserver_lab.domains import MatrixClass, sample
+from preserver_lab.core_linalg import hermitian_defect, is_pd
+from preserver_lab.domains import MatrixClass, sample, sample_batch
 
-from oracles import det_cofactor
+from oracles import det_cofactor, exact_pd
+
+# Indefinite, with exact det -1002.7 as stored, but eigvalsh puts its lowest
+# eigenvalue at +2.4e-7: an absolute eigenvalue threshold calls it PD.
+INDEFINITE_PAST_EIGVALSH = np.array(
+    [[3433196802.4556975, 2022615014.5701785 + 2057734377.0118203j],
+     [2022615014.5701785 - 2057734377.0118203j, 2424924273.9437675]])
+NON_FINITE = [np.full((2, 2), np.nan), np.diag([np.inf, 1.0]),
+              np.array([[1.0, np.inf], [0.0, 1.0]]), np.array([[1.0, np.nan], [np.nan, 1.0]])]
 
 
 def _rand_complex(rng, n):
@@ -196,6 +208,73 @@ class TestHermitianEig:
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestHermitianDefect:
+    def test_values(self):
+        assert hermitian_defect(sample(MatrixClass.PD, 4, 2)) == 0.0
+        assert hermitian_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(np.sqrt(2.0) / 2.0)
+
+    def test_stack_is_per_member(self):
+        stack = np.stack([sample(MatrixClass.HERMITIAN, 3, 1), sample(MatrixClass.FULL, 3, 1)])
+        got = hermitian_defect(stack)
+        assert got.shape == (2,)
+        assert got.tolist() == [hermitian_defect(m) for m in stack]
+
+    @pytest.mark.parametrize("a", NON_FINITE)
+    def test_non_finite_is_infinite(self, a):
+        assert hermitian_defect(a) == np.inf
+
+
+def _rotated(n, seed, log_norm, log_cond, sign):
+    """Q diag(lam) Q^* with ||A|| ~ 10^log_norm, condition 10^log_cond, lam[0] of the given sign."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(_rand_complex(rng, n))[0]
+    lam = 10.0 ** log_norm * 10.0 ** (-log_cond * np.linspace(1.0, 0.0, n))
+    lam[0] *= sign
+    a = (q * lam) @ q.conj().T
+    return 0.5 * (a + a.conj().T)  # exactly Hermitian as stored
+
+
+class TestIsPd:
+    def test_accepts_sampled_pd_stacks(self):
+        for n in (1, 2, 3, 5, 16):
+            stack = sample_batch(MatrixClass.PD, n, 7, 50)
+            assert is_pd(stack)
+            assert is_pd(stack[0])
+
+    def test_every_member_must_pass(self):
+        stack = sample_batch(MatrixClass.PD, 3, 7, 5)
+        stack[3] = np.diag([1.0, -1.0, 1.0])
+        assert not is_pd(stack)
+        assert is_pd(np.delete(stack, 3, axis=0))
+
+    @pytest.mark.parametrize("a", [np.zeros((2, 2)), np.diag([1.0, -1.0]), np.diag([1.0, 0.0]),
+                                   np.array([[2.0, 1.0], [0.0, 2.0]]), INDEFINITE_PAST_EIGVALSH])
+    def test_rejects(self, a):
+        assert not is_pd(a)
+
+    @pytest.mark.parametrize("a", NON_FINITE)
+    def test_rejects_non_finite(self, a):
+        assert not is_pd(a)
+        assert not is_pd(np.stack([np.eye(2), a]))
+
+    def test_pinned_matrix_is_exactly_indefinite(self):
+        assert np.linalg.eigvalsh(INDEFINITE_PAST_EIGVALSH)[0] > 1e-10
+        assert not exact_pd(INDEFINITE_PAST_EIGVALSH)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), log_norm=st.floats(0.0, 10.0),
+           log_cond=st.floats(0.0, 16.0), sign=st.sampled_from([1.0, -1.0]))
+    def test_agrees_with_exact_arithmetic(self, n, seed, log_norm, log_cond, sign):
+        # (a) acceptance proves PD; (b) a margin of 4 (n + 2) eps tr(A) is always enough
+        a = _rotated(n, seed, log_norm, log_cond, sign)
+        accepted = is_pd(a)
+        if accepted:
+            assert exact_pd(a)
+        trace = sum(Fraction(float(x)) for x in np.diagonal(a).real)
+        if exact_pd(a, 4 * (n + 2) * Fraction(np.finfo(float).eps) * trace):
+            assert accepted
+
+
 class TestPdSqrt:
     def test_scalar_multiple(self):
         assert np.allclose(pd_sqrt(4.0 * np.eye(3)), 2.0 * np.eye(3))
@@ -213,6 +292,11 @@ class TestPdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             pd_sqrt(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("a", NON_FINITE)
+    def test_rejects_non_finite(self, a):
+        with pytest.raises(NotPositiveDefinite):
+            pd_sqrt(a)
 
 
 class TestNumericRank:

@@ -37,6 +37,15 @@ class TestContains:
         a = np.tril(rng.standard_normal((4, 4)), -1) + np.eye(4)
         assert not contains(MatrixClass.UPPER_TRIANGULAR, a, 1e-10)
 
+    @pytest.mark.parametrize("cls", [MatrixClass.HERMITIAN, MatrixClass.PD, MatrixClass.PSD],
+                             ids=lambda c: c.value)
+    def test_non_finite_is_not_a_member(self, cls):
+        for bad in (np.inf, np.nan):
+            a = np.eye(3, dtype=complex)
+            a[0, 0] = bad
+            assert not contains(cls, a, 1e-9)
+            assert not contains(cls, np.full((3, 3), bad), 1e-9)
+
     def test_inclusions(self):
         a = sample(MatrixClass.PD, 3, 1)
         assert contains(MatrixClass.HERMITIAN, a, 1e-9)

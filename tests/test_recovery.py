@@ -19,6 +19,7 @@ from preserver_lab import (
     roundtrip_residual,
     sample,
 )
+from preserver_lab.core_linalg import hermitian_defect
 
 identity_map = lambda a: a.copy()  # noqa: E731
 transpose_map = lambda a: a.T.copy()  # noqa: E731
@@ -78,7 +79,7 @@ class TestBuildLinearRep:
             p = random_canonical(PreserverForm.PN_CONGRUENCE, 3, seed,
                                  transpose=seed % 2 == 1)
             lin = build_linear_rep(p, MatrixClass.PD, 3, 1e-8)
-            assert lin.hermiticity_residual() <= 1e-8
+            assert hermitian_defect(lin.choi()) <= 1e-8
 
     def test_full_class_matches_map(self):
         p = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 4)
@@ -136,6 +137,11 @@ class TestRankOneSplit:
     def test_identity_not_rank_one(self):
         with pytest.raises(NotRankOne):
             rank_one_split(np.eye(4), 1e-7)
+
+    def test_ratio_tol_validation(self):
+        for bad in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                rank_one_split(np.eye(1), bad)
 
 
 class TestRecover:
@@ -287,8 +293,28 @@ class TestRecover:
             out[0, 0], out[1, 1] = a[1, 1], a[0, 0]
             return out + a.T
 
-        with pytest.raises(NotCanonical):
+        with pytest.raises(NotCanonical, match="neither Choi branch has rank one"):
             recover(shuffle, MatrixClass.FULL, n)
+
+    @pytest.mark.parametrize("form,cls", [(PreserverForm.MN_TWO_SIDED, MatrixClass.FULL),
+                                          (PreserverForm.PN_CONGRUENCE, MatrixClass.PD)],
+                             ids=["full", "pd"])
+    def test_one_svd_per_choi_branch(self, form, cls, monkeypatch):
+        # the plain branch costs one SVD; the transpose branch adds one more
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for tr, count in ((False, 1), (True, 2)):
+            hidden = random_canonical(form, 3, 4, transpose=tr)
+            calls.clear()
+            p, _ = recover(hidden, cls, 3)
+            assert p.transpose == tr
+            assert calls == [(9, 9)] * count
 
 
 class TestSnStructure:

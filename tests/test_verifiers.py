@@ -19,6 +19,7 @@ from preserver_lab import (
     check_jacobi,
     check_kadison_choi,
     check_minkowski,
+    contains,
     determinant,
     dual_witness,
     mix_seed,
@@ -26,6 +27,7 @@ from preserver_lab import (
     oracle_jacobi,
     oracle_kadison_choi,
     oracle_minkowski,
+    pd_sqrt,
     pinching,
     random_canonical,
     realize_map,
@@ -311,15 +313,25 @@ class TestMinkowski:
         with pytest.raises(NotPositiveDefinite):
             check_minkowski(np.diag([1.0, -1.0]), np.eye(2))
 
-    def test_negative_det_past_the_pd_gate_gives_real_roots(self):
-        # eigvalsh puts the lowest eigenvalue at +2.4e-7, while det(A) rounds
-        # to -1024 (exactly, the stored A has det -1002.7); the real n-th root
-        # keeps that sign instead of turning complex
+    def test_indefinite_matrix_past_eigvalsh_is_rejected(self):
+        # eigvalsh puts the lowest eigenvalue at +2.4e-7, but the stored A has
+        # det -1002.7 exactly: the certified gate rejects it everywhere
         z = 2022615014.5701785 + 2057734377.0118203j
         a = np.array([[3433196802.4556975, z], [z.conjugate(), 2424924273.9437675]])
-        res = check_minkowski(a, np.eye(2))
-        assert isinstance(res.lhs, float) and isinstance(res.rhs, float)
-        assert res.rhs == -31.0 and res.lhs > 0 and not res.equality
+        with pytest.raises(NotPositiveDefinite):
+            check_minkowski(a, np.eye(2))
+        with pytest.raises(NotPositiveDefinite):
+            pd_sqrt(a)
+        assert not contains(MatrixClass.PD, a, 1e-10)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(2)
+        a[1, 1] = bad
+        with pytest.raises(NotPositiveDefinite):
+            check_minkowski(a, np.eye(2))
+        with pytest.raises(NotPositiveDefinite):
+            check_minkowski(np.eye(2), a)
 
 
 class TestJacobi:

@@ -279,14 +279,13 @@ def pd_sqrt(a) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
-def numeric_rank(a, ratio_tol: float) -> int:
-    """Count singular values above ratio_tol * sigma_max (0 for the zero matrix)."""
+def numeric_rank(a, ratio_tol: float):
+    """Singular values above ratio_tol * sigma_max, 0 for a zero matrix; an int or one per member."""
     if not 0.0 < ratio_tol < 1.0:
         raise ValueError(f"ratio_tol must lie in (0, 1), got {ratio_tol}")
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > ratio_tol * s[0]))
+    r = np.count_nonzero(s > ratio_tol * s[..., :1], axis=-1)
+    return int(r) if np.ndim(r) == 0 else r
 
 
 def principal_root(z, k: int) -> complex:

@@ -1,5 +1,5 @@
 """Matrix classes, membership predicates, seeded samplers, canonical bases
-and the trace dual-witness construction."""
+as (count, n, n) stacks, and the trace dual witness of one matrix or a stack."""
 
 from __future__ import annotations
 
@@ -53,10 +53,15 @@ _CLASS_TAG = {cls: i + 1 for i, cls in enumerate(MatrixClass)}
 
 
 def contains(cls: MatrixClass, a, tol: float) -> bool:
-    """Structural membership within a scale-aware tolerance; PD is :func:`is_pd` of the Hermitian part."""
+    """Structural membership within a scale-aware tolerance; PD is :func:`is_pd` of the Hermitian part.
+
+    A matrix with a NaN or infinite entry is a member of no class.
+    """
     if tol < 0:
         raise ValueError("tol must be >= 0")
     m = np.asarray(a, dtype=complex)
+    if not np.isfinite(m).all():
+        return False
     scale = 1.0 + frob(m)
     if cls is MatrixClass.FULL:
         return True
@@ -168,100 +173,83 @@ def sample_invertible(cls: MatrixClass, n: int, seed: int, min_abs_det: float = 
     return sample_batch(cls, n, seed, 1, min_abs_det)[0]
 
 
-def _unit(n: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros((n, n), dtype=complex)
-    e[i, j] = 1.0
-    return e
+def basis(cls: MatrixClass, n: int) -> np.ndarray:
+    """Standard basis of the class (real basis for Hermitian / PD), stacked as (count, n, n).
 
-
-def basis(cls: MatrixClass, n: int) -> list[np.ndarray]:
-    """Standard basis of the class (real basis for Hermitian / PD).
-
-    Hermitian order: E_ii, then D_ij = E_ij + E_ji (i < j), then
+    Every element is a slice of the matrix units ``eye(n^2)``, listed
+    row-major.  Hermitian order: E_ii, then D_ij = E_ij + E_ji (i < j), then
     i(E_ij - E_ji) (i < j).  The PD basis shifts each Hermitian element by
     2I; the shifted elements are PD with minimum eigenvalue >= 1 and stay
     real-linearly independent with real span H_n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)  # units[i, j] = E_ij
+    diag, upper = (np.arange(n), np.arange(n)), np.triu_indices(n, 1)
     if cls is MatrixClass.FULL:
-        return [_unit(n, i, j) for i in range(n) for j in range(n)]
-    if cls is MatrixClass.HERMITIAN:
-        out = [_unit(n, i, i) for i in range(n)]
-        out += [_unit(n, i, j) + _unit(n, j, i) for i in range(n) for j in range(i + 1, n)]
-        out += [1j * (_unit(n, i, j) - _unit(n, j, i)) for i in range(n) for j in range(i + 1, n)]
-        return out
-    if cls is MatrixClass.SYMMETRIC:
-        out = [_unit(n, i, i) for i in range(n)]
-        out += [_unit(n, i, j) + _unit(n, j, i) for i in range(n) for j in range(i + 1, n)]
-        return out
+        return units.reshape(n * n, n, n)
     if cls is MatrixClass.UPPER_TRIANGULAR:
-        return [_unit(n, i, j) for i in range(n) for j in range(i, n)]
+        return units[np.triu_indices(n)]
     if cls is MatrixClass.DIAGONAL:
-        return [_unit(n, i, i) for i in range(n)]
+        return units[diag]
+    if cls is MatrixClass.SYMMETRIC:
+        return np.concatenate([units[diag], units[upper] + units[upper[::-1]]])
+    if cls is MatrixClass.HERMITIAN:
+        return np.concatenate([basis(MatrixClass.SYMMETRIC, n),
+                               1j * (units[upper] - units[upper[::-1]])])
     if cls is MatrixClass.PD:
-        eye2 = 2.0 * np.eye(n, dtype=complex)
-        return [h + eye2 for h in basis(MatrixClass.HERMITIAN, n)]
+        return basis(MatrixClass.HERMITIAN, n) + 2.0 * np.eye(n, dtype=complex)
     raise ValueError(f"no canonical basis implemented for class {cls.value}")
 
 
-_WITNESS_LAMBDAS = (2.0, 3.0, 5.0)
+_WITNESS_LAMBDAS = np.array([2.0, 3.0, 5.0])
 _WITNESS_FLOOR = 1e-6
+# (v, w) per candidate lambda I + v E_jk + w E_kj; a Hermitian diagonal pivot uses E_jj alone.
+_WITNESS_UNITS = {
+    MatrixClass.FULL: [(0, 1)],
+    MatrixClass.DIAGONAL: [(1, 0)],
+    MatrixClass.SYMMETRIC: [(1, 1)],  # lambda + 2 on a diagonal pivot
+    MatrixClass.HERMITIAN: [(1, 1), (1j, -1j)],  # picks up 2 Re a_jk, then 2 Im a_jk
+}
 
 
 def dual_witness(a, cls: MatrixClass) -> np.ndarray:
-    """Invertible B in the class with |tr(AB)| >= 1e-6 ||A||_F.
+    """Invertible B in the class with |tr(AB)| >= 1e-6 ||A||_F, for one matrix or each stack member.
 
-    Candidates follow the lambda*I + (matrix unit combination) pattern
-    targeting the largest-modulus entry of A; lambda runs over {2, 3, 5},
-    which avoids every excluded value of the underlying constructions.
-    The first candidate clearing the margin is returned.
+    Candidates are lambda I + v E_jk + w E_kj, pivoting on the
+    largest-modulus entry a_jk of each member (the largest diagonal entry
+    for the diagonal class), so tr(AB) = lambda tr A + v a_kj + w a_jk in
+    closed form.  lambda runs over {2, 3, 5}, which avoids every excluded
+    value of the underlying constructions, and each member gets the first
+    candidate clearing the margin.  B has the shape of ``a``.
     """
     m = np.asarray(a, dtype=complex)
-    n = m.shape[0]
-    anorm = frob(m)
-    if anorm <= 1e-12:
+    n = m.shape[-1]
+    x = m.reshape(-1, n, n)
+    anorm = np.linalg.norm(x, axis=(-2, -1))
+    if np.any(anorm <= 1e-12):
         raise ZeroInput("witness construction needs a nonzero matrix")
+    if cls not in _WITNESS_UNITS:
+        raise ValueError(f"dual witness not defined for class {cls.value}")
 
+    rows = np.arange(len(x))
     if cls is MatrixClass.DIAGONAL:
-        j = int(np.argmax(np.abs(np.diagonal(m))))
-        k = j
+        j = k = np.argmax(np.abs(np.diagonal(x, axis1=-2, axis2=-1)), axis=-1)
     else:
-        j, k = np.unravel_index(int(np.argmax(np.abs(m))), m.shape)
-        j, k = int(j), int(k)
-
-    eye = np.eye(n, dtype=complex)
-    for lam in _WITNESS_LAMBDAS:
-        cands = []
-        if cls is MatrixClass.FULL:
-            b = lam * eye.copy()
-            b[k, j] += 1.0  # tr(A B) = lam tr A + a_jk
-            cands.append(b)
-        elif cls is MatrixClass.SYMMETRIC:
-            b = lam * eye.copy()
-            b[j, k] += 1.0
-            b[k, j] += 1.0
-            cands.append(b)
-        elif cls is MatrixClass.DIAGONAL:
-            b = lam * eye.copy()
-            b[j, j] += 1.0
-            cands.append(b)
-        elif cls is MatrixClass.HERMITIAN:
-            if j == k:
-                b = lam * eye.copy()
-                b[j, j] += 1.0
-                cands.append(b)
-            else:
-                b1 = lam * eye.copy()
-                b1[j, k] += 1.0
-                b1[k, j] += 1.0  # picks up 2 Re a_jk
-                b2 = lam * eye.copy()
-                b2[j, k] += 1j
-                b2[k, j] += -1j  # Hermitian element picking up 2 Im a_jk
-                cands.extend([b1, b2])
-        else:
-            raise ValueError(f"dual witness not defined for class {cls.value}")
-        for b in cands:
-            if abs(np.trace(m @ b)) >= _WITNESS_FLOOR * anorm:
-                return b
-    raise WitnessNotFound("no candidate separated the input (should be unreachable)")
+        j, k = np.unravel_index(np.argmax(np.abs(x).reshape(len(x), n * n), axis=-1), (n, n))
+    pairs = np.array(_WITNESS_UNITS[cls], dtype=complex)
+    v, w = np.broadcast_to(pairs.T[:, None, :], (2, len(x), len(pairs)))
+    if cls is MatrixClass.HERMITIAN:
+        on_diag = (j == k)[:, None]
+        v, w = np.where(on_diag, 1, v), np.where(on_diag, 0, w)
+    margin = (_WITNESS_LAMBDAS[:, None, None] * np.trace(x, axis1=-2, axis2=-1)[:, None]
+              + v * x[rows, k, j][:, None] + w * x[rows, j, k][:, None])
+    # each member's (lambda, candidate) flags in cascade order; argmax takes the first that passes
+    passed = (np.abs(margin) >= _WITNESS_FLOOR * anorm[:, None]).swapaxes(0, 1).reshape(len(x), -1)
+    if not passed.any(axis=-1).all():
+        raise WitnessNotFound("no candidate separated the input (should be unreachable)")
+    lam, cand = np.divmod(np.argmax(passed, axis=-1), len(pairs))
+    b = _WITNESS_LAMBDAS[lam, None, None] * np.eye(n, dtype=complex)
+    b[rows, j, k] += v[rows, cand]
+    b[rows, k, j] += w[rows, cand]
+    return b.reshape(m.shape)

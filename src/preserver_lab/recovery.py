@@ -79,7 +79,7 @@ def build_linear_rep(map_fn, cls: MatrixClass, n: int, tol: float) -> LinearRep:
         raise ValueError(f"linear rep not defined for class {cls.value}")
     with np.errstate(**_QUIET):
         # cols[j, b] = L(E_jb); the class bases list their elements row-major
-        imgs = _images(map_fn, np.stack(basis(cls, n)))
+        imgs = _images(map_fn, basis(cls, n))
         cols = np.zeros((n, n, n, n), dtype=complex)
         diag, upper = (np.arange(n), np.arange(n)), np.triu_indices(n, 1)
         if cls is MatrixClass.FULL:
@@ -230,27 +230,19 @@ def _extract_rank_one_symmetric(c1):
 
 def _recover_symmetric(map_fn, n, tol, rank_tol):
     lin = build_linear_rep(map_fn, MatrixClass.SYMMETRIC, n, tol)
-    r4 = lin.rep.reshape(n, n, n, n)
-
-    def img(i, j):  # L(E_ij)
-        return r4[:, :, i, j]
-
-    c_diag = [img(i, i) for i in range(n)]
-    for i, c in enumerate(c_diag):
-        if numeric_rank(c, rank_tol) != 1:
-            raise NotCanonical(f"image of E_{i}{i} does not have rank one")
-    q1 = _extract_rank_one_symmetric(c_diag[0])
+    r4 = lin.rep.reshape(n, n, n, n)  # r4[:, :, i, j] = L(E_ij)
+    diag = np.arange(n)
+    bad = np.flatnonzero(numeric_rank(np.moveaxis(r4[:, :, diag, diag], -1, 0), rank_tol) != 1)
+    if bad.size:
+        raise NotCanonical(f"image of E_{bad[0]}{bad[0]} does not have rank one")
+    q1 = _extract_rank_one_symmetric(r4[:, :, 0, 0])
     widx = int(np.argmax(np.abs(q1)))
     if abs(q1[widx]) < 1e-10 * np.linalg.norm(q1):
         raise NotCanonical("anchor vector is numerically isotropic")
     beta = q1[widx]
-    cols = [q1]
-    for jcol in range(1, n):
-        c1j = img(0, jcol) + img(jcol, 0)  # = L(D_{1j})
-        y = c1j[:, widx]
-        gamma = y[widx] / (2.0 * beta)
-        cols.append((y - gamma * q1) / beta)
-    q = np.column_stack(cols)
+    y = r4[:, widx, 0, 1:] + r4[:, widx, 1:, 0]  # y[:, j - 1] = column widx of L(E_0j + E_j0)
+    gamma = y[widx] / (2.0 * beta)
+    q = np.column_stack([q1, (y - gamma * q1[:, None]) / beta])
 
     _, unit_det = _unit_determinant(map_fn, MatrixClass.SYMMETRIC, n)
     alpha = principal_root(unit_det, n)
@@ -264,7 +256,7 @@ def _recover_diagonal(map_fn, cls, n, tol):
     du = np.diagonal(unit)
     if np.min(np.abs(du)) <= 1e-12:
         raise SingularUnit("map(I) has a vanishing diagonal entry")
-    imgs = _images(map_fn, np.stack(basis(MatrixClass.DIAGONAL, n)))
+    imgs = _images(map_fn, basis(MatrixClass.DIAGONAL, n))
     model = (np.diagonal(imgs, axis1=-2, axis2=-1) / du).T  # model[i, k] = [psi(E_kk)]_ii
     x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)
     predicted = du * (np.diagonal(x, axis1=-2, axis2=-1) @ model.T)

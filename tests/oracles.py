@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the determinant
 oracle is a literal cofactor expansion, the Gram test works entrywise,
-and the projection test solves the normal equations directly, and the
-positive-definiteness test is exact rational LDL^T.
+the projection test solves the normal equations directly, the
+positive-definiteness test is exact rational LDL^T, and the dual witness
+is the per-matrix candidate cascade scored by np.trace(A @ B).
 """
 
 from fractions import Fraction
@@ -67,3 +68,38 @@ def exact_pd(h, shift=Fraction(0)):
             for j in range(k + 1, size):
                 e[i][j] -= f * e[k][j]
     return True
+
+
+def dual_witness_cascade(a, cls):
+    """Dual witness of one matrix: the first candidate B, in the order
+    lambda in (2, 3, 5) then candidate, with |tr(AB)| >= 1e-6 ||A||_F.
+
+    Candidates are lambda I plus matrix units at the largest-modulus entry
+    (j, k) of A (of its diagonal for the diagonal class); raises
+    ``LookupError`` when none separates A.
+    """
+    from preserver_lab import MatrixClass
+
+    m = np.asarray(a, dtype=complex)
+    n = m.shape[0]
+    if cls is MatrixClass.DIAGONAL:
+        j = k = int(np.argmax(np.abs(np.diagonal(m))))
+    else:
+        j, k = (int(i) for i in np.unravel_index(int(np.argmax(np.abs(m))), m.shape))
+    for lam in (2.0, 3.0, 5.0):
+        cands = []
+        if cls is MatrixClass.FULL:
+            cands.append({(k, j): 1.0})
+        elif cls is MatrixClass.DIAGONAL or (cls is MatrixClass.HERMITIAN and j == k):
+            cands.append({(j, j): 1.0})
+        elif cls is MatrixClass.SYMMETRIC:
+            cands.append({(j, k): 1.0, (k, j): 1.0} if j != k else {(j, j): 2.0})
+        elif cls is MatrixClass.HERMITIAN:
+            cands += [{(j, k): 1.0, (k, j): 1.0}, {(j, k): 1j, (k, j): -1j}]
+        for entries in cands:
+            b = lam * np.eye(n, dtype=complex)
+            for (r, c), x in entries.items():
+                b[r, c] += x
+            if abs(np.trace(m @ b)) >= 1e-6 * np.linalg.norm(m):
+                return b
+    raise LookupError("no candidate separates the input")

@@ -328,6 +328,21 @@ class TestNumericRank:
             numeric_rank(np.eye(2), 0.0)
         with pytest.raises(ValueError):
             numeric_rank(np.eye(2), 1.0)
+        with pytest.raises(ValueError):
+            numeric_rank(np.stack([np.eye(2)] * 3), 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stack_equals_member_calls(self, n):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n + 2, n, n)) + 1j * rng.standard_normal((n + 2, n, n))
+        # member r has rank min(r, n); the last member is zero
+        stack = np.stack([g[r, :, :min(r, n)] @ g[r + 1, :min(r, n), :] for r in range(n + 1)]
+                         + [np.zeros((n, n))])
+        got = numeric_rank(stack, 1e-7)
+        assert isinstance(got, np.ndarray) and got.shape == (n + 2,)
+        members = [numeric_rank(m, 1e-7) for m in stack]
+        assert all(type(r) is int for r in members)
+        assert got.tolist() == members == [min(r, n) for r in range(n + 1)] + [0]
 
 
 class TestPrincipalRoot:

@@ -5,6 +5,7 @@ import pytest
 
 from preserver_lab import (
     MatrixClass,
+    WitnessNotFound,
     ZeroInput,
     basis,
     contains,
@@ -16,7 +17,7 @@ from preserver_lab import (
 )
 from preserver_lab.domains import sample_batch
 
-from oracles import project_real_span, real_gram
+from oracles import dual_witness_cascade, project_real_span, real_gram
 
 ALL_CLASSES = list(MatrixClass)
 WITNESS_CLASSES = [MatrixClass.FULL, MatrixClass.SYMMETRIC, MatrixClass.DIAGONAL,
@@ -37,8 +38,7 @@ class TestContains:
         a = np.tril(rng.standard_normal((4, 4)), -1) + np.eye(4)
         assert not contains(MatrixClass.UPPER_TRIANGULAR, a, 1e-10)
 
-    @pytest.mark.parametrize("cls", [MatrixClass.HERMITIAN, MatrixClass.PD, MatrixClass.PSD],
-                             ids=lambda c: c.value)
+    @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.value)
     def test_non_finite_is_not_a_member(self, cls):
         for bad in (np.inf, np.nan):
             a = np.eye(3, dtype=complex)
@@ -128,7 +128,45 @@ class TestSampleBatch:
             sample_batch(MatrixClass.DIAGONAL, 2, 0, 3, min_abs_det=1e300)
 
 
+def _unit(n, i, j):
+    e = np.zeros((n, n), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+def _explicit_basis(cls, n):
+    diag = [_unit(n, i, i) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    sym = diag + [_unit(n, i, j) + _unit(n, j, i) for i, j in pairs]
+    herm = sym + [1j * (_unit(n, i, j) - _unit(n, j, i)) for i, j in pairs]
+    return {
+        MatrixClass.FULL: [_unit(n, i, j) for i in range(n) for j in range(n)],
+        MatrixClass.UPPER_TRIANGULAR: [_unit(n, i, j) for i in range(n) for j in range(i, n)],
+        MatrixClass.DIAGONAL: diag,
+        MatrixClass.SYMMETRIC: sym,
+        MatrixClass.HERMITIAN: herm,
+        MatrixClass.PD: [h + 2.0 * np.eye(n, dtype=complex) for h in herm],
+    }[cls]
+
+
+BASIS_CLASSES = [c for c in MatrixClass if c is not MatrixClass.PSD]
+
+
 class TestBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("cls", BASIS_CLASSES, ids=lambda c: c.value)
+    def test_stack_equals_explicit_sequence(self, cls, n):
+        expected = _explicit_basis(cls, n)
+        got = basis(cls, n)
+        assert isinstance(got, np.ndarray) and got.dtype == complex
+        assert got.shape == (len(expected), n, n)
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
+
+    def test_no_psd_basis(self):
+        with pytest.raises(ValueError):
+            basis(MatrixClass.PSD, 2)
+
     def test_diagonal_n2(self):
         b = basis(MatrixClass.DIAGONAL, 2)
         assert len(b) == 2
@@ -161,6 +199,52 @@ class TestBasis:
             h = sample(MatrixClass.HERMITIAN, n, seed)
             rec = project_real_span(b, h)
             assert np.linalg.norm(rec - h) <= 1e-9
+
+
+def _crafted_members(cls, n, count=12):
+    """Pairs (A, lambda): A's candidates at the smaller lambdas fall below the margin.
+
+    The pivot sits at (0, 1) or (0, 0), and the trace is set so that the
+    lambda = 2 candidates cancel (for the diagonal class, half the members
+    carry off-diagonal mass that leaves lambda = 2 and 3 just under the floor).
+    """
+    rng = np.random.default_rng([0xCA5C, n, WITNESS_CLASSES.index(cls)])
+    out = []
+    for t in range(count):
+        g = 0.05 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) if t % 2 else np.exp(0.25j * np.pi)
+        if cls is MatrixClass.FULL:
+            a, lam = g, 3.0
+            np.fill_diagonal(a, -z / (2 * n))  # 2 tr A + a_01 = 0
+            a[0, 1] = z
+        elif cls is MatrixClass.SYMMETRIC:
+            a, lam = g + g.T, 3.0
+            if t % 2:
+                np.fill_diagonal(a, -z / n)  # 2 tr A + 2 a_01 = 0
+                a[0, 1] = a[1, 0] = z
+            else:
+                np.fill_diagonal(a, -2.0 / (n - 1))  # diagonal pivot: 2 tr A + 2 a_00 = 0
+                a[0, 0] = 1.0
+        elif cls is MatrixClass.HERMITIAN:
+            a = g + g.conj().T
+            if t % 3 == 2:
+                np.fill_diagonal(a, -1.5 / (n - 1))  # diagonal pivot: 2 tr A + a_00 = 0
+                a[0, 0], lam = 1.0, 3.0
+            else:
+                # 2 tr A + 2 Re a_01 = 0; 2 Im a_01 cancels too at angle pi / 4
+                np.fill_diagonal(a, -z.real / n)
+                a[0, 1], a[1, 0] = z, np.conj(z)
+                lam = 2.0 if t % 2 else 3.0
+        elif t % 2:
+            a = 50.0 * g  # off-diagonal mass; diagonal x = -4.5 f, tr A = 1.8 f
+            f = 1e-6 * np.linalg.norm(a - np.diag(np.diagonal(a)))
+            np.fill_diagonal(a, 6.3 * f / (n - 1))
+            a[0, 0], lam = -4.5 * f, 5.0
+        else:
+            a = np.diag(np.full(n, -1.5 / (n - 1)) + 0j)  # 2 tr A + a_00 = 0
+            a[0, 0], lam = 1.0, 3.0
+        out.append((a, lam))
+    return out
 
 
 class TestDualWitness:
@@ -196,12 +280,45 @@ class TestDualWitness:
     @pytest.mark.parametrize("cls", WITNESS_CLASSES, ids=lambda c: c.value)
     def test_property_battery(self, cls):
         n = 3
-        for seed in range(200):
-            a = sample(cls, n, mix_seed(0xD0A1, seed))
+        members = [sample(cls, n, mix_seed(0xD0A1, seed)) for seed in range(200)]
+        for a in members:
             b = dual_witness(a, cls)
             assert abs(np.trace(a @ b)) >= 1e-6 * np.linalg.norm(a)
             assert contains(cls, b, 1e-10)
             assert abs(determinant(b)) > 1e-8
+            assert b.tobytes() == dual_witness_cascade(a, cls).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("cls", WITNESS_CLASSES, ids=lambda c: c.value)
+    def test_stack_equals_member_calls(self, cls, n):
+        a = sample_batch(cls, n, 7, 40)
+        b = dual_witness(a, cls)
+        assert b.shape == a.shape
+        assert b.tobytes() == np.stack([dual_witness(m, cls) for m in a]).tobytes()
+
+    def test_zero_member_in_stack_rejected(self):
+        a = sample_batch(MatrixClass.FULL, 3, 1, 5)
+        a[3] = 0.0
+        with pytest.raises(ZeroInput):
+            dual_witness(a, MatrixClass.FULL)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 16])
+    @pytest.mark.parametrize("cls", WITNESS_CLASSES, ids=lambda c: c.value)
+    def test_matches_cascade_where_early_candidates_cancel(self, cls, n):
+        members, lams = zip(*_crafted_members(cls, n))
+        expected = [dual_witness_cascade(a, cls) for a in members]
+        assert [e[-1, -1] for e in expected] == list(lams)
+        for a, e in zip(members, expected):
+            assert dual_witness(a, cls).tobytes() == e.tobytes()
+        assert dual_witness(np.stack(members), cls).tobytes() == np.stack(expected).tobytes()
+
+    def test_unseparated_member_raises(self):
+        # off the diagonal class, a zero diagonal leaves the pivot no mass
+        a = np.stack([np.eye(2, dtype=complex), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)])
+        with pytest.raises(LookupError):
+            dual_witness_cascade(a[1], MatrixClass.DIAGONAL)
+        with pytest.raises(WitnessNotFound):
+            dual_witness(a, MatrixClass.DIAGONAL)
 
     def test_traceless_hermitian_imaginary_entry(self):
         # witness must separate a matrix whose largest entry is purely imaginary

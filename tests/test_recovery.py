@@ -19,6 +19,7 @@ from preserver_lab import (
     roundtrip_residual,
     sample,
 )
+from preserver_lab import recovery
 from preserver_lab.core_linalg import hermitian_defect
 
 identity_map = lambda a: a.copy()  # noqa: E731
@@ -318,6 +319,33 @@ class TestRecover:
 
 
 class TestSnStructure:
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_one_rank_call_on_the_diagonal_images(self, n, monkeypatch):
+        calls = []
+        rank = recovery.numeric_rank
+
+        def counting_rank(a, ratio_tol):
+            calls.append(np.shape(a))
+            return rank(a, ratio_tol)
+
+        monkeypatch.setattr(recovery, "numeric_rank", counting_rank)
+        hidden = random_canonical(PreserverForm.SN_CONGRUENCE, n, 5)
+        recover(hidden, MatrixClass.SYMMETRIC, n)
+        assert calls == [(n, n, n)]
+
+    def test_first_rank_failure_is_named(self):
+        # phi(E_11) = E_11 + E_22 has rank two; phi(E_00) is rank one
+        n = 3
+
+        def box(a):
+            a = np.asarray(a)
+            b = a.copy()
+            b[..., 2, 2] += a[..., 1, 1]
+            return b
+
+        with pytest.raises(NotCanonical, match="image of E_11 does not have rank one"):
+            recover(box, MatrixClass.SYMMETRIC, n)
+
     def test_diag_rank_one_offdiag_rank_two(self):
         n = 4
         hidden = random_canonical(PreserverForm.SN_CONGRUENCE, n, 8)

@@ -21,7 +21,6 @@ from preserver_lab import (
     check_minkowski,
     contains,
     determinant,
-    dual_witness,
     mix_seed,
     oracle_dual_witness,
     oracle_jacobi,
@@ -40,6 +39,8 @@ from preserver_lab import (
 from preserver_lab.core_linalg import matrix_to_json
 from preserver_lab.domains import sample_batch
 from preserver_lab.jsonio import dumps_stable
+
+from oracles import dual_witness_cascade
 
 CONVEX = [(t, 1.0 - t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
 SUM = [(1.0, 1.0)]
@@ -451,11 +452,14 @@ class TestOracleBatteries:
         assert jac["max_residual"] == max(r) and jac["mean_residual"] == float(np.mean(r))
 
     def test_dual_witness_margins_come_from_the_drawn_stack(self):
-        a_all = sample_batch(MatrixClass.SYMMETRIC, 3, mix_seed(4, 0), 30)
-        margins = [abs(np.trace(a @ dual_witness(a, MatrixClass.SYMMETRIC))) / np.linalg.norm(a)
-                   for a in a_all]
-        got = oracle_dual_witness(MatrixClass.SYMMETRIC, 3, 30, 4)["min_margin"]
-        assert got == pytest.approx(min(margins), rel=1e-12)
+        for cls in (MatrixClass.FULL, MatrixClass.SYMMETRIC, MatrixClass.DIAGONAL,
+                    MatrixClass.HERMITIAN):
+            a_all = sample_batch(cls, 3, mix_seed(4, 0), 30)
+            margins = [abs(np.trace(a @ dual_witness_cascade(a, cls))) / np.linalg.norm(a)
+                       for a in a_all]
+            got = oracle_dual_witness(cls, 3, 30, 4)
+            assert got["min_margin"] == pytest.approx(min(margins), rel=1e-12)
+            assert got["found"] == 30 and got["pass"]
 
 
 class TestHomogeneityAdditivity:

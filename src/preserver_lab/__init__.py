@@ -12,16 +12,13 @@ from .core_linalg import (
     adjugate,
     as_square_matrix,
     determinant,
-    hermitian_eig,
     inverse,
     matrix_from_json,
     matrix_residual,
     matrix_to_json,
     numeric_rank,
-    pd_sqrt,
     principal_root,
     scalar_residual,
-    takagi_factor,
 )
 from .domains import (
     MatrixClass,
@@ -36,9 +33,7 @@ from .domains import (
 from .errors import (
     DegenerateUnit,
     DimensionMismatch,
-    FactorizationError,
     NotCanonical,
-    NotHermitian,
     NotLinear,
     NotPositiveDefinite,
     NotRankOne,

@@ -29,17 +29,6 @@ from .verifiers import (
     verify_trace_identity,
 )
 
-_IDENTITY_TAGS = (
-    "det-sum",
-    "det-convex",
-    "det-pencil",
-    "trace-inverse",
-    "trace-product",
-    "trace-power-k",
-    "trace-square",
-    "homogeneity-additivity",
-)
-
 _CLASSES = {cls.value: cls for cls in MatrixClass}
 # The classes each command handles: recovery's characterizations, and the
 # classes dual_witness constructs witnesses for.

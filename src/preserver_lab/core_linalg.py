@@ -19,13 +19,13 @@ n x n matrix or any (..., n, n) stack:
 
 ``hermitian_defect`` is the one Hermitian measure and ``is_pd`` the one
 positive-definiteness decision; factorizations are LAPACK's, through numpy.
+The kernel holds no matrix square root or Takagi factor: the unital gauge
+factors come from one ``eigh`` each, in :func:`verifiers.unitalize`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import FactorizationError, NotHermitian, NotPositiveDefinite
 
 __all__ = [
     "as_square_matrix",
@@ -41,11 +41,8 @@ __all__ = [
     "adjugate",
     "hermitian_defect",
     "is_pd",
-    "hermitian_eig",
-    "pd_sqrt",
     "numeric_rank",
     "principal_root",
-    "takagi_factor",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -258,27 +255,6 @@ def is_pd(a) -> bool:
     return True
 
 
-def hermitian_eig(a):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` real ascending and ``v``
-    unitary, so that A = v @ diag(w) @ v^*.  Raises :class:`NotHermitian`
-    when the :func:`hermitian_defect` exceeds 1e-10.
-    """
-    if hermitian_defect(a) > 1e-10:
-        raise NotHermitian("input is not Hermitian within tolerance 1e-10")
-    return np.linalg.eigh(np.asarray(a, dtype=complex))
-
-
-def pd_sqrt(a) -> np.ndarray:
-    """Unique positive definite square root of a matrix that :func:`is_pd` accepts."""
-    if not is_pd(a):
-        raise NotPositiveDefinite("matrix is not certified positive definite")
-    w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (s + s.conj().T)
-
-
 def numeric_rank(a, ratio_tol: float):
     """Singular values above ratio_tol * sigma_max, 0 for a zero matrix; an int or one per member."""
     if not 0.0 < ratio_tol < 1.0:
@@ -299,28 +275,6 @@ def principal_root(z, k: int) -> complex:
     if z.imag == 0.0 and z.real > 0.0:
         return complex(z.real ** (1.0 / k))
     return z ** (1.0 / k)
-
-
-def takagi_factor(c, tol: float = 1e-8) -> np.ndarray:
-    """Factor an invertible complex symmetric C as Q @ Q^T.
-
-    Uses the real symmetric embedding E = [[Re C, Im C], [Im C, -Re C]]:
-    E [x; y] = w [x; y] is C conj(u) = w u for u = x + i y, the spectrum of
-    E is {+-sigma_k} with sigma_k the Takagi values, and the eigenvectors of
-    the n positive eigenvalues give a unitary U with C = U diag(w) U^T, so
-    Q = U diag(w)^{1/2}.  Raises :class:`FactorizationError` if C is
-    numerically singular or the reconstruction misses by more than ``tol``.
-    """
-    m = as_square_matrix(c, "symmetric factor input")
-    m = 0.5 * (m + m.T)
-    n = m.shape[0]
-    w, v = np.linalg.eigh(np.block([[m.real, m.imag], [m.imag, -m.real]]))
-    if w[n] <= 1e-12 * max(w[-1], 1.0):
-        raise FactorizationError("matrix is numerically singular")
-    q = (v[:n, n:] + 1j * v[n:, n:]) * np.sqrt(w[n:])
-    if matrix_residual(q @ q.T, m) > tol:
-        raise FactorizationError("Takagi reconstruction residual exceeds tolerance")
-    return q
 
 
 def matrix_to_json(a) -> dict:

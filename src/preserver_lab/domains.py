@@ -221,7 +221,9 @@ def dual_witness(a, cls: MatrixClass) -> np.ndarray:
     for the diagonal class), so tr(AB) = lambda tr A + v a_kj + w a_jk in
     closed form.  lambda runs over {2, 3, 5}, which avoids every excluded
     value of the underlying constructions, and each member gets the first
-    candidate clearing the margin.  B has the shape of ``a``.
+    candidate clearing the margin.  B has the shape of ``a``.  Every class
+    member is separated; a non-member that no candidate separates raises
+    :class:`WitnessNotFound`, which names it.
     """
     m = np.asarray(a, dtype=complex)
     n = m.shape[-1]
@@ -246,8 +248,12 @@ def dual_witness(a, cls: MatrixClass) -> np.ndarray:
               + v * x[rows, k, j][:, None] + w * x[rows, j, k][:, None])
     # each member's (lambda, candidate) flags in cascade order; argmax takes the first that passes
     passed = (np.abs(margin) >= _WITNESS_FLOOR * anorm[:, None]).swapaxes(0, 1).reshape(len(x), -1)
-    if not passed.any(axis=-1).all():
-        raise WitnessNotFound("no candidate separated the input (should be unreachable)")
+    unseparated = np.flatnonzero(~passed.any(axis=-1))
+    if unseparated.size:
+        # only a non-member can get here: its class's witnesses read too little of it
+        read = "diagonal" if cls is MatrixClass.DIAGONAL else "trace and pivot pair"
+        raise WitnessNotFound(f"member {unseparated[0]} is not a {cls.value} matrix: its {read} "
+                              "is below the 1e-6 ||A||_F floor for every candidate")
     lam, cand = np.divmod(np.argmax(passed, axis=-1), len(pairs))
     b = _WITNESS_LAMBDAS[lam, None, None] * np.eye(n, dtype=complex)
     b[rows, j, k] += v[rows, cand]

@@ -1,19 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = ["PreserverLabError", "NotPositiveDefinite", "ZeroInput", "WitnessNotFound",
+           "DimensionMismatch", "DegenerateUnit", "NotUnital", "NotLinear", "NotCanonical",
+           "NotStarForm", "SingularUnit", "NotRankOne", "RECOVERY_ERRORS"]
+
 
 class PreserverLabError(Exception):
     """Base class for every library-specific failure."""
 
 
-class NotHermitian(PreserverLabError):
-    pass
-
-
 class NotPositiveDefinite(PreserverLabError):
-    pass
-
-
-class FactorizationError(PreserverLabError):
     pass
 
 

@@ -47,10 +47,8 @@ from .core_linalg import (
     inverse,
     is_pd,
     matrix_residual,
-    pd_sqrt,
     sandwich,
     scalar_residual,
-    takagi_factor,
     trace_product,
 )
 from .domains import MatrixClass, dual_witness, mix_seed, sample_batch
@@ -176,24 +174,37 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
 def unitalize(map_fn, cls: MatrixClass, n: int):
     """Conjugate the map by its unit image so that the result fixes I.
 
-    PD/PSD/Hermitian classes use phi(I)^{-1/2} (.) phi(I)^{-1/2}; the
-    symmetric class uses Q^{-1} (.) Q^{-t} with Q Q^t = phi(I); the
-    remaining classes use phi(I)^{-1} (.).  Already-unital maps are
-    returned untouched.  A non-finite phi(I) gives a companion whose every
-    image is NaN, so every residual on it fails.  The result takes a whole
-    (count, n, n) stack where the map does (see :func:`_images`).
+    Each gauge factor comes from one ``eigh``.  PD/PSD/Hermitian classes use
+    W (.) W with W = V diag(w)^{-1/2} V^* from phi(I) = V diag(w) V^*, once
+    :func:`core_linalg.is_pd` accepts phi(I) (else :class:`NotPositiveDefinite`).
+    The symmetric class uses Q^{-1} (.) Q^{-t} with Q Q^t = C, the symmetric
+    part of phi(I): the eigenvectors [x; y] of the n positive eigenvalues t
+    of [[Re C, Im C], [Im C, -Re C]] give a unitary U = x + iy with
+    C = U diag(t) U^t, so Q^{-1} = diag(t)^{-1/2} U^*.  The remaining classes
+    use phi(I)^{-1} (.).  A numerically singular phi(I) raises
+    :class:`DegenerateUnit`; a non-finite one gives a companion whose every
+    image is NaN, so every residual on it fails; an already-unital map is
+    returned untouched.  The result takes a whole (count, n, n) stack where
+    the map does (see :func:`_images`).
     """
     eye = np.eye(n, dtype=complex)
-    unit = map_fn(eye)
+    unit = np.asarray(map_fn(eye), dtype=complex)
     if not np.isfinite(unit).all():
         return _Unitalized(map_fn, np.full((n, n), np.nan))
     if matrix_residual(unit, eye) <= 1e-12:
         return map_fn
     if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN):
-        w = inverse(pd_sqrt(unit))
-        return _Unitalized(map_fn, w, w)
+        if not is_pd(unit):
+            raise NotPositiveDefinite("map(I) is not certified positive definite")
+        w, v = np.linalg.eigh(unit)
+        left = (v / np.sqrt(w)) @ v.conj().T
+        return _Unitalized(map_fn, left, left)
     if cls is MatrixClass.SYMMETRIC:
-        qi = inverse(takagi_factor(unit))
+        c = 0.5 * (unit + unit.T)
+        t, v = np.linalg.eigh(np.block([[c.real, c.imag], [c.imag, -c.real]]))
+        if t[n] <= 1e-12 * max(t[-1], 1.0):
+            raise DegenerateUnit("map(I) is numerically singular")
+        qi = (v[:n, n:] - 1j * v[n:, n:]).T / np.sqrt(t[n:, None])
         return _Unitalized(map_fn, qi, qi.T)
     if abs(determinant(unit)) <= 1e-12:
         raise DegenerateUnit("map(I) is singular")

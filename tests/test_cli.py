@@ -170,7 +170,7 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(out)["max_residual"] == 1e100
         assert b"RuntimeWarning" not in err
-        # the symmetric class Takagi-factors phi(I), which is not finite here
+        # trace-product runs on an all-NaN companion on every class, the gauge classes included
         for klass in sorted(c.value for c in MatrixClass):
             for identity in ("trace-product", "det-sum"):
                 assert main(["verify", "--identity", identity, "--class", klass, "--n", "3",
@@ -178,6 +178,18 @@ class TestVerifyCommand:
                 out, err = capfd.readouterr()
                 assert json.loads(out)["max_residual"] == 1e100, (klass, identity)
                 assert err == ""
+
+    @pytest.mark.parametrize("klass,spec,error", [
+        ("symmetric", {"kind": "sn-congruence", "M": matrix_to_json(np.diag([1.0, 0.0]))},
+         "DegenerateUnit"),
+        ("pd", {"kind": "pn-congruence", "alpha": {"re": -1.0, "im": 0.0},
+                "M": matrix_to_json(np.eye(2))}, "NotPositiveDefinite"),
+    ], ids=["symmetric-singular-unit", "pd-negative-unit"])
+    def test_bad_unit_image_is_input_error(self, klass, spec, error, capsys):
+        assert main(["verify", "--identity", "trace-product", "--class", klass, "--n", "2",
+                     "--map", dumps_stable(spec)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {error}: map(I) is")
 
     def test_linear_rep_of_another_size_is_input_error(self, spec_dir, capsys):
         assert main(["verify", "--identity", "det-sum", "--class", "full", "--n", "2",

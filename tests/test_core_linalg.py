@@ -9,20 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preserver_lab import (
-    NotHermitian,
-    NotPositiveDefinite,
-    FactorizationError,
     adjugate,
     determinant,
-    hermitian_eig,
     inverse,
     matrix_from_json,
-    matrix_residual,
     matrix_to_json,
     numeric_rank,
-    pd_sqrt,
     principal_root,
-    takagi_factor,
 )
 from preserver_lab.core_linalg import hermitian_defect, is_pd
 from preserver_lab.domains import MatrixClass, sample, sample_batch
@@ -185,29 +178,6 @@ class TestInverse:
             assert not np.isfinite(single).all()
 
 
-class TestHermitianEig:
-    def test_identity(self):
-        w, v = hermitian_eig(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-        assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
-
-    def test_swap_unit_spectrum(self):
-        d12 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        w, _ = hermitian_eig(d12)
-        assert np.allclose(w, [-1.0, 1.0])
-
-    def test_reconstruction(self):
-        a = sample(MatrixClass.HERMITIAN, 6, 5)
-        w, v = hermitian_eig(a)
-        assert np.all(np.diff(w) >= 0)
-        assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-9
-        assert np.linalg.norm(v.conj().T @ v - np.eye(6)) <= 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestHermitianDefect:
     def test_values(self):
         assert hermitian_defect(sample(MatrixClass.PD, 4, 2)) == 0.0
@@ -275,30 +245,6 @@ class TestIsPd:
             assert accepted
 
 
-class TestPdSqrt:
-    def test_scalar_multiple(self):
-        assert np.allclose(pd_sqrt(4.0 * np.eye(3)), 2.0 * np.eye(3))
-
-    def test_diagonal(self):
-        assert np.allclose(pd_sqrt(np.diag([1.0, 4.0, 9.0])), np.diag([1.0, 2.0, 3.0]))
-
-    def test_squares_back(self):
-        a = sample(MatrixClass.PD, 5, 9)
-        s = pd_sqrt(a)
-        assert np.linalg.norm(s @ s - a) / np.linalg.norm(a) <= 1e-9
-        assert np.linalg.norm(s - s.conj().T) <= 1e-10 * (1 + np.linalg.norm(s))
-        assert np.linalg.eigvalsh(s)[0] > 0
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            pd_sqrt(np.diag([1.0, -1.0]))
-
-    @pytest.mark.parametrize("a", NON_FINITE)
-    def test_rejects_non_finite(self, a):
-        with pytest.raises(NotPositiveDefinite):
-            pd_sqrt(a)
-
-
 class TestNumericRank:
     def test_zero(self):
         assert numeric_rank(np.zeros((3, 3)), 1e-7) == 0
@@ -361,50 +307,6 @@ class TestPrincipalRoot:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             principal_root(0.0, 3)
-
-
-class TestTakagiFactor:
-    def test_identity(self):
-        q = takagi_factor(np.eye(3))
-        assert np.linalg.norm(q @ q.T - np.eye(3)) <= 1e-10
-
-    def test_offdiagonal_unit(self):
-        c = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        q = takagi_factor(c)
-        assert np.linalg.norm(q @ q.T - c) <= 1e-10
-
-    def test_random_symmetric(self):
-        rng = np.random.default_rng(6)
-        for k in range(25):
-            n = int(rng.integers(1, 7))
-            g = _rand_complex(rng, n)
-            c = g + g.T
-            if abs(determinant(c)) < 1e-6:
-                continue
-            q = takagi_factor(c)
-            assert np.linalg.norm(q @ q.T - c) <= 1e-8 * (1 + np.linalg.norm(c))
-
-
-    def test_diagonal_n16(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            d = rng.uniform(0.1, 10.0, 16) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 16))
-            c = np.diag(d)
-            q = takagi_factor(c)
-            assert matrix_residual(q @ q.T, c) <= 1e-13
-
-    def test_degenerate_takagi_values_n16(self):
-        # C = U diag(sigma) U^T with repeated sigma, including sigma all equal
-        rng = np.random.default_rng(13)
-        for sigma in (np.ones(16), np.repeat([0.5, 2.0, 7.0, 7.0], 4), np.repeat([1.0, 3.0], 8)):
-            u, _ = np.linalg.qr(_rand_complex(rng, 16))
-            c = (u * sigma) @ u.T
-            q = takagi_factor(c)
-            assert matrix_residual(q @ q.T, c) <= 1e-13
-
-    def test_singular_rejected(self):
-        with pytest.raises(FactorizationError):
-            takagi_factor(np.diag([1.0, 0.0]).astype(complex))
 
 
 class TestMatrixJson:

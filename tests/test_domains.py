@@ -317,8 +317,13 @@ class TestDualWitness:
         a = np.stack([np.eye(2, dtype=complex), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)])
         with pytest.raises(LookupError):
             dual_witness_cascade(a[1], MatrixClass.DIAGONAL)
-        with pytest.raises(WitnessNotFound):
+        with pytest.raises(WitnessNotFound, match=r"^member 1 is not a diagonal matrix: its diagonal "
+                                                  r"is below the 1e-6 \|\|A\|\|_F floor"):
             dual_witness(a, MatrixClass.DIAGONAL)
+        # an antisymmetric pivot pair cancels in every symmetric candidate
+        with pytest.raises(WitnessNotFound, match=r"^member 0 is not a symmetric matrix: its trace "
+                                                  r"and pivot pair is below"):
+            dual_witness(np.array([[0.0, 1.0], [-1.0, 0.0]]), MatrixClass.SYMMETRIC)
 
     def test_traceless_hermitian_imaginary_entry(self):
         # witness must separate a matrix whose largest entry is purely imaginary

@@ -1,0 +1,31 @@
+"""The public names are real: every ``__all__`` entry exists, and the package exports only them.
+
+``bench/tracing.py`` picks the call sites it traces from ``__all__``, so a
+stale entry would point it at a function that is gone.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import preserver_lab
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(preserver_lab.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_exists(name):
+    mod = importlib.import_module(f"preserver_lab.{name}")
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+def test_package_imports_only_public_names():
+    tree = ast.parse(Path(preserver_lab.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert {node.module for node in imports} <= set(MODULES)
+    for node in imports:
+        public = importlib.import_module(f"preserver_lab.{node.module}").__all__
+        assert [a.name for a in node.names if a.name not in public] == [], node.module

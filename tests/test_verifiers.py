@@ -26,13 +26,13 @@ from preserver_lab import (
     oracle_jacobi,
     oracle_kadison_choi,
     oracle_minkowski,
-    pd_sqrt,
     pinching,
     random_canonical,
     realize_map,
     remark1_map,
     sample,
     scalar_residual,
+    unitalize,
     verify_det_identity,
     verify_trace_identity,
 )
@@ -46,6 +46,24 @@ CONVEX = [(t, 1.0 - t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
 SUM = [(1.0, 1.0)]
 
 identity_map = lambda a: a.copy()  # noqa: E731
+
+
+def _cayley_orthogonal(n, seed):
+    """Complex orthogonal O = (I - K)(I + K)^{-1} from a complex skew-symmetric K."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = 0.5 * (g - g.T)
+    return (np.eye(n) - k) @ np.linalg.inv(np.eye(n) + k)
+
+
+def _conditioned(n, kappa, seed):
+    """U diag(1 ... 1/kappa) V with seeded unitary U, V: condition number kappa."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            for _ in range(2))
+    return (u * np.logspace(0.0, -np.log10(kappa), n)) @ v
+
+
 affine_map = lambda a: a + np.eye(a.shape[0])  # noqa: E731
 
 
@@ -213,6 +231,39 @@ class TestTraceIdentity:
         assert [r for _, r in rep.failures] == pytest.approx([r for _, r in failing], rel=1e-12)
         assert rep.max_residual == 1e100
 
+    @pytest.mark.parametrize("map_fn,cls,n", [
+        (CanonicalPreserver(PreserverForm.SN_CONGRUENCE, 16, 1.5, M=2.0 * _cayley_orthogonal(16, 1)),
+         MatrixClass.SYMMETRIC, 16),
+        (CanonicalPreserver(PreserverForm.PN_CONGRUENCE, 5, 0.75, M=_conditioned(5, 1e3, 0)),
+         MatrixClass.PD, 5),
+        (CanonicalPreserver(PreserverForm.SN_CONGRUENCE, 5, 0.75 + 0.5j, M=_conditioned(5, 1e3, 0)),
+         MatrixClass.SYMMETRIC, 5),
+    ], ids=["sn-equal-takagi-values-n16", "pn-kappa-1e3", "sn-kappa-1e3"])
+    def test_gauge_edge_cases_pass(self, map_fn, cls, n):
+        # phi(I) = 6 I for P = 2 x complex orthogonal: every Takagi value is repeated
+        for kind in ("product", "square", "power"):
+            rep = verify_trace_identity(map_fn, cls, n, kind, 50, 5, 1e-8, power=3)
+            assert rep.passed, (kind, rep.max_residual)
+
+    @pytest.mark.parametrize("cls,unit,error", [
+        (MatrixClass.SYMMETRIC, np.diag([1.0, 0.0]), DegenerateUnit),
+        (MatrixClass.FULL, np.diag([1.0, 0.0]), DegenerateUnit),
+        (MatrixClass.PD, np.diag([1.0, -1.0]), NotPositiveDefinite),
+        (MatrixClass.HERMITIAN, np.array([[1.0, 1.0], [0.0, 1.0]]), NotPositiveDefinite),
+    ], ids=["symmetric-singular", "full-singular", "pd-indefinite", "hermitian-not-hermitian"])
+    def test_bad_unit_image_raises(self, cls, unit, error):
+        with pytest.raises(error):
+            verify_trace_identity(lambda a: unit, cls, 2, "product", 10, 0, 1e-8)
+
+    @pytest.mark.parametrize("cls", [MatrixClass.PD, MatrixClass.SYMMETRIC, MatrixClass.FULL],
+                             ids=lambda c: c.value)
+    @pytest.mark.parametrize("unit", [np.full((2, 2), np.nan), np.array([[1.0, np.inf], [0.0, 1.0]])],
+                             ids=["nan", "inf"])
+    def test_non_finite_unit_image_gives_nan_companion(self, cls, unit):
+        companion = unitalize(lambda a: unit, cls, 2)
+        assert np.isnan(companion(np.eye(2))).all()
+        assert np.isnan(companion(np.stack([np.eye(2)] * 3))).all()
+
     def test_tn_diagonal_power(self):
         p = random_canonical(PreserverForm.TN_DIAGONAL, 4, 3)
         rep = verify_trace_identity(p, MatrixClass.UPPER_TRIANGULAR, 4, "power", 50, 7, 1e-8, power=3)
@@ -322,7 +373,7 @@ class TestMinkowski:
         with pytest.raises(NotPositiveDefinite):
             check_minkowski(a, np.eye(2))
         with pytest.raises(NotPositiveDefinite):
-            pd_sqrt(a)
+            unitalize(lambda x: a, MatrixClass.PD, 2)
         assert not contains(MatrixClass.PD, a, 1e-10)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

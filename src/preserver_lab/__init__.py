@@ -16,7 +16,6 @@ from .core_linalg import (
     matrix_from_json,
     matrix_residual,
     matrix_to_json,
-    numeric_rank,
     principal_root,
     scalar_residual,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -34,10 +35,6 @@ _CLASSES = {cls.value: cls for cls in MatrixClass}
 # classes dual_witness constructs witnesses for.
 _RECOVER_CLASSES = ("full", "pd", "symmetric", "upper-triangular", "diagonal")
 _ORACLE_CLASSES = ("full", "symmetric", "diagonal", "hermitian")
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("PRESERVER_LAB_SEED", "0"))
 
 
 def _parse_scalar(text: str) -> complex:
@@ -100,8 +97,8 @@ def _validate_common(args) -> None:
         raise ValueError("--n must be >= 1")
     if getattr(args, "samples", 1) < 1:
         raise ValueError("--samples must be >= 1")
-    if getattr(args, "tol", 1.0) <= 0.0:
-        raise ValueError("--tol must be > 0")
+    if not 0.0 < getattr(args, "tol", 1.0) < math.inf:
+        raise ValueError("--tol must be a finite number > 0")
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -204,12 +201,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="preserver-lab",
                                      description="verify, recover and probe determinant/trace preserving matrix maps")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default is parsed by type=int only when --seed is omitted (argparse error if bad)
+    seed = os.environ.get("PRESERVER_LAB_SEED", "0")
 
     def common(p, classes, with_map=False):
         p.add_argument("--class", dest="klass", choices=classes, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=seed)
         p.add_argument("--tol", type=float, default=1e-8)
         if with_map:
             p.add_argument("--map", required=True, help="map spec file path or inline JSON")
@@ -231,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     po.add_argument("--class", dest="klass", choices=_ORACLE_CLASSES, default="full")
     po.add_argument("--n", type=int, required=True)
     po.add_argument("--samples", type=int, default=100)
-    po.add_argument("--seed", type=int, default=_default_seed())
+    po.add_argument("--seed", type=int, default=seed)
     po.add_argument("--tol", type=float, default=1e-8)
     po.add_argument("--out", default=None)
     po.set_defaults(fn=_cmd_oracle)
@@ -239,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("counterexample", help="check the norm-dependent conjugation signature")
     pc.add_argument("--n", type=int, default=2)
     pc.add_argument("--samples", type=int, default=100)
-    pc.add_argument("--seed", type=int, default=_default_seed())
+    pc.add_argument("--seed", type=int, default=seed)
     pc.add_argument("--generator", choices=("standard", "zero"), default="standard")
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn=_cmd_counterexample)

@@ -17,10 +17,11 @@ n x n matrix or any (..., n, n) stack:
 * ``scalar_residual`` and ``matrix_residual`` reduce per member, and every
   non-finite residual becomes the failing sentinel ``SENTINEL``.
 
-``hermitian_defect`` is the one Hermitian measure and ``is_pd`` the one
-positive-definiteness decision; factorizations are LAPACK's, through numpy.
-The kernel holds no matrix square root or Takagi factor: the unital gauge
-factors come from one ``eigh`` each, in :func:`verifiers.unitalize`.
+``hermitian_defect`` is the one Hermitian measure, ``is_pd`` the one
+positive-definiteness decision and ``is_singular`` the one scale-free test of
+a unit image phi(I); factorizations are LAPACK's, through numpy.  The gauge
+factors come from one ``eigh`` each, in :func:`verifiers.unitalize`, and the
+one rank decision is :func:`recovery.rank_one_split`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ __all__ = [
     "adjugate",
     "hermitian_defect",
     "is_pd",
-    "numeric_rank",
+    "is_singular",
     "principal_root",
     "matrix_to_json",
     "matrix_from_json",
@@ -255,13 +256,16 @@ def is_pd(a) -> bool:
     return True
 
 
-def numeric_rank(a, ratio_tol: float):
-    """Singular values above ratio_tol * sigma_max, 0 for a zero matrix; an int or one per member."""
-    if not 0.0 < ratio_tol < 1.0:
-        raise ValueError(f"ratio_tol must lie in (0, 1), got {ratio_tol}")
-    s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    r = np.count_nonzero(s > ratio_tol * s[..., :1], axis=-1)
-    return int(r) if np.ndim(r) == 0 else r
+def is_singular(a, triangular: bool = False) -> bool:
+    """min |r_ii| <= 1e-12 max |r_ii| over A = QR (A's own diagonal if ``triangular``); False if not finite.
+
+    sigma_min <= |r_ii| <= sigma_max: condition below 1e12 is never singular, at any scale or n.
+    """
+    m = np.asarray(a, dtype=complex)
+    if not np.isfinite(m).all():
+        return False
+    r = np.abs(np.diagonal(m if triangular else np.linalg.qr(m, mode="r")))
+    return bool(np.min(r) <= 1e-12 * np.max(r))
 
 
 def principal_root(z, k: int) -> complex:

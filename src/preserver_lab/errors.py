@@ -50,7 +50,9 @@ class SingularUnit(PreserverLabError):
 
 
 class NotRankOne(PreserverLabError):
-    pass
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member  # flat index of the first stack member that is not rank one
 
 
 # Failures that mean "the black box is not a map of the canonical family",

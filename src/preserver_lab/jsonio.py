@@ -7,6 +7,7 @@ follows construction order (never sorted, never locale dependent).
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -46,8 +47,13 @@ def complex_to_json(z) -> dict:
 
 
 def complex_from_json(d) -> complex:
+    """Decode a number or {"re", "im"}; a non-finite part (1e400, NaN, Infinity) is a ValueError."""
     if isinstance(d, (int, float)):
-        return complex(float(d))
-    if not isinstance(d, dict) or "re" not in d or "im" not in d:
+        z = complex(float(d))
+    elif isinstance(d, dict) and "re" in d and "im" in d:
+        z = complex(float(d["re"]), float(d["im"]))
+    else:
         raise ValueError("complex JSON must be a number or an object with re/im")
-    return complex(float(d["re"]), float(d["im"]))
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex JSON value {z} is not finite")
+    return z

@@ -13,10 +13,11 @@ The pipeline realizes the constructive direction of the characterizations:
 2. ``LinearRep.choi`` reshuffles the representation into the Choi layout
    J[(i,a),(j,b)] = [L(E_ij)]_{ab}.  J has numeric rank one exactly for
    two-sided multiplications X -> M X N, which is what ``recover`` exploits
-   for the full and PD classes (precomposing with transpose to find the
-   other branch).  The symmetric class instead extracts congruence columns
-   from the rank-one images of E_ii, and the triangular classes match the
-   diagonals of phi(I)^{-1} phi(E_kk) to standard basis vectors.
+   for the full and PD classes (the transpose branch reshuffles J).  The
+   symmetric class runs one stacked rank test on the images of E_ii and
+   takes congruence columns from its factors; :func:`rank_one_split` is the
+   one rank decision.  The triangular classes match the diagonals of
+   phi(I)^{-1} phi(E_kk) to standard basis vectors.
 
 The composite index (i, a) -> i*n + a (0-based) is fixed globally; the
 reshaping rules M0[a, i] = u[(i, a)], N0[j, b] = w[(j, b)] depend on it.
@@ -32,21 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core_linalg import (
-    determinant,
-    frob,
-    matrix_residual,
-    numeric_rank,
-    principal_root,
-)
+from .core_linalg import determinant, frob, is_singular, matrix_residual, principal_root
 from .domains import MatrixClass, basis, mix_seed, sample_batch
-from .errors import (
-    NotCanonical,
-    NotLinear,
-    NotRankOne,
-    NotStarForm,
-    SingularUnit,
-)
+from .errors import NotCanonical, NotLinear, NotRankOne, NotStarForm, SingularUnit
 from .preservers import CanonicalPreserver, LinearRep, PreserverForm, apply_preserver
 from .verifiers import _QUIET, _images
 
@@ -57,7 +46,7 @@ __all__ = [
     "roundtrip_residual",
 ]
 
-RANK_RATIO_TOL = 1e-7  # an order below the 1e-8 identity tolerance
+RANK_RATIO_TOL = 1e-7  # the one rank tolerance, an order above the 1e-8 identity tolerance
 _CONSISTENCY_SAMPLES = 20
 _RESIDUAL_SAMPLES = 50
 _CONSISTENCY_TAG = 0xC0451
@@ -100,25 +89,26 @@ def build_linear_rep(map_fn, cls: MatrixClass, n: int, tol: float) -> LinearRep:
         lin = LinearRep(n, cols.reshape(n * n, n * n).T)
         x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)
         worst = float(np.max(matrix_residual(lin(x), _images(map_fn, x), axis=(-2, -1))))
-    if worst > tol:
+    if not worst <= tol:
         raise NotLinear(f"linear rep misses the black box by {worst:.3e} > {tol:.1e}")
     return lin
 
 
-def rank_one_split(j, ratio_tol: float):
-    """Balanced factors (u, w) with J = u w^T for a numerically rank-one J, from one SVD."""
-    if not 0.0 < ratio_tol < 1.0:
-        raise ValueError(f"ratio_tol must lie in (0, 1), got {ratio_tol}")
-    m = np.asarray(j, dtype=complex)
-    uu, ss, vh = np.linalg.svd(m)
-    if np.count_nonzero(ss > ratio_tol * ss[0]) != 1:
-        raise NotRankOne("matrix does not have numeric rank one")
-    root = np.sqrt(ss[0])
-    u = root * uu[:, 0]
-    w = root * vh[0, :]
-    if float(np.linalg.norm(m - np.outer(u, w))) > ratio_tol * float(np.linalg.norm(m)):
-        raise NotRankOne("rank-one reconstruction residual too large")
-    return u, w
+def rank_one_split(j):
+    """Balanced factors (u, w) with J = u w^T, for one matrix or each member of a stack, from one SVD.
+
+    A member passes iff sigma_1 > 0 and ||(sigma_2, sigma_3, ...)|| <= RANK_RATIO_TOL sigma_1: its
+    distance to the best rank-one approximation (Eckart-Young).  The first failing member raises
+    :class:`NotRankOne`; u and w keep the input's leading shape.
+    """
+    uu, ss, vh = np.linalg.svd(np.asarray(j, dtype=complex))
+    s1 = ss[..., 0]
+    bad = np.flatnonzero(~((s1 > 0.0) & (np.linalg.norm(ss[..., 1:], axis=-1) <= RANK_RATIO_TOL * s1)))
+    if bad.size:
+        where = f"stack member {bad[0]}" if ss.ndim > 1 else "matrix"
+        raise NotRankOne(f"{where} does not have numeric rank one", int(bad[0]))
+    root = np.sqrt(s1)[..., None]
+    return root * uu[..., :, 0], root * vh[..., 0, :]
 
 
 def roundtrip_residual(map_fn, p: CanonicalPreserver, cls: MatrixClass, n: int,
@@ -162,22 +152,20 @@ def _sign_canonical(m):
 
 def _unit_determinant(map_fn, cls, n):
     unit = np.asarray(map_fn(np.eye(n, dtype=complex)), dtype=complex)
-    d = determinant(unit, cls.triangular)
-    if abs(d) <= 1e-12:
+    if is_singular(unit, cls.triangular):
         raise SingularUnit("map(I) is not invertible")
-    return unit, d
+    return unit, determinant(unit, cls.triangular)
 
 
-def _recover_two_sided(map_fn, cls, n, tol, rank_tol):
-    lin = build_linear_rep(map_fn, cls, n, tol)
+def _recover_two_sided(map_fn, cls, n, tol):
+    j = build_linear_rep(map_fn, cls, n, tol).choi()
     transpose = False
     try:
-        u, w = rank_one_split(lin.choi(), rank_tol)
+        u, w = rank_one_split(j)
     except NotRankOne:
-        # L composed with transpose: rep[(a, b), (i, j)] -> rep[(a, b), (j, i)]
-        flipped = lin.rep.reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
+        # L composed with transpose: J'[(i, a), (j, b)] = J[(j, a), (i, b)]
         try:
-            u, w = rank_one_split(LinearRep(n, flipped).choi(), rank_tol)
+            u, w = rank_one_split(j.reshape(n, n, n, n).transpose(2, 1, 0, 3).reshape(n * n, n * n))
         except NotRankOne:
             raise NotCanonical("neither Choi branch has rank one") from None
         transpose = True
@@ -198,7 +186,7 @@ def _recover_two_sided(map_fn, cls, n, tol, rank_tol):
     if cls is MatrixClass.PD:
         # alpha M^* X M pairing: the left factor must be the conjugate
         # transpose of the right one (balanced split makes the scale 1).
-        if frob(left - right.conj().T) > max(tol, 1e-8) * max(frob(left), 1e-30):
+        if not frob(left - right.conj().T) <= max(tol, 1e-8) * max(frob(left), 1e-30):
             raise NotStarForm("recovered factors are not a *-congruence pair")
         mp, _ = _phase_canonical(right)
         p = CanonicalPreserver(PreserverForm.PN_CONGRUENCE, n, alpha, M=mp, transpose=transpose)
@@ -209,39 +197,19 @@ def _recover_two_sided(map_fn, cls, n, tol, rank_tol):
     return p
 
 
-def _extract_rank_one_symmetric(c1):
-    """q with q q^T = C1 for a rank-one complex symmetric C1 (sign free)."""
-    norms = np.linalg.norm(c1, axis=0)
-    kstar = int(np.argmax(norms))
-    anchor = c1[kstar, kstar]
-    if abs(anchor) >= 1e-8 * frob(c1):
-        return c1[:, kstar] / anchor**0.5
-    # isotropic-anchor fallback: leading singular vector with the phase
-    # fixed so the squared entry matches the diagonal of C1
-    uu, ss, _ = np.linalg.svd(c1)
-    u0 = uu[:, 0]
-    midx = int(np.argmax(np.abs(u0)))
-    phase_sq = c1[midx, midx] / (ss[0] * u0[midx] ** 2)
-    q = np.sqrt(ss[0]) * u0 * phase_sq**0.5
-    if matrix_residual(np.outer(q, q), c1) > 1e-6:
-        raise NotCanonical("image of a diagonal unit is not symmetric rank one")
-    return q
-
-
-def _recover_symmetric(map_fn, n, tol, rank_tol):
-    lin = build_linear_rep(map_fn, MatrixClass.SYMMETRIC, n, tol)
-    r4 = lin.rep.reshape(n, n, n, n)  # r4[:, :, i, j] = L(E_ij)
-    diag = np.arange(n)
-    bad = np.flatnonzero(numeric_rank(np.moveaxis(r4[:, :, diag, diag], -1, 0), rank_tol) != 1)
-    if bad.size:
-        raise NotCanonical(f"image of E_{bad[0]}{bad[0]} does not have rank one")
-    q1 = _extract_rank_one_symmetric(r4[:, :, 0, 0])
-    widx = int(np.argmax(np.abs(q1)))
-    if abs(q1[widx]) < 1e-10 * np.linalg.norm(q1):
-        raise NotCanonical("anchor vector is numerically isotropic")
-    beta = q1[widx]
-    y = r4[:, widx, 0, 1:] + r4[:, widx, 1:, 0]  # y[:, j - 1] = column widx of L(E_0j + E_j0)
-    gamma = y[widx] / (2.0 * beta)
+def _recover_symmetric(map_fn, n, tol):
+    r4 = build_linear_rep(map_fn, MatrixClass.SYMMETRIC, n, tol).rep.reshape(n, n, n, n)
+    diag = np.arange(n)  # r4[:, :, i, j] = L(E_ij)
+    try:
+        u, w = rank_one_split(np.moveaxis(r4[:, :, diag, diag], -1, 0))
+    except NotRankOne as exc:
+        raise NotCanonical(f"image of E_{exc.member}{exc.member} does not have rank one") from None
+    # u[0] and w[0] are both multiples of q_1, with L(E_00) = q_1 q_1^T = u[0] w[0]^T
+    k = int(np.argmax(np.abs(u[0])))
+    q1 = np.sqrt(w[0, k] / u[0, k]) * u[0]
+    beta = q1[k]
+    y = r4[:, k, 0, 1:] + r4[:, k, 1:, 0]  # y[:, j - 1] = column k of L(E_0j + E_j0)
+    gamma = y[k] / (2.0 * beta)
     q = np.column_stack([q1, (y - gamma * q1[:, None]) / beta])
 
     _, unit_det = _unit_determinant(map_fn, MatrixClass.SYMMETRIC, n)
@@ -254,22 +222,20 @@ def _recover_symmetric(map_fn, n, tol, rank_tol):
 def _recover_diagonal(map_fn, cls, n, tol):
     unit, unit_det = _unit_determinant(map_fn, cls, n)
     du = np.diagonal(unit)
-    if np.min(np.abs(du)) <= 1e-12:
-        raise SingularUnit("map(I) has a vanishing diagonal entry")
     imgs = _images(map_fn, basis(MatrixClass.DIAGONAL, n))
     model = (np.diagonal(imgs, axis1=-2, axis2=-1) / du).T  # model[i, k] = [psi(E_kk)]_ii
     x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)
     predicted = du * (np.diagonal(x, axis1=-2, axis2=-1) @ model.T)
     got = np.diagonal(_images(map_fn, x), axis1=-2, axis2=-1)
-    if np.max(matrix_residual(got, predicted, axis=-1)) > tol:
+    if not np.max(matrix_residual(got, predicted, axis=-1)) <= tol:
         raise NotLinear("diagonal action is not linear in the input diagonal")
 
     sigma = [-1] * n
     for k in range(n):
         col = model[:, k]
         m = int(np.argmax(np.abs(col)))
-        rest = np.abs(np.delete(col, m))
-        if abs(col[m] - 1.0) > max(tol, 1e-10) or (rest.size and float(np.max(rest)) > max(tol, 1e-10)):
+        # fail-closed: a NaN entry or tolerance never matches
+        if not np.all(np.abs(col - np.eye(n)[m]) <= max(tol, 1e-10)):
             raise NotCanonical(f"psi(E_{k}{k}) diagonal does not match a standard basis vector")
         if sigma[m] != -1:
             raise NotCanonical("diagonal matching is not a permutation")
@@ -280,8 +246,7 @@ def _recover_diagonal(map_fn, cls, n, tol):
                               sigma=tuple(sigma), lambdas=lambdas, offdiag_seed=0)
 
 
-def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8,
-            rank_ratio_tol: float = RANK_RATIO_TOL):
+def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
     """Recover canonical parameters of a black-box map on the given class.
 
     Returns ``(preserver, residual)`` where ``residual`` is the worst
@@ -293,15 +258,15 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8,
     """
     with np.errstate(**_QUIET):
         if cls in (MatrixClass.FULL, MatrixClass.PD):
-            p = _recover_two_sided(map_fn, cls, n, tol, rank_ratio_tol)
+            p = _recover_two_sided(map_fn, cls, n, tol)
         elif cls is MatrixClass.SYMMETRIC:
-            p = _recover_symmetric(map_fn, n, tol, rank_ratio_tol)
+            p = _recover_symmetric(map_fn, n, tol)
         elif cls in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
             p = _recover_diagonal(map_fn, cls, n, tol)
         else:
             raise ValueError(f"recovery not defined for class {cls.value}")
     residual = roundtrip_residual(map_fn, p, cls, n, _RESIDUAL_SAMPLES,
                                   mix_seed(_ROUNDTRIP_TAG, n))
-    if residual > tol:
+    if not residual <= tol:
         raise NotCanonical(f"round-trip residual {residual:.3e} exceeds {tol:.1e}")
     return p, residual

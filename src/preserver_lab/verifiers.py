@@ -46,6 +46,7 @@ from .core_linalg import (
     frob,
     inverse,
     is_pd,
+    is_singular,
     matrix_residual,
     sandwich,
     scalar_residual,
@@ -157,9 +158,10 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
         raise ValueError("weights must be nonempty")
     _require_samples(samples)
     with np.errstate(**_QUIET):
-        unit_det = determinant(map_fn(np.eye(n, dtype=complex)), cls.triangular)
-        if abs(unit_det) <= 1e-12:
+        unit = map_fn(np.eye(n, dtype=complex))
+        if is_singular(unit, cls.triangular):
             raise DegenerateUnit("det(map(I)) vanishes; alpha is undefined")
+        unit_det = determinant(unit, cls.triangular)
         a = sample_batch(cls, n, mix_seed(seed, 0), samples)
         b = sample_batch(cls, n, mix_seed(seed, 1), samples)
         fa, fb = _images(map_fn, a), _images(map_fn, b)
@@ -182,7 +184,8 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
     of [[Re C, Im C], [Im C, -Re C]] give a unitary U = x + iy with
     C = U diag(t) U^t, so Q^{-1} = diag(t)^{-1/2} U^*.  The remaining classes
     use phi(I)^{-1} (.).  A numerically singular phi(I) raises
-    :class:`DegenerateUnit`; a non-finite one gives a companion whose every
+    :class:`DegenerateUnit` (scale-free: :func:`core_linalg.is_singular`, or
+    t_min <= 1e-12 t_max on the symmetric class); a non-finite one gives a companion whose every
     image is NaN, so every residual on it fails; an already-unital map is
     returned untouched.  The result takes a whole (count, n, n) stack where
     the map does (see :func:`_images`).
@@ -202,11 +205,11 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
     if cls is MatrixClass.SYMMETRIC:
         c = 0.5 * (unit + unit.T)
         t, v = np.linalg.eigh(np.block([[c.real, c.imag], [c.imag, -c.real]]))
-        if t[n] <= 1e-12 * max(t[-1], 1.0):
+        if t[n] <= 1e-12 * t[-1]:
             raise DegenerateUnit("map(I) is numerically singular")
         qi = (v[:n, n:] - 1j * v[n:, n:]).T / np.sqrt(t[n:, None])
         return _Unitalized(map_fn, qi, qi.T)
-    if abs(determinant(unit)) <= 1e-12:
+    if is_singular(unit, cls.triangular):
         raise DegenerateUnit("map(I) is singular")
     return _Unitalized(map_fn, inverse(unit))
 

@@ -3,12 +3,14 @@
 These deliberately avoid the library's own code paths: the determinant
 oracle is a literal cofactor expansion, the Gram test works entrywise,
 the projection test solves the normal equations directly, the
-positive-definiteness test is exact rational LDL^T, and the dual witness
-is the per-matrix candidate cascade scored by np.trace(A @ B).
+positive-definiteness test is exact rational LDL^T, the singular values
+are 50-digit mpmath ones, and the dual witness is the per-matrix candidate
+cascade scored by np.trace(A @ B).
 """
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -68,6 +70,14 @@ def exact_pd(h, shift=Fraction(0)):
             for j in range(k + 1, size):
                 e[i][j] -= f * e[k][j]
     return True
+
+
+def singular_values_mp(a, dps=50):
+    """Singular values of the stored matrix, largest first, as mpmath numbers at ``dps`` digits."""
+    a = np.asarray(a, dtype=complex)
+    with mpmath.workdps(dps):
+        m = mpmath.matrix([[mpmath.mpc(float(z.real), float(z.imag)) for z in row] for row in a])
+        return sorted(mpmath.svd_c(m, compute_uv=False), reverse=True)
 
 
 def dual_witness_cascade(a, cls):

@@ -142,6 +142,30 @@ class TestVerifyCommand:
             code, _, _ = run_cli(*base)
             assert code == 1, extra
 
+    @pytest.mark.parametrize("value", ["Infinity", "1e400", "NaN"])
+    @pytest.mark.parametrize("where", ["alpha", "alpha-re", "lambdas"])
+    def test_non_finite_spec_scalar_is_input_error(self, value, where, capsys):
+        # json reads 1e400 as inf and accepts NaN/Infinity; none may reach the batteries
+        if where == "lambdas":
+            spec = ('{"kind":"tn-diagonal","sigma":[2,1],"lambdas":[1,%s]}' % value)
+        else:
+            alpha = value if where == "alpha" else '{"re":%s,"im":0}' % value
+            spec = ('{"kind":"pn-congruence","alpha":%s,"M":%s}'
+                    % (alpha, dumps_stable(matrix_to_json(np.eye(2)))))
+        assert main(["verify", "--identity", "det-sum", "--class", "upper-triangular",
+                     "--n", "2", "--map", spec]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ValueError: complex JSON value")
+
+    def test_small_alpha_is_regular(self, capsys):
+        # phi(A) = 0.001 A at n = 5: det(phi(I)) = 1e-15 is not a singular unit
+        spec = dumps_stable({"kind": "pn-congruence", "alpha": {"re": 1e-3, "im": 0.0},
+                             "M": matrix_to_json(np.eye(5))})
+        assert main(["verify", "--identity", "det-sum", "--class", "pd", "--n", "5",
+                     "--map", spec, "--samples", "20"]) == 0
+        assert main(["recover", "--class", "pd", "--n", "5", "--map", spec]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_remaining_identity_tags(self, spec_dir):
         for identity in ("trace-square", "trace-product", "homogeneity-additivity"):
             code, out, _ = run_cli("verify", "--identity", identity, "--class", "pd",
@@ -259,6 +283,14 @@ class TestRecoverCommand:
 
 
 class TestRecoverNonFinite:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_is_input_error(self, tol, capsys):
+        # a NaN or infinite tolerance passed every comparison against it
+        assert main(["recover", "--class", "full", "--n", "3", "--tol", tol,
+                     "--map", '{"kind":"remark1"}']) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: ValueError: --tol must be a finite number > 0\n"
+
     @pytest.mark.parametrize("klass", ["full", "pd", "symmetric", "upper-triangular", "diagonal"])
     def test_overflowing_map_is_not_linear(self, klass, tmp_path, capfd):
         # alpha = 1e200, M = 1e200 I: the box's images overflow, so the linear
@@ -384,3 +416,18 @@ class TestDeterminism:
         _, out_env, _ = run_cli(*args, env_extra={"PRESERVER_LAB_SEED": "99"})
         _, out_flag, _ = run_cli(*args, "--seed", "99")
         assert out_env == out_flag
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    def test_malformed_env_seed(self, value, monkeypatch, capsys):
+        # read only when --seed is omitted, and then an argparse error, never a traceback
+        monkeypatch.setenv("PRESERVER_LAB_SEED", value)
+        argv = ["oracle", "jacobi", "--n", "2", "--samples", "5"]
+        assert main(argv) == 1
+        assert "argument --seed: invalid int value" in capsys.readouterr().err
+        assert main([*argv, "--seed", "7"]) == 0
+        seeded = capsys.readouterr().out
+        monkeypatch.setenv("PRESERVER_LAB_SEED", "7")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == seeded
+        monkeypatch.setenv("PRESERVER_LAB_SEED", value)
+        assert main(["--help"]) == 0

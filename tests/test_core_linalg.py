@@ -14,10 +14,9 @@ from preserver_lab import (
     inverse,
     matrix_from_json,
     matrix_to_json,
-    numeric_rank,
     principal_root,
 )
-from preserver_lab.core_linalg import hermitian_defect, is_pd
+from preserver_lab.core_linalg import hermitian_defect, is_pd, is_singular
 from preserver_lab.domains import MatrixClass, sample, sample_batch
 
 from oracles import det_cofactor, exact_pd
@@ -245,50 +244,54 @@ class TestIsPd:
             assert accepted
 
 
-class TestNumericRank:
-    def test_zero(self):
-        assert numeric_rank(np.zeros((3, 3)), 1e-7) == 0
+class TestIsSingular:
+    @pytest.mark.parametrize("a", [np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0]),
+                                   np.array([[1.0, 2.0], [2.0, 4.0]])])
+    def test_exactly_singular(self, a):
+        assert is_singular(a)
+        assert is_singular(a * 1e-30) and is_singular(a * 1e200)
 
-    def test_outer_product(self):
-        rng = np.random.default_rng(1)
-        u = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert numeric_rank(np.outer(u, w), 1e-7) == 1
-
-    def test_swap_operator_full_rank(self):
-        # J[(i,a),(j,b)] = delta_{aj} delta_{bi} on n=2: a 4x4 permutation
-        n = 2
-        j = np.zeros((n * n, n * n))
-        for i in range(n):
-            for a in range(n):
-                for jj in range(n):
-                    for b in range(n):
-                        if a == jj and b == i:
-                            j[i * n + a, jj * n + b] = 1.0
-        sv = np.linalg.svd(j, compute_uv=False)
-        assert np.allclose(sv, 1.0)  # permutation matrix: all singular values 1
-        assert numeric_rank(j, 1e-7) == 4
-
-    def test_ratio_tol_validation(self):
-        with pytest.raises(ValueError):
-            numeric_rank(np.eye(2), 0.0)
-        with pytest.raises(ValueError):
-            numeric_rank(np.eye(2), 1.0)
-        with pytest.raises(ValueError):
-            numeric_rank(np.stack([np.eye(2)] * 3), 1.0)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_stack_equals_member_calls(self, n):
+    @pytest.mark.parametrize("n", [3, 5, 16])
+    def test_rounded_rank_deficiency(self, n):
+        # a dense rank n - 1 product: its determinant is rounding noise, not zero
         rng = np.random.default_rng(n)
-        g = rng.standard_normal((n + 2, n, n)) + 1j * rng.standard_normal((n + 2, n, n))
-        # member r has rank min(r, n); the last member is zero
-        stack = np.stack([g[r, :, :min(r, n)] @ g[r + 1, :min(r, n), :] for r in range(n + 1)]
-                         + [np.zeros((n, n))])
-        got = numeric_rank(stack, 1e-7)
-        assert isinstance(got, np.ndarray) and got.shape == (n + 2,)
-        members = [numeric_rank(m, 1e-7) for m in stack]
-        assert all(type(r) is int for r in members)
-        assert got.tolist() == members == [min(r, n) for r in range(n + 1)] + [0]
+        a = _rand_complex(rng, n)[:, :n - 1] @ _rand_complex(rng, n)[:n - 1, :]
+        assert is_singular(a)
+
+    @pytest.mark.parametrize("scale,n", [(1e-3, 5), (1e-30, 16), (1e200, 16)])
+    def test_scale_free(self, scale, n):
+        # |det(1e-3 I_5)| = 1e-15 failed an absolute 1e-12 test; det(1e-30 I_16) underflows
+        assert not is_singular(scale * np.eye(n))
+        assert not is_singular(scale * sample(MatrixClass.PD, n, 3))
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_well_conditioned_at_large_n(self, n):
+        # det(A / max|a_ij|) of a well-conditioned Gram matrix sinks below 1e-12 at n = 16
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            m = _rand_complex(rng, n)
+            assert not is_singular(m @ m.conj().T)
+
+    def test_condition_bound(self):
+        # sigma_min <= |r_ii| <= sigma_max: condition 1e11 is never called singular
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 5, 8, 16):
+            q1 = np.linalg.qr(_rand_complex(rng, n))[0]
+            q2 = np.linalg.qr(_rand_complex(rng, n))[0]
+            assert not is_singular((q1 * np.logspace(0, -11, n)) @ q2)
+
+    def test_triangular_reads_the_diagonal(self):
+        a = np.array([[1.0, 5.0], [0.0, 0.0]])
+        assert is_singular(a, triangular=True)
+        assert not is_singular(np.diag([1e-3, 1e-3]), triangular=True)
+        assert not is_singular(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert is_singular(np.array([[0.0, 1.0], [1.0, 0.0]]), triangular=True)
+
+    @pytest.mark.parametrize("a", NON_FINITE)
+    def test_non_finite_is_not_singular(self, a):
+        # the callers' non-finite path (failing sentinel, NaN companion) decides
+        assert not is_singular(a)
+        assert not is_singular(a, triangular=True)
 
 
 class TestPrincipalRoot:

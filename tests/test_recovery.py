@@ -1,7 +1,10 @@
 """Tests for linear representations, Choi analysis and parameter recovery."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from preserver_lab import (
     MatrixClass,
@@ -11,7 +14,6 @@ from preserver_lab import (
     PreserverForm,
     build_linear_rep,
     gauge_residual,
-    numeric_rank,
     random_canonical,
     rank_one_split,
     recover,
@@ -19,8 +21,10 @@ from preserver_lab import (
     roundtrip_residual,
     sample,
 )
-from preserver_lab import recovery
 from preserver_lab.core_linalg import hermitian_defect
+from preserver_lab.recovery import RANK_RATIO_TOL
+
+from oracles import singular_values_mp
 
 identity_map = lambda a: a.copy()  # noqa: E731
 transpose_map = lambda a: a.T.copy()  # noqa: E731
@@ -30,6 +34,12 @@ def _unit(n, i, j):
     e = np.zeros((n, n), dtype=complex)
     e[i, j] = 1.0
     return e
+
+
+def _rank(a):
+    """Singular values above 1e-7 sigma_max, per member: the count the tests read as a rank."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return np.count_nonzero(s > 1e-7 * s[..., :1], axis=-1)
 
 
 def _swap_operator(n):
@@ -95,13 +105,13 @@ class TestChoiMatrix:
         j = lin.choi()
         u = np.eye(3, dtype=complex).reshape(-1)
         assert np.linalg.norm(j - np.outer(u, u)) <= 1e-12
-        assert numeric_rank(j, 1e-7) == 1
+        assert _rank(j) == 1
 
     def test_transpose_choi_is_swap(self):
         n = 3
         lin = build_linear_rep(transpose_map, MatrixClass.PD, n, 1e-8)
         assert np.linalg.norm(lin.choi() - _swap_operator(n)) <= 1e-12
-        assert numeric_rank(lin.choi(), 1e-7) == n * n
+        assert _rank(lin.choi()) == n * n
 
     def test_two_sided_choi_factors(self):
         n = 3
@@ -110,7 +120,7 @@ class TestChoiMatrix:
         nn = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         lin = build_linear_rep(lambda a: m @ a @ nn, MatrixClass.FULL, n, 1e-8)
         j = lin.choi()
-        assert numeric_rank(j, 1e-7) == 1
+        assert _rank(j) == 1
         for i in range(n):
             for a in range(n):
                 for jj in range(n):
@@ -121,7 +131,7 @@ class TestChoiMatrix:
 class TestRankOneSplit:
     def test_vec_identity(self):
         u0 = np.eye(3, dtype=complex).reshape(-1)
-        u, w = rank_one_split(np.outer(u0, u0), 1e-7)
+        u, w = rank_one_split(np.outer(u0, u0))
         # equal up to a common unimodular phase
         assert abs(abs(np.vdot(u, u0)) - np.linalg.norm(u) * np.linalg.norm(u0)) <= 1e-10
         assert np.linalg.norm(np.outer(u, w) - np.outer(u0, u0)) <= 1e-10
@@ -131,18 +141,59 @@ class TestRankOneSplit:
         a = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         j = np.outer(a, b)
-        u, w = rank_one_split(j, 1e-7)
+        u, w = rank_one_split(j)
         assert np.linalg.norm(j - np.outer(u, w)) <= 1e-10 * np.linalg.norm(j)
         assert np.linalg.norm(u) == pytest.approx(np.linalg.norm(w))
 
     def test_identity_not_rank_one(self):
         with pytest.raises(NotRankOne):
-            rank_one_split(np.eye(4), 1e-7)
+            rank_one_split(np.eye(4))
 
-    def test_ratio_tol_validation(self):
-        for bad in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                rank_one_split(np.eye(1), bad)
+    def test_zero_member_raises(self):
+        with pytest.raises(NotRankOne, match="^matrix does not"):
+            rank_one_split(np.zeros((3, 3)))
+        stack = np.stack([np.outer(np.arange(1.0, 4.0), np.ones(3))] * 3)
+        stack[1] = 0.0
+        with pytest.raises(NotRankOne, match="stack member 1 does not") as info:
+            rank_one_split(stack)
+        assert info.value.member == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+    def test_stack_equals_member_calls(self, n):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((2, n + 2, n)) + 1j * rng.standard_normal((2, n + 2, n))
+        stack = g[0][:, :, None] * g[1][:, None, :]  # n + 2 rank-one members
+        u, w = rank_one_split(stack)
+        assert u.shape == w.shape == (n + 2, n)
+        for k, m in enumerate(stack):
+            uk, wk = rank_one_split(m)
+            assert np.array_equal(u[k], uk) and np.array_equal(w[k], wk)
+        # the first failing member is named; at n = 1 only the zero member fails
+        stack[1] += np.eye(n) if n > 1 else 0.0
+        stack[2] = 0.0
+        with pytest.raises(NotRankOne, match=f"stack member {1 if n > 1 else 2} "):
+            rank_one_split(stack)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), log_ratio=st.floats(-9.0, -5.0))
+    def test_decision_matches_exact_singular_values(self, m, seed, log_ratio):
+        # rank one plus a perturbation: tail ratio ||(s_2, s_3, ...)|| / s_1 up to 10^log_ratio
+        rng = np.random.default_rng(seed)
+        u0, w0 = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+        e = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        top = np.outer(u0, w0)
+        j = top + 10.0 ** log_ratio * np.linalg.norm(top) / np.linalg.norm(e) * e
+        s = singular_values_mp(j)
+        with mpmath.workdps(50):
+            ratio = float(mpmath.sqrt(sum(x**2 for x in s[1:])) / s[0])
+        assume(abs(ratio / RANK_RATIO_TOL - 1.0) > 0.01)
+        try:
+            rank_one_split(np.stack([top, j]))
+            accepted = True
+        except NotRankOne as exc:
+            assert exc.member == 1
+            accepted = False
+        assert accepted == (ratio <= RANK_RATIO_TOL)
 
 
 class TestRecover:
@@ -208,8 +259,10 @@ class TestRecover:
                 j = lin.choi()
                 r4t = lin.rep.reshape(n, n, n, n).transpose(0, 1, 3, 2)
                 jt = r4t.transpose(2, 0, 3, 1).reshape(n * n, n * n)
-                ranks = (numeric_rank(j, 1e-7) == 1, numeric_rank(jt, 1e-7) == 1)
+                ranks = (_rank(j) == 1, _rank(jt) == 1)
                 assert ranks == (not tr, tr)
+                # recovery's transpose branch: the same entries, reshuffled
+                assert np.array_equal(jt, j.reshape(n, n, n, n).transpose(2, 1, 0, 3).reshape(n * n, n * n))
 
     def test_n1_reports_plain_branch(self):
         p, res = recover(lambda a: 2.5 * a, MatrixClass.PD, 1)
@@ -220,6 +273,19 @@ class TestRecover:
     def test_remark1_not_linear(self):
         with pytest.raises(NotLinear):
             recover(remark1_map, MatrixClass.PD, 3)
+
+    @pytest.mark.parametrize("fn", [remark1_map, identity_map], ids=["remark1", "identity"])
+    def test_nan_tolerance_never_passes(self, fn):
+        for cls in (MatrixClass.FULL, MatrixClass.PD, MatrixClass.SYMMETRIC, MatrixClass.DIAGONAL):
+            with pytest.raises(NotLinear):
+                recover(fn, cls, 3, tol=float("nan"))
+
+    def test_small_scalar_multiple_is_recovered(self):
+        # det(phi(I)) = 1e-15 failed an absolute 1e-12 singularity test
+        for cls in (MatrixClass.FULL, MatrixClass.PD, MatrixClass.SYMMETRIC,
+                    MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
+            p, res = recover(lambda a: 1e-3 * np.asarray(a), cls, 5)
+            assert abs(p.alpha - 1e-3) <= 1e-15 and res <= 1e-10
 
     def test_nonlinear_bump_fails(self):
         hidden = random_canonical(PreserverForm.PN_CONGRUENCE, 3, 2)
@@ -321,15 +387,16 @@ class TestRecover:
 class TestSnStructure:
     @pytest.mark.parametrize("n", [1, 4])
     def test_one_rank_call_on_the_diagonal_images(self, n, monkeypatch):
+        # one stacked SVD decides all n images of E_ii and yields q_1
         calls = []
-        rank = recovery.numeric_rank
+        svd = np.linalg.svd
 
-        def counting_rank(a, ratio_tol):
-            calls.append(np.shape(a))
-            return rank(a, ratio_tol)
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(recovery, "numeric_rank", counting_rank)
         hidden = random_canonical(PreserverForm.SN_CONGRUENCE, n, 5)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         recover(hidden, MatrixClass.SYMMETRIC, n)
         assert calls == [(n, n, n)]
 
@@ -350,11 +417,11 @@ class TestSnStructure:
         n = 4
         hidden = random_canonical(PreserverForm.SN_CONGRUENCE, n, 8)
         for i in range(n):
-            assert numeric_rank(hidden(_unit(n, i, i)), 1e-7) == 1
+            assert _rank(hidden(_unit(n, i, i))) == 1
         for i in range(n):
             for j in range(i + 1, n):
                 d = _unit(n, i, j) + _unit(n, j, i)
-                assert numeric_rank(hidden(d), 1e-7) == 2
+                assert _rank(hidden(d)) == 2
 
     def test_trace_power_transport(self):
         n = 4

@@ -107,6 +107,15 @@ class TestDetIdentity:
             verify_det_identity(lambda a: np.zeros_like(a), MatrixClass.PD, 2,
                                 SUM, 10, 0, 1e-8)
 
+    @pytest.mark.parametrize("scale,n", [(1e-3, 5), (1e-30, 16)], ids=["1e-3-n5", "1e-30-n16"])
+    def test_small_scalar_multiple_is_regular(self, scale, n):
+        # det(phi(I)) = 1e-15 (and an underflowed 0 at n = 16) is not singular: phi is canonical
+        for cls in (MatrixClass.FULL, MatrixClass.PD, MatrixClass.SYMMETRIC,
+                    MatrixClass.UPPER_TRIANGULAR):
+            fn = lambda a: scale * np.asarray(a)  # noqa: E731
+            assert verify_det_identity(fn, cls, n, SUM, 20, 1, 1e-8).passed
+            assert verify_trace_identity(fn, cls, n, "product", 20, 1, 1e-8).passed
+
     def test_empty_weights_rejected(self):
         with pytest.raises(ValueError):
             verify_det_identity(identity_map, MatrixClass.PD, 2, [], 10, 0, 1e-8)

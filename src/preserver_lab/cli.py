@@ -62,22 +62,13 @@ def _parse_weights(text: str) -> list[tuple[complex, complex]]:
     return pairs
 
 
-def _pencil_grid(n: int) -> list[complex]:
-    grid = [1.0 + 0.0j, -1.0 + 0.0j, 1j, 2.0 + 1.0j]
-    v = 2.0
-    while len(grid) < max(4, n + 1):  # degree-n polynomial identity needs n+1 points
-        grid.append(complex(v))
-        v += 1.0
-    return grid
-
-
 def _default_weights(identity: str, n: int):
     if identity == "det-sum":
         return [(1.0 + 0.0j, 1.0 + 0.0j)]
     if identity == "det-convex":
         return [(complex(t), complex(1.0 - t)) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    if identity == "det-pencil":
-        return [(1.0 + 0.0j, lam) for lam in _pencil_grid(n)]
+    if identity == "det-pencil":  # a degree-n polynomial identity needs n + 1 points: 2, 3, ... for n > 3
+        return [(1.0 + 0.0j, lam) for lam in [1.0 + 0.0j, -1.0 + 0.0j, 1j, 2.0 + 1.0j, *map(complex, range(2, n - 1))]]
     raise ValueError(f"identity {identity} takes no weights")
 
 

@@ -19,9 +19,9 @@ n x n matrix or any (..., n, n) stack:
 
 ``hermitian_defect`` is the one Hermitian measure, ``is_pd`` the one
 positive-definiteness decision and ``is_singular`` the one scale-free test of
-a unit image phi(I); factorizations are LAPACK's, through numpy.  The gauge
-factors come from one ``eigh`` each, in :func:`verifiers.unitalize`, and the
-one rank decision is :func:`recovery.rank_one_split`.
+a unit image phi(I), which ``unit_lift`` brings to unit scale; factorizations
+are LAPACK's, through numpy.  The gauge factors come from one ``eigh`` each, in
+:func:`verifiers.unitalize`; the one rank decision is :func:`recovery.rank_one_split`.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "hermitian_defect",
     "is_pd",
     "is_singular",
+    "unit_lift",
     "principal_root",
     "matrix_to_json",
     "matrix_from_json",
@@ -266,6 +267,14 @@ def is_singular(a, triangular: bool = False) -> bool:
         return False
     r = np.abs(np.diagonal(m if triangular else np.linalg.qr(m, mode="r")))
     return bool(np.min(r) <= 1e-12 * np.max(r))
+
+
+def unit_lift(a) -> float:
+    """2^k taking max |a_ij| from (0, 1/2) into [1/2, 1), else 1.
+
+    The scaling is exact, and the residuals (floor 1) of a lifted map are relative."""
+    s = float(np.max(np.abs(a)))
+    return float(np.ldexp(1.0, min(-int(np.frexp(s)[1]), 1023))) if 0.0 < s < 0.5 else 1.0
 
 
 def principal_root(z, k: int) -> complex:

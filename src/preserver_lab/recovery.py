@@ -31,9 +31,12 @@ matrix at a time is queried n^2 + 71 times for the full and PD classes
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import wraps
+
 import numpy as np
 
-from .core_linalg import determinant, frob, is_singular, matrix_residual, principal_root
+from .core_linalg import determinant, frob, is_singular, matrix_residual, principal_root, unit_lift
 from .domains import MatrixClass, basis, mix_seed, sample_batch
 from .errors import NotCanonical, NotLinear, NotRankOne, NotStarForm, SingularUnit
 from .preservers import CanonicalPreserver, LinearRep, PreserverForm, apply_preserver
@@ -150,14 +153,7 @@ def _sign_canonical(m):
     return m
 
 
-def _unit_determinant(map_fn, cls, n):
-    unit = np.asarray(map_fn(np.eye(n, dtype=complex)), dtype=complex)
-    if is_singular(unit, cls.triangular):
-        raise SingularUnit("map(I) is not invertible")
-    return unit, determinant(unit, cls.triangular)
-
-
-def _recover_two_sided(map_fn, cls, n, tol):
+def _recover_two_sided(map_fn, unit_det, cls, n, tol):
     j = build_linear_rep(map_fn, cls, n, tol).choi()
     transpose = False
     try:
@@ -172,7 +168,6 @@ def _recover_two_sided(map_fn, cls, n, tol):
     m0 = u.reshape(n, n).T
     n0 = w.reshape(n, n)
 
-    _, unit_det = _unit_determinant(map_fn, cls, n)
     if cls is MatrixClass.PD:
         if unit_det.real <= 0.0 or abs(unit_det.imag) > 1e-8 * (1.0 + abs(unit_det)):
             raise NotCanonical("det(map(I)) is not positive real on the PD class")
@@ -197,7 +192,7 @@ def _recover_two_sided(map_fn, cls, n, tol):
     return p
 
 
-def _recover_symmetric(map_fn, n, tol):
+def _recover_symmetric(map_fn, unit_det, n, tol):
     r4 = build_linear_rep(map_fn, MatrixClass.SYMMETRIC, n, tol).rep.reshape(n, n, n, n)
     diag = np.arange(n)  # r4[:, :, i, j] = L(E_ij)
     try:
@@ -212,15 +207,13 @@ def _recover_symmetric(map_fn, n, tol):
     gamma = y[k] / (2.0 * beta)
     q = np.column_stack([q1, (y - gamma * q1[:, None]) / beta])
 
-    _, unit_det = _unit_determinant(map_fn, MatrixClass.SYMMETRIC, n)
     alpha = principal_root(unit_det, n)
     p_mat = principal_root(1.0 / alpha, 2) * q
     p_mat = _sign_canonical(p_mat)
     return CanonicalPreserver(PreserverForm.SN_CONGRUENCE, n, alpha, M=p_mat)
 
 
-def _recover_diagonal(map_fn, cls, n, tol):
-    unit, unit_det = _unit_determinant(map_fn, cls, n)
+def _recover_diagonal(map_fn, unit, unit_det, cls, n, tol):
     du = np.diagonal(unit)
     imgs = _images(map_fn, basis(MatrixClass.DIAGONAL, n))
     model = (np.diagonal(imgs, axis1=-2, axis2=-1) / du).T  # model[i, k] = [psi(E_kk)]_ii
@@ -254,19 +247,26 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
     fresh class samples (diagonal-restricted for the triangular classes).
     Raises :class:`NotLinear` / :class:`NotCanonical` / :class:`NotStarForm`
     / :class:`SingularUnit` when the box falls outside the characterized
-    family.
+    family.  A box below unit scale is recovered as lift * box (lift from
+    :func:`core_linalg.unit_lift`, exact), and ``residual`` is the lifted one.
     """
     with np.errstate(**_QUIET):
+        unit = np.asarray(map_fn(np.eye(n, dtype=complex)), dtype=complex)
+        if is_singular(unit, cls.triangular):
+            raise SingularUnit("map(I) is not invertible")
+        lift = unit_lift(unit)  # wraps keeps the box stack-capable where it is (verifiers._images)
+        fn = map_fn if lift == 1.0 else wraps(map_fn)(lambda a: lift * np.asarray(map_fn(a), dtype=complex))
+        unit_det = determinant(lift * unit, cls.triangular)
         if cls in (MatrixClass.FULL, MatrixClass.PD):
-            p = _recover_two_sided(map_fn, cls, n, tol)
+            p = _recover_two_sided(fn, unit_det, cls, n, tol)
         elif cls is MatrixClass.SYMMETRIC:
-            p = _recover_symmetric(map_fn, n, tol)
+            p = _recover_symmetric(fn, unit_det, n, tol)
         elif cls in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
-            p = _recover_diagonal(map_fn, cls, n, tol)
+            p = _recover_diagonal(fn, lift * unit, unit_det, cls, n, tol)
         else:
             raise ValueError(f"recovery not defined for class {cls.value}")
-    residual = roundtrip_residual(map_fn, p, cls, n, _RESIDUAL_SAMPLES,
+    residual = roundtrip_residual(fn, p, cls, n, _RESIDUAL_SAMPLES,
                                   mix_seed(_ROUNDTRIP_TAG, n))
     if not residual <= tol:
         raise NotCanonical(f"round-trip residual {residual:.3e} exceeds {tol:.1e}")
-    return p, residual
+    return replace(p, alpha=p.alpha / lift), residual

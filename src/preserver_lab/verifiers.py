@@ -2,7 +2,8 @@
 
 Determinant identities compare det(s phi(A) + t phi(B)) against
 alpha^n det(sA + tB) with alpha^n recomputed as det(phi(I)), which keeps
-the check black-box.  The trace identities with kinds ``product``,
+the check black-box; a map below unit scale is lifted to it by an exact
+power of two first.  The trace identities with kinds ``product``,
 ``square`` and ``power`` hold in the unital gauge, so those kinds are
 evaluated on the unitalized companion map (phi conjugated by its unit
 image per domain class); the ``inverse`` kind needs no gauge and runs on
@@ -51,6 +52,7 @@ from .core_linalg import (
     sandwich,
     scalar_residual,
     trace_product,
+    unit_lift,
 )
 from .domains import MatrixClass, dual_witness, mix_seed, sample_batch
 from .errors import DegenerateUnit, NotLinear, NotPositiveDefinite, NotUnital
@@ -158,13 +160,14 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
         raise ValueError("weights must be nonempty")
     _require_samples(samples)
     with np.errstate(**_QUIET):
-        unit = map_fn(np.eye(n, dtype=complex))
+        unit = np.asarray(map_fn(np.eye(n, dtype=complex)), dtype=complex)
         if is_singular(unit, cls.triangular):
             raise DegenerateUnit("det(map(I)) vanishes; alpha is undefined")
-        unit_det = determinant(unit, cls.triangular)
+        lift = unit_lift(unit)
+        unit_det = determinant(lift * unit, cls.triangular)
         a = sample_batch(cls, n, mix_seed(seed, 0), samples)
         b = sample_batch(cls, n, mix_seed(seed, 1), samples)
-        fa, fb = _images(map_fn, a), _images(map_fn, b)
+        fa, fb = lift * _images(map_fn, a), lift * _images(map_fn, b)
         worst = np.zeros(samples)
         for s_, t_ in weights:
             lhs = determinant(s_ * fa + t_ * fb, cls.triangular)

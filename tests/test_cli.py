@@ -166,6 +166,17 @@ class TestVerifyCommand:
         assert main(["recover", "--class", "pd", "--n", "5", "--map", spec]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_small_non_preserver_fails(self, capsys):
+        # a perturbed congruence rep at scale 1e-3, n = 5: both sides of det-sum sit far below the
+        # residual floor of 1, so only the unit lift makes the identity fail (exit 2)
+        p = random_canonical(PreserverForm.PN_CONGRUENCE, 5, 9)
+        rep = build_linear_rep(p, MatrixClass.PD, 5, 1e-8).rep.copy()
+        rep[0, 0] += 1e-3 * np.linalg.norm(p.M)
+        spec = dumps_stable({"kind": "linear-rep", "rep": matrix_to_json(1e-3 * rep)})
+        assert main(["verify", "--identity", "det-sum", "--class", "pd", "--n", "5",
+                     "--map", spec, "--samples", "20"]) == 2
+        assert json.loads(capsys.readouterr().out)["pass"] is False
+
     def test_remaining_identity_tags(self, spec_dir):
         for identity in ("trace-square", "trace-product", "homogeneity-additivity"):
             code, out, _ = run_cli("verify", "--identity", identity, "--class", "pd",

@@ -16,7 +16,7 @@ from preserver_lab import (
     matrix_to_json,
     principal_root,
 )
-from preserver_lab.core_linalg import hermitian_defect, is_pd, is_singular
+from preserver_lab.core_linalg import hermitian_defect, is_pd, is_singular, unit_lift
 from preserver_lab.domains import MatrixClass, sample, sample_batch
 
 from oracles import det_cofactor, exact_pd
@@ -292,6 +292,23 @@ class TestIsSingular:
         # the callers' non-finite path (failing sentinel, NaN companion) decides
         assert not is_singular(a)
         assert not is_singular(a, triangular=True)
+
+
+class TestUnitLift:
+    @pytest.mark.parametrize("scale", [1e-3, 1e-30, 0.3, 2.0**-1000, 1e-310])
+    def test_below_half_lands_in_unit_range(self, scale):
+        a = scale * np.diag([1.0, -0.5j])
+        lift = unit_lift(a)
+        assert lift >= 2.0 and np.log2(lift) == int(np.log2(lift))
+        if scale >= 2.0**-1000:  # a subnormal entry stays below 1/2: the lift stops at 2^1023
+            assert 0.5 <= np.max(np.abs(lift * a)) < 1.0
+        else:
+            assert lift == 2.0**1023
+
+    @pytest.mark.parametrize("a", [0.5 * np.eye(2), np.eye(3), 1e200 * np.eye(2), np.zeros((2, 2))]
+                             + NON_FINITE)
+    def test_no_lift(self, a):
+        assert unit_lift(a) == 1.0
 
 
 class TestPrincipalRoot:

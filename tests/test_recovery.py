@@ -280,12 +280,24 @@ class TestRecover:
             with pytest.raises(NotLinear):
                 recover(fn, cls, 3, tol=float("nan"))
 
-    def test_small_scalar_multiple_is_recovered(self):
-        # det(phi(I)) = 1e-15 failed an absolute 1e-12 singularity test
+    @pytest.mark.parametrize("scale,n", [(1e-3, 5), (1e-30, 16)], ids=["1e-3-n5", "1e-30-n16"])
+    def test_small_scalar_multiple_is_recovered(self, scale, n):
+        # det(phi(I)) = 1e-15 failed an absolute 1e-12 singularity test; det(1e-30 I_16) underflows
         for cls in (MatrixClass.FULL, MatrixClass.PD, MatrixClass.SYMMETRIC,
                     MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
-            p, res = recover(lambda a: 1e-3 * np.asarray(a), cls, 5)
-            assert abs(p.alpha - 1e-3) <= 1e-15 and res <= 1e-10
+            p, res = recover(lambda a: scale * np.asarray(a), cls, n)
+            assert abs(p.alpha - scale) <= 1e-12 * scale and res <= 1e-10
+
+    @pytest.mark.parametrize("scale,n", [(1e-3, 5), (1e-30, 16)], ids=["1e-3-n5", "1e-30-n16"])
+    def test_small_non_canonical_is_refused(self, scale, n):
+        # A + det(A) I agrees with the identity on every matrix unit, and at 1e-30 every
+        # residual would sit below the floor of 1 without the unit lift
+        def fn(a):
+            return scale * (a + np.linalg.det(a) * np.eye(n))
+
+        for cls in (MatrixClass.FULL, MatrixClass.SYMMETRIC):
+            with pytest.raises(NotLinear):
+                recover(fn, cls, n)
 
     def test_nonlinear_bump_fails(self):
         hidden = random_canonical(PreserverForm.PN_CONGRUENCE, 3, 2)

@@ -116,6 +116,23 @@ class TestDetIdentity:
             assert verify_det_identity(fn, cls, n, SUM, 20, 1, 1e-8).passed
             assert verify_trace_identity(fn, cls, n, "product", 20, 1, 1e-8).passed
 
+    @pytest.mark.parametrize("scale,n", [(1e-3, 5), (1e-30, 16)], ids=["1e-3-n5", "1e-30-n16"])
+    def test_small_non_preserver_fails(self, scale, n):
+        # both sides of the identity sit far below the residual floor of 1 at this scale,
+        # so without the unit lift A -> scale A^2 would pass
+        fn = lambda a: scale * (np.asarray(a) @ np.asarray(a))  # noqa: E731
+        for cls in (MatrixClass.FULL, MatrixClass.PD, MatrixClass.SYMMETRIC,
+                    MatrixClass.UPPER_TRIANGULAR):
+            assert not verify_det_identity(fn, cls, n, SUM, 20, 1, 1e-8).passed
+
+    def test_unit_lift_is_exact(self):
+        # max |phi(I)| = 0.75 needs no lift; 2^-60 phi is lifted by exactly 2^60
+        for fn in (lambda a: 0.75 * a, lambda a: 0.75 * (a @ a)):
+            tiny = lambda a, fn=fn: 2.0**-60 * fn(a)  # noqa: E731
+            for cls in (MatrixClass.FULL, MatrixClass.UPPER_TRIANGULAR):
+                assert (verify_det_identity(tiny, cls, 3, CONVEX, 20, 1, 1e-8).to_dict()
+                        == verify_det_identity(fn, cls, 3, CONVEX, 20, 1, 1e-8).to_dict())
+
     def test_empty_weights_rejected(self):
         with pytest.raises(ValueError):
             verify_det_identity(identity_map, MatrixClass.PD, 2, [], 10, 0, 1e-8)

@@ -38,12 +38,10 @@ _ORACLE_CLASSES = ("full", "symmetric", "diagonal", "hermitian")
 
 
 def _parse_scalar(text: str) -> complex:
-    text = text.strip().replace("i", "j")
     try:
-        z = complex(text)
+        return complex(text.strip().replace("i", "j"))
     except ValueError as exc:
-        raise ValueError(f"cannot parse scalar {text!r}") from exc
-    return z
+        raise ValueError(f"cannot parse scalar {text.strip()!r}") from exc
 
 
 def _parse_weights(text: str) -> list[tuple[complex, complex]]:

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .jsonio import int_from_json
+
 __all__ = [
     "as_square_matrix",
     "SENTINEL",
@@ -300,9 +302,12 @@ def matrix_from_json(d) -> np.ndarray:
     """Decode the {"n", "re", "im"} JSON matrix encoding."""
     if not isinstance(d, dict) or "n" not in d or "re" not in d or "im" not in d:
         raise ValueError("matrix JSON must be an object with keys n, re, im")
-    n = int(d["n"])
-    re = np.asarray(d["re"], dtype=float)
-    im = np.asarray(d["im"], dtype=float)
+    n = int_from_json(d["n"])
+    try:
+        re = np.asarray(d["re"], dtype=float)
+        im = np.asarray(d["im"], dtype=float)
+    except (OverflowError, TypeError) as exc:
+        raise ValueError(f"matrix JSON entries are not floats: {exc}") from None
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix JSON arrays must both be {n} x {n}")
     return as_square_matrix(re + 1j * im)

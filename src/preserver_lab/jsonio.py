@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-__all__ = ["dumps_stable", "complex_to_json", "complex_from_json"]
+__all__ = ["dumps_stable", "complex_to_json", "complex_from_json", "int_from_json"]
 
 
 def _fmt_float(v: float) -> str:
@@ -47,13 +47,26 @@ def complex_to_json(z) -> dict:
 
 
 def complex_from_json(d) -> complex:
-    """Decode a number or {"re", "im"}; a non-finite part (1e400, NaN, Infinity) is a ValueError."""
-    if isinstance(d, (int, float)):
-        z = complex(float(d))
-    elif isinstance(d, dict) and "re" in d and "im" in d:
-        z = complex(float(d["re"]), float(d["im"]))
-    else:
-        raise ValueError("complex JSON must be a number or an object with re/im")
+    """Decode a number or {"re", "im"}; a non-finite part (1e400, NaN, Infinity) or an integer
+    too large for a float is a ValueError."""
+    try:
+        if isinstance(d, (int, float)):
+            z = complex(float(d))
+        elif isinstance(d, dict) and "re" in d and "im" in d:
+            z = complex(float(d["re"]), float(d["im"]))
+        else:
+            raise ValueError("complex JSON must be a number or an object with re/im")
+    except (OverflowError, TypeError) as exc:
+        raise ValueError(f"complex JSON value is not a float: {exc}") from None
     if not cmath.isfinite(z):
         raise ValueError(f"complex JSON value {z} is not finite")
     return z
+
+
+def int_from_json(v) -> int:
+    """Decode an integer field: an int, or a float with an integral (so finite) value; else a ValueError."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"expected an integer, got {v!r}")

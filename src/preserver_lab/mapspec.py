@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core_linalg import matrix_from_json, matrix_to_json
-from .jsonio import complex_from_json, complex_to_json
+from .jsonio import complex_from_json, complex_to_json, int_from_json
 from .preservers import (CanonicalPreserver, LinearRep, PreserverForm, gauge_residual, pinching,
                          remark1_map)
 
@@ -46,14 +46,14 @@ def spec_to_preserver(spec: dict, n: int | None = None) -> CanonicalPreserver:
         lambdas_raw = spec.get("lambdas")
         if sigma_raw is None or lambdas_raw is None:
             raise ValueError("tn-diagonal spec needs sigma and lambdas")
-        sigma = tuple(int(s) - 1 for s in sigma_raw)  # wire format is 1-based
+        sigma = tuple(int_from_json(s) - 1 for s in sigma_raw)  # wire format is 1-based
         lambdas = np.array([complex_from_json(z) for z in lambdas_raw], dtype=complex)
         dim = len(sigma)
         if n is not None and n != dim:
             raise ValueError(f"spec dimension {dim} does not match requested n={n}")
         return CanonicalPreserver(form, dim, alpha, sigma=sigma, lambdas=lambdas,
                                   transpose=transpose,
-                                  offdiag_seed=int(spec.get("offdiag_seed", 0)))
+                                  offdiag_seed=int_from_json(spec.get("offdiag_seed", 0)))
     m = matrix_from_json(spec["M"])
     dim = m.shape[0]
     if n is not None and n != dim:

@@ -104,12 +104,6 @@ class LinearRep:
         m = _square_stack(a, self.n)
         return (m.reshape(*m.shape[:-2], -1) @ self.rep.T).reshape(m.shape)
 
-    def choi(self) -> np.ndarray:
-        """Choi layout J[(i,a),(j,b)] = [L(E_ij)]_{ab}."""
-        r4 = self.rep.reshape(self.n, self.n, self.n, self.n)
-        # J4[i,a,j,b] = L(E_ij)[a,b] = R4[a,b,i,j]
-        return r4.transpose(2, 0, 3, 1).reshape(self.n * self.n, self.n * self.n)
-
 
 def _square_stack(a, n: int) -> np.ndarray:
     m = np.asarray(a, dtype=complex)

@@ -1,32 +1,24 @@
 """Recovery of canonical parameters from a black-box map.
 
-The pipeline realizes the constructive direction of the characterizations:
+The canonical forms are the linear maps that send rank-one matrices to
+rank-one ones, and recovery reads them off O(n) images of matrix units, which
+:func:`_unit_images` queries under each class's extension rule (it also feeds
+:func:`build_linear_rep`).  For X -> M X N, phi(E_ij) = m_i r_j (column i of
+M, row j of N), and m_j r_i for X -> M X^t N: the E_i0 images, stacked
+row-wise into an n^2 x n matrix, have rank one on the plain branch, the E_0j
+images on the transpose one.  M comes from that split and N from projecting
+the other set onto M's first column.  The symmetric class splits the E_ii
+images in one stack and takes the other congruence columns from the E_0j
+images; :func:`rank_one_split` is the one rank decision.  The triangular
+classes match the diagonals of phi(I)^{-1} phi(E_kk) to standard basis vectors.
 
-1. ``build_linear_rep`` samples the black box on a class basis and
-   assembles the explicit n^2 x n^2 matrix acting on row-major vectorized
-   input.  For the positive definite class the box is only ever evaluated
-   on PD matrices (the shifted Hermitian basis); the action on matrix
-   units is rebuilt by real-linear combination and complexified through
-   X = H1 + i H2.  Linearity is not assumed: the representation must
-   reproduce the box on fresh samples or :class:`NotLinear` is raised.
-
-2. ``LinearRep.choi`` reshuffles the representation into the Choi layout
-   J[(i,a),(j,b)] = [L(E_ij)]_{ab}.  J has numeric rank one exactly for
-   two-sided multiplications X -> M X N, which is what ``recover`` exploits
-   for the full and PD classes (the transpose branch reshuffles J).  The
-   symmetric class runs one stacked rank test on the images of E_ii and
-   takes congruence columns from its factors; :func:`rank_one_split` is the
-   one rank decision.  The triangular classes match the diagonals of
-   phi(I)^{-1} phi(E_kk) to standard basis vectors.
-
-The composite index (i, a) -> i*n + a (0-based) is fixed globally; the
-reshaping rules M0[a, i] = u[(i, a)], N0[j, b] = w[(j, b)] depend on it.
-
-Basis images and the consistency and round-trip probes are one stack each,
-evaluated through :func:`verifiers._images`: a canonical map or a
-:class:`LinearRep` takes each stack in one call, and a black box queried one
-matrix at a time is queried n^2 + 71 times for the full and PD classes
-(basis, 20 consistency probes, the unit, 50 round-trip probes).
+Linearity is not assumed: before any factor is extracted, phi(A + cB) must
+equal phi(A) + c phi(B) on 10 pairs of consistency samples (c > 0 on PD,
+non-real on the full and symmetric classes), else :class:`NotLinear`.  A
+canonical map or a :class:`LinearRep` takes each probe stack in one call
+(:func:`verifiers._images`); a box queried one matrix at a time is queried
+2n + 71 times on the full, PD and symmetric classes: phi(I), 2n - 1 unit
+images, 21 linearity probes and 50 round-trip probes.
 """
 
 from __future__ import annotations
@@ -37,10 +29,10 @@ from functools import wraps
 import numpy as np
 
 from .core_linalg import determinant, frob, is_singular, matrix_residual, principal_root, unit_lift
-from .domains import MatrixClass, basis, mix_seed, sample_batch
+from .domains import MatrixClass, mix_seed, sample_batch
 from .errors import NotCanonical, NotLinear, NotRankOne, NotStarForm, SingularUnit
 from .preservers import CanonicalPreserver, LinearRep, PreserverForm, apply_preserver
-from .verifiers import _QUIET, _images
+from .verifiers import _QUIET, _images, _linearity_residual
 
 __all__ = [
     "build_linear_rep",
@@ -56,40 +48,51 @@ _CONSISTENCY_TAG = 0xC0451
 _ROUNDTRIP_TAG = 0x407A11
 
 
+def _unit_images(map_fn, cls: MatrixClass, n: int, rows, cols, unit=None):
+    """(phi(E_ij), phi(E_ji)) for the index pairs i = rows[k] <= j = cols[k], in one stacked query.
+
+    Full queries E_ij and E_ji; upper triangular E_ij, with phi(E_ji) = 0 below the diagonal;
+    symmetric E_ii and D_ij = E_ij + E_ji, with phi(E_ij) = phi(E_ji) = phi(D_ij)/2.  PD queries
+    only 2I + H and 2I + K, H = (E_ij + E_ji)/2 and K = i(E_ij - E_ji)/2, subtracts 2 phi(I)
+    (``unit``) and complexifies: E_ij = H - iK, E_ji = H + iK.
+    """
+    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)  # units[i, j] = E_ij
+    e_ij, e_ji, off = units[rows, cols], units[cols, rows], np.asarray(rows) < cols
+    if cls is MatrixClass.SYMMETRIC:
+        imgs = _images(map_fn, np.where(off[:, None, None], e_ij + e_ji, e_ij))
+        imgs[off] *= 0.5
+        return imgs, imgs
+    if cls is MatrixClass.UPPER_TRIANGULAR:
+        imgs = _images(map_fn, e_ij)
+        return imgs, np.where(off[:, None, None], 0.0, imgs)
+    pd = cls is MatrixClass.PD
+    if pd:
+        e_ij, e_ji = 2.0 * np.eye(n) + 0.5 * (e_ij + e_ji), 2.0 * np.eye(n) + 0.5j * (e_ij - e_ji)
+    imgs = _images(map_fn, np.concatenate([e_ij, e_ji[off]])) - (2.0 * unit if pd else 0.0)
+    first, second = imgs[:len(off)], np.zeros_like(e_ij)
+    second[off] = imgs[len(off):]
+    if pd:
+        return first - 1j * second, first + 1j * second
+    return first, np.where(off[:, None, None], second, first)
+
+
 def build_linear_rep(map_fn, cls: MatrixClass, n: int, tol: float) -> LinearRep:
-    """Sample the black box on a class basis and assemble its linear rep.
+    """Assemble the linear rep from all matrix-unit images (:func:`_unit_images`; PD adds phi(I)).
 
     Raises :class:`NotLinear` when the assembled representation deviates
     from the box by more than ``tol`` on 20 fresh class samples (e.g. for
     the norm-dependent conjugation counterexample, or a box that returns
-    non-finite values).  For the symmetric class the rep is the symmetrized
-    extension L(E_ij) = L(D_ij)/2; for the triangular class strict-lower
-    units map to zero.
+    non-finite values).
     """
     if cls not in (MatrixClass.FULL, MatrixClass.SYMMETRIC, MatrixClass.UPPER_TRIANGULAR,
                    MatrixClass.PD):
         raise ValueError(f"linear rep not defined for class {cls.value}")
     with np.errstate(**_QUIET):
-        # cols[j, b] = L(E_jb); the class bases list their elements row-major
-        imgs = _images(map_fn, basis(cls, n))
-        cols = np.zeros((n, n, n, n), dtype=complex)
-        diag, upper = (np.arange(n), np.arange(n)), np.triu_indices(n, 1)
-        if cls is MatrixClass.FULL:
-            cols[:] = imgs.reshape(cols.shape)
-        elif cls is MatrixClass.UPPER_TRIANGULAR:
-            cols[np.triu_indices(n)] = imgs
-        elif cls is MatrixClass.SYMMETRIC:
-            cols[diag] = imgs[:n]
-            cols[upper] = cols[upper[::-1]] = 0.5 * imgs[n:]
-        else:
-            # The PD basis is the Hermitian one shifted by 2I, and
-            # sum_i (E_ii + 2I) = (2n + 1) I pins the extension at the identity.
-            himgs = imgs - 2.0 * (imgs[:n].sum(axis=0) / (2.0 * n + 1.0))
-            d_img, k_img = np.split(himgs[n:], 2)
-            cols[diag] = himgs[:n]
-            cols[upper] = 0.5 * (d_img - 1j * k_img)
-            cols[upper[::-1]] = 0.5 * (d_img + 1j * k_img)
-        lin = LinearRep(n, cols.reshape(n * n, n * n).T)
+        rows, cols = np.triu_indices(n)
+        unit = _images(map_fn, np.eye(n, dtype=complex)) if cls is MatrixClass.PD else None
+        r4 = np.empty((n, n, n, n), dtype=complex)  # r4[i, j] = L(E_ij)
+        r4[rows, cols], r4[cols, rows] = _unit_images(map_fn, cls, n, rows, cols, unit)
+        lin = LinearRep(n, r4.reshape(n * n, n * n).T)
         x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)
         worst = float(np.max(matrix_residual(lin(x), _images(map_fn, x), axis=(-2, -1))))
     if not worst <= tol:
@@ -136,8 +139,7 @@ def roundtrip_residual(map_fn, p: CanonicalPreserver, cls: MatrixClass, n: int,
 
 def _phase_canonical(m):
     """Rotate a global phase so the largest-modulus entry is positive real."""
-    idx = int(np.argmax(np.abs(m)))
-    z = m.reshape(-1)[idx]
+    z = m.flat[np.argmax(np.abs(m))]
     if abs(z) == 0.0:
         return m, 1.0 + 0.0j
     ph = z / abs(z)
@@ -146,27 +148,26 @@ def _phase_canonical(m):
 
 def _sign_canonical(m):
     """Flip the sign so the largest-modulus entry has positive real part."""
-    idx = int(np.argmax(np.abs(m)))
-    z = m.reshape(-1)[idx]
+    z = m.flat[np.argmax(np.abs(m))]
     if z.real < 0.0 or (z.real == 0.0 and z.imag < 0.0):
         return -m
     return m
 
 
-def _recover_two_sided(map_fn, unit_det, cls, n, tol):
-    j = build_linear_rep(map_fn, cls, n, tol).choi()
-    transpose = False
-    try:
-        u, w = rank_one_split(j)
+def _recover_two_sided(map_fn, unit, unit_det, cls, n, tol):
+    e0j, ej0 = _unit_images(map_fn, cls, n, np.zeros(n, dtype=int), np.arange(n), unit)
+    transpose, other = False, e0j
+    try:  # row (i, a) of the stack is row a of phi(E_i0) = m_i r_0 on the plain branch
+        u, _ = rank_one_split(ej0.reshape(n * n, n))
     except NotRankOne:
-        # L composed with transpose: J'[(i, a), (j, b)] = J[(j, a), (i, b)]
-        try:
-            u, w = rank_one_split(j.reshape(n, n, n, n).transpose(2, 1, 0, 3).reshape(n * n, n * n))
+        try:  # phi(E_0j) = m_j r_0 on the transpose branch
+            u, _ = rank_one_split(e0j.reshape(n * n, n))
         except NotRankOne:
-            raise NotCanonical("neither Choi branch has rank one") from None
-        transpose = True
+            raise NotCanonical("neither the E_i0 nor the E_0j images have rank one") from None
+        transpose, other = True, ej0
     m0 = u.reshape(n, n).T
-    n0 = w.reshape(n, n)
+    n0 = m0[:, 0].conj() @ other / np.vdot(m0[:, 0], m0[:, 0])  # row j: r_j, from other[j] = m_0 r_j
+    t = np.sqrt(frob(n0) / frob(m0))  # balanced, ||M0|| = ||N0||, as one split of the whole map
 
     if cls is MatrixClass.PD:
         if unit_det.real <= 0.0 or abs(unit_det.imag) > 1e-8 * (1.0 + abs(unit_det)):
@@ -175,47 +176,41 @@ def _recover_two_sided(map_fn, unit_det, cls, n, tol):
     else:
         alpha = principal_root(unit_det, n)
     s = principal_root(1.0 / alpha, 2)
-    left = s * m0
-    right = s * n0
+    left, right = s * (t * m0), s * (n0 / t)
 
     if cls is MatrixClass.PD:
-        # alpha M^* X M pairing: the left factor must be the conjugate
-        # transpose of the right one (balanced split makes the scale 1).
+        # alpha M^* X M: the left factor is the conjugate transpose of the right one (balanced)
         if not frob(left - right.conj().T) <= max(tol, 1e-8) * max(frob(left), 1e-30):
             raise NotStarForm("recovered factors are not a *-congruence pair")
         mp, _ = _phase_canonical(right)
-        p = CanonicalPreserver(PreserverForm.PN_CONGRUENCE, n, alpha, M=mp, transpose=transpose)
-    else:
-        mp, ph = _phase_canonical(left)
-        p = CanonicalPreserver(PreserverForm.MN_TWO_SIDED, n, alpha,
-                               M=mp, N=right / ph, transpose=transpose)
-    return p
+        return CanonicalPreserver(PreserverForm.PN_CONGRUENCE, n, alpha, M=mp, transpose=transpose)
+    mp, ph = _phase_canonical(left)
+    return CanonicalPreserver(PreserverForm.MN_TWO_SIDED, n, alpha, M=mp, N=right / ph, transpose=transpose)
 
 
-def _recover_symmetric(map_fn, unit_det, n, tol):
-    r4 = build_linear_rep(map_fn, MatrixClass.SYMMETRIC, n, tol).rep.reshape(n, n, n, n)
-    diag = np.arange(n)  # r4[:, :, i, j] = L(E_ij)
+def _recover_symmetric(map_fn, unit_det, n):
+    idx = np.arange(n)  # the E_ii, then the E_0j for j >= 1
+    ij, ji = _unit_images(map_fn, MatrixClass.SYMMETRIC, n, np.r_[idx, 0 * idx[1:]], np.r_[idx, idx[1:]])
     try:
-        u, w = rank_one_split(np.moveaxis(r4[:, :, diag, diag], -1, 0))
+        u, w = rank_one_split(ij[:n])
     except NotRankOne as exc:
         raise NotCanonical(f"image of E_{exc.member}{exc.member} does not have rank one") from None
     # u[0] and w[0] are both multiples of q_1, with L(E_00) = q_1 q_1^T = u[0] w[0]^T
     k = int(np.argmax(np.abs(u[0])))
     q1 = np.sqrt(w[0, k] / u[0, k]) * u[0]
     beta = q1[k]
-    y = r4[:, k, 0, 1:] + r4[:, k, 1:, 0]  # y[:, j - 1] = column k of L(E_0j + E_j0)
+    y = (ij[n:, :, k] + ji[n:, :, k]).T  # y[:, j - 1] = column k of L(E_0j + E_j0)
     gamma = y[k] / (2.0 * beta)
     q = np.column_stack([q1, (y - gamma * q1[:, None]) / beta])
 
     alpha = principal_root(unit_det, n)
-    p_mat = principal_root(1.0 / alpha, 2) * q
-    p_mat = _sign_canonical(p_mat)
-    return CanonicalPreserver(PreserverForm.SN_CONGRUENCE, n, alpha, M=p_mat)
+    return CanonicalPreserver(PreserverForm.SN_CONGRUENCE, n, alpha,
+                              M=_sign_canonical(principal_root(1.0 / alpha, 2) * q))
 
 
 def _recover_diagonal(map_fn, unit, unit_det, cls, n, tol):
     du = np.diagonal(unit)
-    imgs = _images(map_fn, basis(MatrixClass.DIAGONAL, n))
+    imgs, _ = _unit_images(map_fn, cls, n, np.arange(n), np.arange(n))
     model = (np.diagonal(imgs, axis1=-2, axis2=-1) / du).T  # model[i, k] = [psi(E_kk)]_ii
     x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)
     predicted = du * (np.diagonal(x, axis1=-2, axis2=-1) @ model.T)
@@ -257,10 +252,15 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
         lift = unit_lift(unit)  # wraps keeps the box stack-capable where it is (verifiers._images)
         fn = map_fn if lift == 1.0 else wraps(map_fn)(lambda a: lift * np.asarray(map_fn(a), dtype=complex))
         unit_det = determinant(lift * unit, cls.triangular)
+        if cls in (MatrixClass.FULL, MatrixClass.PD, MatrixClass.SYMMETRIC):
+            x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)[:11]
+            worst = _linearity_residual(fn, x, 1.0, 0.5 if cls is MatrixClass.PD else 0.5j, 1)
+            if not worst <= tol:
+                raise NotLinear(f"phi(A + cB) misses phi(A) + c phi(B) by {worst:.3e} > {tol:.1e}")
         if cls in (MatrixClass.FULL, MatrixClass.PD):
-            p = _recover_two_sided(fn, unit_det, cls, n, tol)
+            p = _recover_two_sided(fn, lift * unit, unit_det, cls, n, tol)
         elif cls is MatrixClass.SYMMETRIC:
-            p = _recover_symmetric(fn, unit_det, n, tol)
+            p = _recover_symmetric(fn, unit_det, n)
         elif cls in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
             p = _recover_diagonal(fn, lift * unit, unit_det, cls, n, tol)
         else:

@@ -136,6 +136,12 @@ def _images(map_fn, x) -> np.ndarray:
     return np.stack([np.asarray(map_fn(m), dtype=complex) for m in x])
 
 
+def _linearity_residual(map_fn, x, s, t, lag: int) -> float:
+    """Worst residual of phi(s x_k + t x_{k+lag}) against s phi(x_k) + t phi(x_{k+lag}) over a stack x."""
+    combo, fx = _images(map_fn, s * x[:-lag] + t * x[lag:]), _images(map_fn, x)
+    return float(np.max(matrix_residual(combo, s * fx[:-lag] + t * fx[lag:], axis=(-2, -1))))
+
+
 @dataclass(frozen=True, eq=False)
 class _Unitalized:
     """X -> left @ phi(X) (@ right); stack-capable exactly when phi is."""
@@ -154,10 +160,12 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
 
     ``weights`` is a nonempty list of (s, t) scalar pairs: (1, 1) for the
     sum identity, (t, 1-t) for convex combinations, (1, lambda) with complex
-    lambda for the pencil variant.
+    lambda for the pencil variant.  A (0, 0) pair (both sides det(0)) or a non-finite
+    component is a ValueError.
     """
-    if not weights:
-        raise ValueError("weights must be nonempty")
+    w = np.asarray(weights, dtype=complex).reshape(-1, 2)
+    if not w.size or not np.isfinite(w).all() or (w == 0).all(axis=1).any():
+        raise ValueError("weights must be a nonempty list of finite (s, t) pairs, not both zero")
     _require_samples(samples)
     with np.errstate(**_QUIET):
         unit = np.asarray(map_fn(np.eye(n, dtype=complex)), dtype=complex)
@@ -377,11 +385,10 @@ def check_kadison_choi(map_fn, n: int, samples: int, seed: int, tol: float = 1e-
     with np.errstate(**_QUIET):
         if finite_or(frob(map_fn(eye) - eye)) > 1e-9:
             raise NotUnital("map(I) differs from I by more than 1e-9")
-        x, y = (sample_batch(MatrixClass.HERMITIAN, n, mix_seed(seed, 0x11AEA, k), 5) for k in (0, 1))
+        x = np.concatenate([sample_batch(MatrixClass.HERMITIAN, n, mix_seed(seed, 0x11AEA, k), 5)
+                            for k in (0, 1)])
         c = np.random.default_rng(mix_seed(seed, 0x11AEA, 2)).uniform(-2.0, 2.0, size=(2, 5, 1, 1))
-        combo = _images(map_fn, c[0] * x + c[1] * y)
-        if np.max(matrix_residual(combo, c[0] * _images(map_fn, x) + c[1] * _images(map_fn, y),
-                                  axis=(-2, -1))) > 1e-8:
+        if _linearity_residual(map_fn, x, c[0], c[1], 5) > 1e-8:
             raise NotLinear("map failed the linear-combination spot check")
         a = sample_batch(MatrixClass.PD, n, mix_seed(seed, 0), samples)
         fa = _images(map_fn, a)
@@ -402,15 +409,17 @@ _HOMOGENEITY_SCALES = (0.5, 2.0, 7.25)
 
 def check_homogeneity_additivity(map_fn, cls: MatrixClass, n: int, samples: int,
                                  seed: int, tol: float) -> VerificationReport:
-    """Residuals of phi(lambda A) - lambda phi(A) and phi(A+B) - phi(A) - phi(B)."""
+    """Residuals of phi(lambda A) - lambda phi(A) and phi(A+B) - phi(A) - phi(B), after the unit lift."""
     _require_samples(samples)
     a = sample_batch(cls, n, mix_seed(seed, 0), samples)
     b = sample_batch(cls, n, mix_seed(seed, 1), samples)
     with np.errstate(**_QUIET):
-        fa, fb = _images(map_fn, a), _images(map_fn, b)
-        worst = matrix_residual(_images(map_fn, a + b), fa + fb, axis=(-2, -1))
+        lift = unit_lift(map_fn(np.eye(n, dtype=complex)))
+        fa, fb = lift * _images(map_fn, a), lift * _images(map_fn, b)
+        worst = matrix_residual(lift * _images(map_fn, a + b), fa + fb, axis=(-2, -1))
         for lam in _HOMOGENEITY_SCALES:
-            worst = np.maximum(worst, matrix_residual(_images(map_fn, lam * a), lam * fa, axis=(-2, -1)))
+            worst = np.maximum(worst, matrix_residual(lift * _images(map_fn, lam * a), lam * fa,
+                                                      axis=(-2, -1)))
     return _report("homogeneity-additivity", cls, n, tol, worst)
 
 

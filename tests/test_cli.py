@@ -157,6 +157,35 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ValueError: complex JSON value")
 
+    @pytest.mark.parametrize("spec,message", [
+        ('{"kind":"pn-congruence","alpha":1%s,"M":%%s}' % ("0" * 400), "complex JSON value is not a float"),
+        ('{"kind":"pn-congruence","M":{"n":2,"re":[[1%s,0],[0,1]],"im":[[0,0],[0,0]]}}' % ("0" * 400),
+         "matrix JSON entries are not floats"),
+        ('{"kind":"pn-congruence","M":{"n":2.5,"re":[[1,0],[0,1]],"im":[[0,0],[0,0]]}}',
+         "expected an integer, got 2.5"),
+        ('{"kind":"tn-diagonal","sigma":[2,1],"lambdas":[1,1],"offdiag_seed":1e400}',
+         "expected an integer, got inf"),
+        ('{"kind":"tn-diagonal","sigma":[1.5,2],"lambdas":[1,1]}', "expected an integer, got 1.5"),
+    ], ids=["huge-alpha", "huge-entry", "fractional-n", "infinite-seed", "fractional-sigma"])
+    def test_bad_spec_number_is_input_error(self, spec, message, capsys):
+        # an OverflowError traceback, or int() silently truncating sigma to [1, 2]
+        spec = spec.replace("%s", dumps_stable(matrix_to_json(np.eye(2))))
+        assert main(["verify", "--identity", "det-sum", "--class", "upper-triangular",
+                     "--n", "2", "--map", spec]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: ValueError: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("weights,message", [
+        ("0,0", "weights must be"), ("1,1;0,0", "weights must be"), ("nan,1", "weights must be"),
+        ("inf,1", "cannot parse scalar 'inf'"),
+    ])
+    def test_degenerate_weights_are_input_errors(self, weights, message, capsys):
+        # "0,0" passed the pinching (both sides det(0)), "nan,1" exited 2, "inf,1" quoted 'jnf'
+        assert main(["verify", "--identity", "det-pencil", "--class", "full", "--n", "3",
+                     "--map", '{"kind":"pinching"}', "--weights", weights, "--samples", "10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: ValueError: {message}")
+
     def test_small_alpha_is_regular(self, capsys):
         # phi(A) = 0.001 A at n = 5: det(phi(I)) = 1e-15 is not a singular unit
         spec = dumps_stable({"kind": "pn-congruence", "alpha": {"re": 1e-3, "im": 0.0},

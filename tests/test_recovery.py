@@ -1,4 +1,4 @@
-"""Tests for linear representations, Choi analysis and parameter recovery."""
+"""Tests for linear representations, rank-one unit images and parameter recovery."""
 
 import mpmath
 import numpy as np
@@ -21,7 +21,7 @@ from preserver_lab import (
     roundtrip_residual,
     sample,
 )
-from preserver_lab.core_linalg import hermitian_defect
+from preserver_lab.core_linalg import hermitian_defect, is_pd
 from preserver_lab.recovery import RANK_RATIO_TOL
 
 from oracles import singular_values_mp
@@ -42,12 +42,16 @@ def _rank(a):
     return np.count_nonzero(s > 1e-7 * s[..., :1], axis=-1)
 
 
-def _swap_operator(n):
-    j = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for a in range(n):
-            j[i * n + a, a * n + i] = 1.0
-    return j
+def _choi(rep, n):
+    """Choi reshuffle J[(i, a), (j, b)] = [L(E_ij)]_ab of a row-major vec-action matrix."""
+    return rep.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
+
+
+def _unit_image_stacks(fn, n):
+    """The images of E_i0 and of E_0j, each stacked row-wise into an n^2 x n matrix."""
+    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)
+    return (np.stack([fn(e) for e in units[:, 0]]).reshape(n * n, n),
+            np.stack([fn(e) for e in units[0, :]]).reshape(n * n, n))
 
 
 class TestBuildLinearRep:
@@ -74,58 +78,52 @@ class TestBuildLinearRep:
             build_linear_rep(remark1_map, MatrixClass.PD, 3, 1e-8)
 
     def test_pd_route_only_evaluates_on_pd(self):
+        # build_linear_rep, and recover in every stage: unit images, linearity check, round trip
         seen = []
 
-        def guarded(a):
-            w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-            seen.append(w[0])
-            assert w[0] > 0, "black box evaluated outside the PD cone"
-            return a.copy()
+        def guard(fn):
+            def guarded(a):
+                w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+                seen.append(w[0])
+                assert w[0] > 0 and is_pd(a), "black box evaluated outside the PD cone"
+                return fn(a)
+            return guarded
 
-        build_linear_rep(guarded, MatrixClass.PD, 3, 1e-8)
-        assert seen
+        build_linear_rep(guard(identity_map), MatrixClass.PD, 3, 1e-8)
+        assert len(seen) == 1 + 9 + 20  # phi(I), the unit images, the consistency samples
+        for tr in (False, True):
+            p, _ = recover(guard(random_canonical(PreserverForm.PN_CONGRUENCE, 3, 2, tr)),
+                           MatrixClass.PD, 3)
+            assert p.transpose == tr
+        assert len(seen) == 30 + 2 * (2 * 3 + 71)
 
     def test_hermiticity_of_pd_born_rep(self):
         for seed in range(5):
             p = random_canonical(PreserverForm.PN_CONGRUENCE, 3, seed,
                                  transpose=seed % 2 == 1)
             lin = build_linear_rep(p, MatrixClass.PD, 3, 1e-8)
-            assert hermitian_defect(lin.choi()) <= 1e-8
+            assert hermitian_defect(_choi(lin.rep, 3)) <= 1e-8
+
+    @pytest.mark.parametrize("form,cls", [(PreserverForm.MN_TWO_SIDED, MatrixClass.FULL),
+                                          (PreserverForm.PN_CONGRUENCE, MatrixClass.PD)],
+                             ids=["full", "pd"])
+    def test_two_sided_rep_is_kron(self, form, cls):
+        # vec(alpha M X N) = alpha (M kron N^T) vec(X) row-major; pn has M^* on the left
+        for n in (1, 2, 3):
+            for tr in (False, True):
+                p = random_canonical(form, n, 12, transpose=tr)
+                left, right = (p.M, p.N) if form is PreserverForm.MN_TWO_SIDED else (p.M.conj().T, p.M)
+                expected = p.alpha * np.kron(left, right.T)
+                if tr:  # X -> X^t first: permute the columns (i, a) -> (a, i)
+                    expected = expected.reshape(n * n, n, n).transpose(0, 2, 1).reshape(n * n, n * n)
+                lin = build_linear_rep(p, cls, n, 1e-8)
+                assert np.linalg.norm(lin.rep - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_full_class_matches_map(self):
         p = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 4)
         lin = build_linear_rep(p, MatrixClass.FULL, 3, 1e-8)
         x = sample(MatrixClass.FULL, 3, 9)
         assert np.linalg.norm(lin(x) - p(x)) <= 1e-10
-
-
-class TestChoiMatrix:
-    def test_identity_choi_rank_one(self):
-        lin = build_linear_rep(identity_map, MatrixClass.PD, 3, 1e-8)
-        j = lin.choi()
-        u = np.eye(3, dtype=complex).reshape(-1)
-        assert np.linalg.norm(j - np.outer(u, u)) <= 1e-12
-        assert _rank(j) == 1
-
-    def test_transpose_choi_is_swap(self):
-        n = 3
-        lin = build_linear_rep(transpose_map, MatrixClass.PD, n, 1e-8)
-        assert np.linalg.norm(lin.choi() - _swap_operator(n)) <= 1e-12
-        assert _rank(lin.choi()) == n * n
-
-    def test_two_sided_choi_factors(self):
-        n = 3
-        rng = np.random.default_rng(12)
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        nn = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        lin = build_linear_rep(lambda a: m @ a @ nn, MatrixClass.FULL, n, 1e-8)
-        j = lin.choi()
-        assert _rank(j) == 1
-        for i in range(n):
-            for a in range(n):
-                for jj in range(n):
-                    for b in range(n):
-                        assert abs(j[i * n + a, jj * n + b] - m[a, i] * nn[jj, b]) <= 1e-10
 
 
 class TestRankOneSplit:
@@ -252,17 +250,16 @@ class TestRecover:
         assert res <= 1e-8
 
     def test_branch_exclusivity(self):
-        for n in (2, 3):
-            for tr in (False, True):
-                hidden = random_canonical(PreserverForm.MN_TWO_SIDED, n, 3, transpose=tr)
-                lin = build_linear_rep(hidden, MatrixClass.FULL, n, 1e-8)
-                j = lin.choi()
-                r4t = lin.rep.reshape(n, n, n, n).transpose(0, 1, 3, 2)
-                jt = r4t.transpose(2, 0, 3, 1).reshape(n * n, n * n)
-                ranks = (_rank(j) == 1, _rank(jt) == 1)
-                assert ranks == (not tr, tr)
-                # recovery's transpose branch: the same entries, reshuffled
-                assert np.array_equal(jt, j.reshape(n, n, n, n).transpose(2, 1, 0, 3).reshape(n * n, n * n))
+        # phi(E_ij) = m_i r_j on the plain branch and m_j r_i on the transpose one: exactly one
+        # of the E_i0 and E_0j image stacks has rank one
+        for form in (PreserverForm.MN_TWO_SIDED, PreserverForm.PN_CONGRUENCE):
+            for n in (2, 3):
+                for tr in (False, True):
+                    hidden = random_canonical(form, n, 3, transpose=tr)
+                    ranks = tuple(_rank(m) == 1 for m in _unit_image_stacks(hidden, n))
+                    assert ranks == (not tr, tr)
+                    p, _ = recover(hidden, MatrixClass.FULL, n)
+                    assert p.transpose == tr
 
     def test_n1_reports_plain_branch(self):
         p, res = recover(lambda a: 2.5 * a, MatrixClass.PD, 1)
@@ -273,6 +270,13 @@ class TestRecover:
     def test_remark1_not_linear(self):
         with pytest.raises(NotLinear):
             recover(remark1_map, MatrixClass.PD, 3)
+
+    @pytest.mark.parametrize("cls", [MatrixClass.FULL, MatrixClass.SYMMETRIC], ids=lambda c: c.value)
+    @pytest.mark.parametrize("fn", [np.conj, lambda a: np.conj(a).swapaxes(-1, -2)], ids=["conj", "conj-T"])
+    def test_conjugate_linear_is_not_linear(self, fn, cls):
+        # real-linear and rank-one preserving, but phi(iA) = -i phi(A): the non-real c catches it
+        with pytest.raises(NotLinear):
+            recover(fn, cls, 3)
 
     @pytest.mark.parametrize("fn", [remark1_map, identity_map], ids=["remark1", "identity"])
     def test_nan_tolerance_never_passes(self, fn):
@@ -347,11 +351,12 @@ class TestRecover:
             recover(box, cls, 3)
 
     @pytest.mark.parametrize("form,cls", [(PreserverForm.MN_TWO_SIDED, MatrixClass.FULL),
-                                          (PreserverForm.PN_CONGRUENCE, MatrixClass.PD)],
-                             ids=["full", "pd"])
+                                          (PreserverForm.PN_CONGRUENCE, MatrixClass.PD),
+                                          (PreserverForm.SN_CONGRUENCE, MatrixClass.SYMMETRIC)],
+                             ids=["full", "pd", "symmetric"])
     def test_query_count(self, form, cls):
-        # n^2 basis images, 20 consistency probes, the unit, 50 round-trip probes
-        for n in (2, 3):
+        # the unit, 2n - 1 unit images, 11 + 10 linearity probes, 50 round-trip probes
+        for n in (1, 2, 3, 4, 16):
             hidden = random_canonical(form, n, 6)
             queries = []
 
@@ -360,11 +365,11 @@ class TestRecover:
                 return hidden(a)
 
             recover(box, cls, n)
-            assert len(queries) == n * n + 71
+            assert len(queries) == 2 * n + 71
 
     def test_swap_map_not_canonical_on_full(self):
-        # X -> diag-swapped non-two-sided linear map: rank of both Choi
-        # branches exceeds one, recovery must refuse
+        # X -> diag-swapped non-two-sided linear map: neither the E_i0 nor the E_0j
+        # images have rank one, recovery must refuse
         n = 2
 
         def shuffle(a):
@@ -372,14 +377,14 @@ class TestRecover:
             out[0, 0], out[1, 1] = a[1, 1], a[0, 0]
             return out + a.T
 
-        with pytest.raises(NotCanonical, match="neither Choi branch has rank one"):
+        with pytest.raises(NotCanonical, match="neither the E_i0 nor the E_0j images have rank one"):
             recover(shuffle, MatrixClass.FULL, n)
 
     @pytest.mark.parametrize("form,cls", [(PreserverForm.MN_TWO_SIDED, MatrixClass.FULL),
                                           (PreserverForm.PN_CONGRUENCE, MatrixClass.PD)],
                              ids=["full", "pd"])
-    def test_one_svd_per_choi_branch(self, form, cls, monkeypatch):
-        # the plain branch costs one SVD; the transpose branch adds one more
+    def test_svd_shapes_per_branch(self, form, cls, monkeypatch):
+        # one n^2 x n SVD of the E_i0 images; the transpose branch adds one of the E_0j images
         calls = []
         svd = np.linalg.svd
 
@@ -393,7 +398,7 @@ class TestRecover:
             calls.clear()
             p, _ = recover(hidden, cls, 3)
             assert p.transpose == tr
-            assert calls == [(9, 9)] * count
+            assert calls == [(9, 3)] * count
 
 
 class TestSnStructure:

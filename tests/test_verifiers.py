@@ -95,6 +95,14 @@ class TestDetIdentity:
         assert not rep.passed
         assert rep.failures and len(rep.failures) <= 10
 
+    @pytest.mark.parametrize("weights", [[(0.0, 0.0)], [(1.0, 1.0), (0.0, 0.0)], [(np.nan, 1.0)],
+                                         [(1.0, np.inf)], [(1.0, complex(0.0, np.nan))], []],
+                             ids=["zero", "zero-second", "nan", "inf", "nan-imag", "empty"])
+    def test_degenerate_weights_are_rejected(self, weights):
+        # a (0, 0) pair compares det(0) with det(0) and passes any map
+        with pytest.raises(ValueError, match="weights"):
+            verify_det_identity(pinching, MatrixClass.FULL, 3, weights, 10, 1, 1e-8)
+
     def test_pencil_weights_complex(self):
         p = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 4, transpose=True)
         pencil = [(1.0, lam) for lam in (1.0, -1.0, 1j, 2.0 + 1j)]
@@ -354,8 +362,9 @@ class TestStackDispatch:
         got = batteries(wrapped)
         stack = (30, 3, 3)
         # det-sum costs exactly 3 queries: phi(I) and the two stacks; the map is
-        # unital, so trace-square runs on it directly after its phi(I) check
-        assert shapes == [(3, 3), stack, stack, (3, 3), stack, *[stack] * 6]
+        # unital, so trace-square runs on it directly after its phi(I) check;
+        # homogeneity-additivity reads phi(I) for its lift, then six stacks
+        assert shapes == [(3, 3), stack, stack, (3, 3), stack, (3, 3), *[stack] * 6]
         for mine, plain in zip(got, batteries(lambda a: remark1_map(a))):
             assert dumps_stable(mine.to_dict()) == dumps_stable(plain.to_dict())
         assert [r.passed for r in got] == [False, True, False]
@@ -551,6 +560,14 @@ class TestHomogeneityAdditivity:
         rep = check_homogeneity_additivity(remark1_map, MatrixClass.PD, 2, 100, 1, 1e-8)
         assert not rep.passed
         assert rep.max_residual > 1e-3
+
+    def test_tiny_maps_are_lifted(self):
+        # without the unit lift every residual of 1e-30 A^2 sits far below the floor of 1
+        for scale in (1e-30, 1e-3):
+            sq = check_homogeneity_additivity(lambda a: scale * a @ a, MatrixClass.FULL, 3, 50, 1, 1e-8)
+            assert not sq.passed and sq.max_residual > 1e-2
+            lin = check_homogeneity_additivity(lambda a: scale * a, MatrixClass.FULL, 3, 50, 1, 1e-8)
+            assert lin.passed and lin.max_residual <= 1e-15
 
     def test_affine_homogeneity_fails(self):
         # phi(2I) = 3I but 2 phi(I) = 4I, so the gap is -I

@@ -21,7 +21,6 @@ from .core_linalg import (
 )
 from .domains import (
     MatrixClass,
-    basis,
     contains,
     dual_witness,
     mix_seed,

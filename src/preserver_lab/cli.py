@@ -207,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--identity", required=True)
     common(pv, sorted(_CLASSES), with_map=True)
     pv.add_argument("--weights", default=None, help="semicolon list of s,t pairs (components may be complex)")
-    pv.add_argument("--k", type=int, default=2, help="exponent for trace-power-k")
+    pv.add_argument("--k", type=int, default=2, help="exponent for trace-power-k, 1 to 64")
     pv.set_defaults(fn=_cmd_verify)
 
     pr = sub.add_parser("recover", help="recover canonical parameters of a map spec")

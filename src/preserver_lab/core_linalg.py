@@ -19,8 +19,8 @@ n x n matrix or any (..., n, n) stack:
 
 ``hermitian_defect`` is the one Hermitian measure, ``is_pd`` the one
 positive-definiteness decision and ``is_singular`` the one scale-free test of
-a unit image phi(I), which ``unit_lift`` brings to unit scale; factorizations
-are LAPACK's, through numpy.  The gauge factors come from one ``eigh`` each, in
+a unit image phi(I), which ``unit_lift`` brings to unit scale in :func:`verifiers._lifted`;
+factorizations are LAPACK's, through numpy.  The gauge factors come from one ``eigh`` each, in
 :func:`verifiers.unitalize`; the one rank decision is :func:`recovery.rank_one_split`.
 """
 

@@ -1,5 +1,5 @@
-"""Matrix classes, membership predicates, seeded samplers, canonical bases
-as (count, n, n) stacks, and the trace dual witness of one matrix or a stack."""
+"""Matrix classes, membership predicates, seeded samplers as (count, n, n)
+stacks, and the trace dual witness of one matrix or a stack."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ __all__ = [
     "sample",
     "sample_batch",
     "sample_invertible",
-    "basis",
     "dual_witness",
 ]
 
@@ -171,35 +170,6 @@ def sample(cls: MatrixClass, n: int, seed: int) -> np.ndarray:
 def sample_invertible(cls: MatrixClass, n: int, seed: int, min_abs_det: float = 1e-6) -> np.ndarray:
     """Class sample with |det| > min_abs_det: ``sample_batch(..., 1, min_abs_det)[0]``."""
     return sample_batch(cls, n, seed, 1, min_abs_det)[0]
-
-
-def basis(cls: MatrixClass, n: int) -> np.ndarray:
-    """Standard basis of the class (real basis for Hermitian / PD), stacked as (count, n, n).
-
-    Every element is a slice of the matrix units ``eye(n^2)``, listed
-    row-major.  Hermitian order: E_ii, then D_ij = E_ij + E_ji (i < j), then
-    i(E_ij - E_ji) (i < j).  The PD basis shifts each Hermitian element by
-    2I; the shifted elements are PD with minimum eigenvalue >= 1 and stay
-    real-linearly independent with real span H_n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)  # units[i, j] = E_ij
-    diag, upper = (np.arange(n), np.arange(n)), np.triu_indices(n, 1)
-    if cls is MatrixClass.FULL:
-        return units.reshape(n * n, n, n)
-    if cls is MatrixClass.UPPER_TRIANGULAR:
-        return units[np.triu_indices(n)]
-    if cls is MatrixClass.DIAGONAL:
-        return units[diag]
-    if cls is MatrixClass.SYMMETRIC:
-        return np.concatenate([units[diag], units[upper] + units[upper[::-1]]])
-    if cls is MatrixClass.HERMITIAN:
-        return np.concatenate([basis(MatrixClass.SYMMETRIC, n),
-                               1j * (units[upper] - units[upper[::-1]])])
-    if cls is MatrixClass.PD:
-        return basis(MatrixClass.HERMITIAN, n) + 2.0 * np.eye(n, dtype=complex)
-    raise ValueError(f"no canonical basis implemented for class {cls.value}")
 
 
 _WITNESS_LAMBDAS = np.array([2.0, 3.0, 5.0])

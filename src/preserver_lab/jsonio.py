@@ -47,16 +47,14 @@ def complex_to_json(z) -> dict:
 
 
 def complex_from_json(d) -> complex:
-    """Decode a number or {"re", "im"}; a non-finite part (1e400, NaN, Infinity) or an integer
-    too large for a float is a ValueError."""
+    """Decode a number or {"re", "im"} of numbers; a boolean or string part, a non-finite part
+    (1e400, NaN, Infinity) or an integer too large for a float is a ValueError."""
+    parts = (d["re"], d["im"]) if isinstance(d, dict) and "re" in d and "im" in d else (d, 0.0)
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        raise ValueError(f"complex JSON must be a number or an object with numeric re/im, got {d!r}")
     try:
-        if isinstance(d, (int, float)):
-            z = complex(float(d))
-        elif isinstance(d, dict) and "re" in d and "im" in d:
-            z = complex(float(d["re"]), float(d["im"]))
-        else:
-            raise ValueError("complex JSON must be a number or an object with re/im")
-    except (OverflowError, TypeError) as exc:
+        z = complex(float(parts[0]), float(parts[1]))
+    except OverflowError as exc:
         raise ValueError(f"complex JSON value is not a float: {exc}") from None
     if not cmath.isfinite(z):
         raise ValueError(f"complex JSON value {z} is not finite")

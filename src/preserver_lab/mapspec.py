@@ -1,11 +1,11 @@
 """Declarative JSON map specs and their realization as callables.
 
-A map spec is an object with a ``kind`` key:
+A map spec is an object with a string ``kind`` key:
 
 * the four canonical kinds ``pn-congruence`` / ``sn-congruence`` /
   ``mn-two-sided`` / ``tn-diagonal`` carry the form parameters
-  (``alpha``, ``M``, ``N``, ``transpose``, ``sigma`` 1-based,
-  ``lambdas``, optional ``offdiag_seed``);
+  (``alpha``, ``M``, ``N``, boolean ``transpose``, arrays ``sigma`` (1-based)
+  and ``lambdas`` of length n, optional ``offdiag_seed``);
 * ``linear-rep`` carries an n^2 x n^2 matrix under the global row-major
   vectorization convention, which is how arbitrary external linear maps
   are submitted; it is realized as a :class:`LinearRep`;
@@ -36,16 +36,18 @@ _CANONICAL_KINDS = {form.value: form for form in PreserverForm}
 
 def spec_to_preserver(spec: dict, n: int | None = None) -> CanonicalPreserver:
     kind = spec.get("kind")
-    form = _CANONICAL_KINDS.get(kind)
+    form = _CANONICAL_KINDS.get(kind) if isinstance(kind, str) else None
     if form is None:
         raise ValueError(f"not a canonical map kind: {kind!r}")
     alpha = complex_from_json(spec["alpha"]) if "alpha" in spec else 1.0 + 0.0j
-    transpose = bool(spec.get("transpose", False))
+    transpose = spec.get("transpose", False)
+    if not isinstance(transpose, bool):
+        raise ValueError(f"transpose must be true or false, got {transpose!r}")
     if form is PreserverForm.TN_DIAGONAL:
         sigma_raw = spec.get("sigma")
         lambdas_raw = spec.get("lambdas")
-        if sigma_raw is None or lambdas_raw is None:
-            raise ValueError("tn-diagonal spec needs sigma and lambdas")
+        if not (isinstance(sigma_raw, list) and isinstance(lambdas_raw, list)):
+            raise ValueError("tn-diagonal spec needs sigma and lambdas as arrays")
         sigma = tuple(int_from_json(s) - 1 for s in sigma_raw)  # wire format is 1-based
         lambdas = np.array([complex_from_json(z) for z in lambdas_raw], dtype=complex)
         dim = len(sigma)
@@ -79,8 +81,8 @@ def preserver_to_spec(p: CanonicalPreserver) -> dict:
 
 def realize_map(spec: dict, n: int):
     """Turn a map spec into a callable on n x n complex arrays."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("map spec must be a JSON object with a 'kind' key")
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+        raise ValueError("map spec must be a JSON object with a string 'kind'")
     kind = spec["kind"]
     if kind in _CANONICAL_KINDS:
         return spec_to_preserver(spec, n)

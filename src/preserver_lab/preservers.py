@@ -79,6 +79,8 @@ class CanonicalPreserver:
                 raise ValueError("tn-diagonal needs sigma and lambdas")
             if sorted(self.sigma) != list(range(self.n)):
                 raise ValueError("sigma must be a permutation of 0..n-1")
+            if len(self.lambdas) != self.n:
+                raise ValueError(f"lambdas must have n = {self.n} entries, got {len(self.lambdas)}")
         elif self.M is None or self.M.shape != (self.n, self.n):
             raise ValueError("form needs an n x n matrix parameter")
         if self.form is PreserverForm.MN_TWO_SIDED:

@@ -24,15 +24,14 @@ images, 21 linearity probes and 50 round-trip probes.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import wraps
 
 import numpy as np
 
-from .core_linalg import determinant, frob, is_singular, matrix_residual, principal_root, unit_lift
+from .core_linalg import determinant, frob, matrix_residual, principal_root
 from .domains import MatrixClass, mix_seed, sample_batch
 from .errors import NotCanonical, NotLinear, NotRankOne, NotStarForm, SingularUnit
 from .preservers import CanonicalPreserver, LinearRep, PreserverForm, apply_preserver
-from .verifiers import _QUIET, _images, _linearity_residual
+from .verifiers import _QUIET, _images, _lifted, _linearity_residual
 
 __all__ = [
     "build_linear_rep",
@@ -242,27 +241,23 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
     fresh class samples (diagonal-restricted for the triangular classes).
     Raises :class:`NotLinear` / :class:`NotCanonical` / :class:`NotStarForm`
     / :class:`SingularUnit` when the box falls outside the characterized
-    family.  A box below unit scale is recovered as lift * box (lift from
-    :func:`core_linalg.unit_lift`, exact), and ``residual`` is the lifted one.
+    family.  A box below unit scale is recovered as lift * box (exact, from
+    :func:`verifiers._lifted`), and ``residual`` is the lifted one.
     """
     with np.errstate(**_QUIET):
-        unit = np.asarray(map_fn(np.eye(n, dtype=complex)), dtype=complex)
-        if is_singular(unit, cls.triangular):
-            raise SingularUnit("map(I) is not invertible")
-        lift = unit_lift(unit)  # wraps keeps the box stack-capable where it is (verifiers._images)
-        fn = map_fn if lift == 1.0 else wraps(map_fn)(lambda a: lift * np.asarray(map_fn(a), dtype=complex))
-        unit_det = determinant(lift * unit, cls.triangular)
+        lift, unit, fn = _lifted(map_fn, cls, n, SingularUnit("map(I) is not invertible"))
+        unit_det = determinant(unit, cls.triangular)
         if cls in (MatrixClass.FULL, MatrixClass.PD, MatrixClass.SYMMETRIC):
             x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)[:11]
             worst = _linearity_residual(fn, x, 1.0, 0.5 if cls is MatrixClass.PD else 0.5j, 1)
             if not worst <= tol:
                 raise NotLinear(f"phi(A + cB) misses phi(A) + c phi(B) by {worst:.3e} > {tol:.1e}")
         if cls in (MatrixClass.FULL, MatrixClass.PD):
-            p = _recover_two_sided(fn, lift * unit, unit_det, cls, n, tol)
+            p = _recover_two_sided(fn, unit, unit_det, cls, n, tol)
         elif cls is MatrixClass.SYMMETRIC:
             p = _recover_symmetric(fn, unit_det, n)
         elif cls in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
-            p = _recover_diagonal(fn, lift * unit, unit_det, cls, n, tol)
+            p = _recover_diagonal(fn, unit, unit_det, cls, n, tol)
         else:
             raise ValueError(f"recovery not defined for class {cls.value}")
     residual = roundtrip_residual(fn, p, cls, n, _RESIDUAL_SAMPLES,

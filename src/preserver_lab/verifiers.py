@@ -3,7 +3,7 @@
 Determinant identities compare det(s phi(A) + t phi(B)) against
 alpha^n det(sA + tB) with alpha^n recomputed as det(phi(I)), which keeps
 the check black-box; a map below unit scale is lifted to it by an exact
-power of two first.  The trace identities with kinds ``product``,
+power of two first (:func:`_lifted`).  The trace identities with kinds ``product``,
 ``square`` and ``power`` hold in the unital gauge, so those kinds are
 evaluated on the unitalized companion map (phi conjugated by its unit
 image per domain class); the ``inverse`` kind needs no gauge and runs on
@@ -144,14 +144,25 @@ def _linearity_residual(map_fn, x, s, t, lag: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Unitalized:
-    """X -> left @ phi(X) (@ right); stack-capable exactly when phi is."""
+    """X -> left @ phi(X) (@ right), or left * phi(X) for a scalar left; stack-capable when phi is."""
 
     map_fn: object
-    left: np.ndarray
+    left: np.ndarray | float
     right: np.ndarray | None = None
 
     def __call__(self, a):
-        return sandwich(self.left, _images(self.map_fn, np.asarray(a, dtype=complex)), self.right)
+        imgs = _images(self.map_fn, np.asarray(a, dtype=complex))
+        return self.left * imgs if np.ndim(self.left) == 0 else sandwich(self.left, imgs, self.right)
+
+
+def _lifted(map_fn, cls: MatrixClass, n: int, singular: Exception | None = None):
+    """(lift, lift phi(I), lift phi), lift = :func:`core_linalg.unit_lift` of phi(I) (queried once);
+    lift phi is ``map_fn`` at lift 1.  Raises ``singular`` where :func:`core_linalg.is_singular` holds."""
+    unit = _images(map_fn, np.eye(n, dtype=complex))
+    if singular is not None and is_singular(unit, cls.triangular):
+        raise singular
+    lift = unit_lift(unit)
+    return lift, lift * unit, map_fn if lift == 1.0 else _Unitalized(map_fn, lift)
 
 
 def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
@@ -168,14 +179,11 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
         raise ValueError("weights must be a nonempty list of finite (s, t) pairs, not both zero")
     _require_samples(samples)
     with np.errstate(**_QUIET):
-        unit = np.asarray(map_fn(np.eye(n, dtype=complex)), dtype=complex)
-        if is_singular(unit, cls.triangular):
-            raise DegenerateUnit("det(map(I)) vanishes; alpha is undefined")
-        lift = unit_lift(unit)
-        unit_det = determinant(lift * unit, cls.triangular)
+        _, unit, fn = _lifted(map_fn, cls, n, DegenerateUnit("det(map(I)) vanishes; alpha is undefined"))
+        unit_det = determinant(unit, cls.triangular)
         a = sample_batch(cls, n, mix_seed(seed, 0), samples)
         b = sample_batch(cls, n, mix_seed(seed, 1), samples)
-        fa, fb = lift * _images(map_fn, a), lift * _images(map_fn, b)
+        fa, fb = _images(fn, a), _images(fn, b)
         worst = np.zeros(samples)
         for s_, t_ in weights:
             lhs = determinant(s_ * fa + t_ * fb, cls.triangular)
@@ -247,14 +255,14 @@ def verify_trace_identity(map_fn, cls: MatrixClass, n: int, kind: str, samples: 
     """Check one of the trace identities over sampled pairs.
 
     ``kind`` is one of ``inverse`` (tr(phi(A) phi(B)^{-1}) = tr(A B^{-1}),
-    B redrawn until |det B| > 1e-6), ``product``, ``power`` (with exponent
-    ``power``) or ``square`` (single samples).  See the module docstring
-    for the gauge convention of the last three.
+    B redrawn until |det B| > 1e-6), ``product``, ``power`` (exponent ``power``
+    in [1, 64], else a ValueError) or ``square`` (single samples).  See the
+    module docstring for the gauge convention of the last three.
     """
     if kind not in ("inverse", "product", "power", "square"):
         raise ValueError(f"unknown trace identity kind {kind!r}")
-    if kind == "power" and power < 1:
-        raise ValueError("power must be >= 1")
+    if kind == "power" and not 1 <= power <= 64:  # above 64, A^k and phi(A)^k can overflow together
+        raise ValueError("power must lie in [1, 64]")
     _require_samples(samples)
     k = power if kind == "power" else 2
     label = {"inverse": "trace-inverse", "product": "trace-product",
@@ -414,12 +422,11 @@ def check_homogeneity_additivity(map_fn, cls: MatrixClass, n: int, samples: int,
     a = sample_batch(cls, n, mix_seed(seed, 0), samples)
     b = sample_batch(cls, n, mix_seed(seed, 1), samples)
     with np.errstate(**_QUIET):
-        lift = unit_lift(map_fn(np.eye(n, dtype=complex)))
-        fa, fb = lift * _images(map_fn, a), lift * _images(map_fn, b)
-        worst = matrix_residual(lift * _images(map_fn, a + b), fa + fb, axis=(-2, -1))
+        fn = _lifted(map_fn, cls, n)[2]
+        fa, fb = _images(fn, a), _images(fn, b)
+        worst = matrix_residual(_images(fn, a + b), fa + fb, axis=(-2, -1))
         for lam in _HOMOGENEITY_SCALES:
-            worst = np.maximum(worst, matrix_residual(lift * _images(map_fn, lam * a), lam * fa,
-                                                      axis=(-2, -1)))
+            worst = np.maximum(worst, matrix_residual(_images(fn, lam * a), lam * fa, axis=(-2, -1)))
     return _report("homogeneity-additivity", cls, n, tol, worst)
 
 

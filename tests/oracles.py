@@ -1,11 +1,9 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the library's own code paths: the determinant
-oracle is a literal cofactor expansion, the Gram test works entrywise,
-the projection test solves the normal equations directly, the
-positive-definiteness test is exact rational LDL^T, the singular values
-are 50-digit mpmath ones, and the dual witness is the per-matrix candidate
-cascade scored by np.trace(A @ B).
+oracle is a literal cofactor expansion, the positive-definiteness test is
+exact rational LDL^T, the singular values are 50-digit mpmath ones, and the
+dual witness is the per-matrix candidate cascade scored by np.trace(A @ B).
 """
 
 from fractions import Fraction
@@ -25,27 +23,6 @@ def det_cofactor(a):
         minor = np.delete(a[1:, :], j, axis=1)
         total += (-1) ** j * complex(a[0, j]) * det_cofactor(minor)
     return total
-
-
-def real_gram(mats):
-    """Gram matrix under the real inner product <X, Y> = Re tr(X^* Y)."""
-    k = len(mats)
-    g = np.empty((k, k), dtype=float)
-    for i in range(k):
-        for j in range(k):
-            g[i, j] = float(np.trace(mats[i].conj().T @ mats[j]).real)
-    return g
-
-
-def project_real_span(mats, target):
-    """Best real-linear combination of ``mats`` approximating ``target``."""
-    g = real_gram(mats)
-    b = np.array([float(np.trace(m.conj().T @ target).real) for m in mats])
-    coeff = np.linalg.solve(g, b)
-    out = np.zeros_like(np.asarray(target, dtype=complex))
-    for c, m in zip(coeff, mats):
-        out = out + c * m
-    return out
 
 
 def exact_pd(h, shift=Fraction(0)):

@@ -112,6 +112,19 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["identity"] == "trace-power-3"
 
+    @pytest.mark.parametrize("klass", ["pd", "full", "upper-triangular"])
+    def test_trace_power_range(self, klass, capsys):
+        # at k = 400 (PD) and 1000 (full) both sides overflowed, and the identity map failed with 1e100
+        eye = dumps_stable({"kind": "mn-two-sided", "M": matrix_to_json(np.eye(16)),
+                            "N": matrix_to_json(np.eye(16))})
+        base = ["verify", "--class", klass, "--n", "16", "--samples", "20", "--map", eye, "--identity"]
+        for power in (["trace-power-k", "--k", "65"], ["trace-power-65"]):
+            assert main([*base, *power]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: ValueError: power must lie in [1, 64]\n"
+        assert main([*base, "trace-power-k", "--k", "64"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-12
+
     def test_bad_json_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -166,14 +179,25 @@ class TestVerifyCommand:
         ('{"kind":"tn-diagonal","sigma":[2,1],"lambdas":[1,1],"offdiag_seed":1e400}',
          "expected an integer, got inf"),
         ('{"kind":"tn-diagonal","sigma":[1.5,2],"lambdas":[1,1]}', "expected an integer, got 1.5"),
-    ], ids=["huge-alpha", "huge-entry", "fractional-n", "infinite-seed", "fractional-sigma"])
+        ('{"kind":"tn-diagonal","sigma":[2,1],"lambdas":5}', "tn-diagonal spec needs sigma and lambdas as arrays"),
+        ('{"kind":"tn-diagonal","sigma":7,"lambdas":[1,1]}', "tn-diagonal spec needs sigma and lambdas as arrays"),
+        ('{"kind":{"a":1}}', "map spec must be a JSON object with a string 'kind'"),
+        ('{"kind":"tn-diagonal","sigma":[2,1],"lambdas":[1]}', "lambdas must have n = 2 entries, got 1"),
+        ('{"kind":"pn-congruence","M":{"n":2,"re":[[1,2],[0,1]],"im":[[0,0],[0,0]]},"transpose":"false"}',
+         "transpose must be true or false, got 'false'"),
+        ('{"kind":"pn-congruence","alpha":true,"M":%s}', "complex JSON must be a number or an object"),
+        ('{"kind":"tn-diagonal","sigma":[2,1],"lambdas":[1,{"re":true,"im":0}]}',
+         "complex JSON must be a number or an object"),
+    ], ids=["huge-alpha", "huge-entry", "fractional-n", "infinite-seed", "fractional-sigma", "scalar-lambdas",
+            "scalar-sigma", "object-kind", "short-lambdas", "string-transpose", "bool-alpha", "bool-lambda-part"])
     def test_bad_spec_number_is_input_error(self, spec, message, capsys):
-        # an OverflowError traceback, or int() silently truncating sigma to [1, 2]
+        # tracebacks (OverflowError, TypeError), or a misread spec: int() truncating sigma to [1, 2],
+        # one lambda broadcast over n = 2, bool("false") taking the transpose branch, true read as 1
         spec = spec.replace("%s", dumps_stable(matrix_to_json(np.eye(2))))
-        assert main(["verify", "--identity", "det-sum", "--class", "upper-triangular",
-                     "--n", "2", "--map", spec]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: ValueError: {message}") and "Traceback" not in err
+        for command in (["verify", "--identity", "det-sum"], ["recover"]):
+            assert main([*command, "--class", "upper-triangular", "--n", "2", "--map", spec]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: ValueError: {message}") and "Traceback" not in err
 
     @pytest.mark.parametrize("weights,message", [
         ("0,0", "weights must be"), ("1,1;0,0", "weights must be"), ("nan,1", "weights must be"),

@@ -1,4 +1,4 @@
-"""Tests for matrix classes, samplers, bases and dual witnesses."""
+"""Tests for matrix classes, samplers and dual witnesses."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from preserver_lab import (
     MatrixClass,
     WitnessNotFound,
     ZeroInput,
-    basis,
     contains,
     determinant,
     dual_witness,
@@ -17,7 +16,7 @@ from preserver_lab import (
 )
 from preserver_lab.domains import sample_batch
 
-from oracles import dual_witness_cascade, project_real_span, real_gram
+from oracles import dual_witness_cascade
 
 ALL_CLASSES = list(MatrixClass)
 WITNESS_CLASSES = [MatrixClass.FULL, MatrixClass.SYMMETRIC, MatrixClass.DIAGONAL,
@@ -126,79 +125,6 @@ class TestSampleBatch:
     def test_redraw_cap(self):
         with pytest.raises(RuntimeError):
             sample_batch(MatrixClass.DIAGONAL, 2, 0, 3, min_abs_det=1e300)
-
-
-def _unit(n, i, j):
-    e = np.zeros((n, n), dtype=complex)
-    e[i, j] = 1.0
-    return e
-
-
-def _explicit_basis(cls, n):
-    diag = [_unit(n, i, i) for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    sym = diag + [_unit(n, i, j) + _unit(n, j, i) for i, j in pairs]
-    herm = sym + [1j * (_unit(n, i, j) - _unit(n, j, i)) for i, j in pairs]
-    return {
-        MatrixClass.FULL: [_unit(n, i, j) for i in range(n) for j in range(n)],
-        MatrixClass.UPPER_TRIANGULAR: [_unit(n, i, j) for i in range(n) for j in range(i, n)],
-        MatrixClass.DIAGONAL: diag,
-        MatrixClass.SYMMETRIC: sym,
-        MatrixClass.HERMITIAN: herm,
-        MatrixClass.PD: [h + 2.0 * np.eye(n, dtype=complex) for h in herm],
-    }[cls]
-
-
-BASIS_CLASSES = [c for c in MatrixClass if c is not MatrixClass.PSD]
-
-
-class TestBasis:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    @pytest.mark.parametrize("cls", BASIS_CLASSES, ids=lambda c: c.value)
-    def test_stack_equals_explicit_sequence(self, cls, n):
-        expected = _explicit_basis(cls, n)
-        got = basis(cls, n)
-        assert isinstance(got, np.ndarray) and got.dtype == complex
-        assert got.shape == (len(expected), n, n)
-        for g, e in zip(got, expected):
-            assert g.tobytes() == e.tobytes()
-
-    def test_no_psd_basis(self):
-        with pytest.raises(ValueError):
-            basis(MatrixClass.PSD, 2)
-
-    def test_diagonal_n2(self):
-        b = basis(MatrixClass.DIAGONAL, 2)
-        assert len(b) == 2
-        assert np.array_equal(b[0], np.diag([1.0 + 0j, 0.0]))
-        assert np.array_equal(b[1], np.diag([0.0, 1.0 + 0j]))
-
-    def test_sizes(self):
-        n = 4
-        assert len(basis(MatrixClass.FULL, n)) == n * n
-        assert len(basis(MatrixClass.HERMITIAN, n)) == n * n
-        assert len(basis(MatrixClass.SYMMETRIC, n)) == n * (n + 1) // 2
-        assert len(basis(MatrixClass.UPPER_TRIANGULAR, n)) == n * (n + 1) // 2
-        assert len(basis(MatrixClass.PD, n)) == n * n
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_pd_basis_elements_pd(self, n):
-        for s in basis(MatrixClass.PD, n):
-            assert np.linalg.eigvalsh(s)[0] >= 1.0 - 1e-12
-            assert contains(MatrixClass.PD, s, 1e-12)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_pd_basis_real_independent(self, n):
-        g = real_gram(basis(MatrixClass.PD, n))
-        assert abs(np.linalg.det(g)) > 1e-6
-
-    def test_pd_basis_spans_hermitian(self):
-        n = 3
-        b = basis(MatrixClass.PD, n)
-        for seed in range(100):
-            h = sample(MatrixClass.HERMITIAN, n, seed)
-            rec = project_real_span(b, h)
-            assert np.linalg.norm(rec - h) <= 1e-9
 
 
 def _crafted_members(cls, n, count=12):

@@ -1,7 +1,8 @@
 """The public names are real: every ``__all__`` entry exists, and the package exports only them.
 
 ``bench/tracing.py`` picks the call sites it traces from ``__all__``, so a
-stale entry would point it at a function that is gone.
+stale entry would point it at a function that is gone.  No module keeps an
+import it does not use, the leftover a deletion most often leaves behind.
 """
 
 import ast
@@ -29,3 +30,14 @@ def test_package_imports_only_public_names():
     for node in imports:
         public = importlib.import_module(f"preserver_lab.{node.module}").__all__
         assert [a.name for a in node.names if a.name not in public] == [], node.module
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    mod = importlib.import_module(f"preserver_lab.{name}")
+    tree = ast.parse(Path(mod.__file__).read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(mod, "__all__", ()))) == []

@@ -2,6 +2,7 @@
 
 import functools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from preserver_lab import (
     pinching,
     random_canonical,
     realize_map,
+    recover,
     remark1_map,
     sample,
     scalar_residual,
@@ -36,7 +38,7 @@ from preserver_lab import (
     verify_det_identity,
     verify_trace_identity,
 )
-from preserver_lab.core_linalg import matrix_to_json
+from preserver_lab.core_linalg import matrix_to_json, unit_lift
 from preserver_lab.domains import sample_batch
 from preserver_lab.jsonio import dumps_stable
 
@@ -368,6 +370,34 @@ class TestStackDispatch:
         for mine, plain in zip(got, batteries(lambda a: remark1_map(a))):
             assert dumps_stable(mine.to_dict()) == dumps_stable(plain.to_dict())
         assert [r.passed for r in got] == [False, True, False]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3], ids=["unit", "lifted"])
+    def test_lift_keeps_the_call_shapes(self, scale):
+        # det-sum, homogeneity-additivity and recover read phi(I) once and lift a map below unit
+        # scale; lifted, a stack-capable map still takes whole stacks, a per-matrix box keeps its count
+        hidden = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 8)
+        p = replace(hidden, alpha=scale * hidden.alpha)
+        assert (unit_lift(p(np.eye(3))) > 1.0) == (scale < 1.0)
+        shapes = []
+
+        def box(a):
+            shapes.append(np.shape(a))
+            return p(a)
+
+        cls = MatrixClass.FULL
+        batteries = [lambda fn: verify_det_identity(fn, cls, 3, SUM, 30, 4, 1e-8, identity="det-sum"),
+                     lambda fn: check_homogeneity_additivity(fn, cls, 3, 30, 4, 1e-8),
+                     lambda fn: recover(fn, cls, 3)]
+        det, homog, (q, _) = [battery(functools.wraps(p)(lambda a: box(a))) for battery in batteries]
+        stack = (30, 3, 3)
+        # recover: phi(I), 10 + 11 linearity probes, the 2n - 1 unit images, 50 round-trip probes
+        assert shapes == [(3, 3), stack, stack, (3, 3), *[stack] * 6,
+                          (3, 3), (10, 3, 3), (11, 3, 3), (5, 3, 3), (50, 3, 3)]
+        assert det.passed and homog.passed and abs(q.alpha - p.alpha) <= 1e-12 * abs(p.alpha)
+        for battery, count in zip(batteries, (1 + 2 * 30, 1 + 6 * 30, 2 * 3 + 71)):
+            shapes.clear()
+            battery(box)
+            assert set(shapes) == {(3, 3)} and len(shapes) == count
 
 
 class TestMinkowski:

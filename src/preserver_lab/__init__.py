@@ -8,17 +8,7 @@ Kadison/Choi operator inequalities, trace dual witnesses), and recovery
 of canonical parameters from black-box maps.
 """
 
-from .core_linalg import (
-    adjugate,
-    as_square_matrix,
-    determinant,
-    inverse,
-    matrix_from_json,
-    matrix_residual,
-    matrix_to_json,
-    principal_root,
-    scalar_residual,
-)
+from .core_linalg import adjugate, determinant, inverse, matrix_residual, principal_root, scalar_residual
 from .domains import (
     MatrixClass,
     contains,
@@ -42,6 +32,7 @@ from .errors import (
     WitnessNotFound,
     ZeroInput,
 )
+from .jsonio import matrix_from_json, matrix_to_json
 from .mapspec import preserver_to_spec, realize_map, recovery_to_json, spec_to_preserver
 from .preservers import (
     CanonicalPreserver,

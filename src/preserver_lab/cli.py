@@ -65,9 +65,8 @@ def _default_weights(identity: str, n: int):
         return [(1.0 + 0.0j, 1.0 + 0.0j)]
     if identity == "det-convex":
         return [(complex(t), complex(1.0 - t)) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    if identity == "det-pencil":  # a degree-n polynomial identity needs n + 1 points: 2, 3, ... for n > 3
-        return [(1.0 + 0.0j, lam) for lam in [1.0 + 0.0j, -1.0 + 0.0j, 1j, 2.0 + 1.0j, *map(complex, range(2, n - 1))]]
-    raise ValueError(f"identity {identity} takes no weights")
+    # det-pencil, a degree-n polynomial identity: it needs n + 1 points, 2, 3, ... for n > 3
+    return [(1.0 + 0.0j, lam) for lam in [1.0 + 0.0j, -1.0 + 0.0j, 1j, 2.0 + 1.0j, *map(complex, range(2, n - 1))]]
 
 
 def _load_map_spec(source: str) -> dict:
@@ -105,8 +104,10 @@ def _cmd_verify(args) -> int:
     map_fn = realize_map(_load_map_spec(args.map), args.n)
     identity = args.identity
     power_match = re.fullmatch(r"trace-power-(\d+)", identity)
-    if identity.startswith("det-"):
-        weights = _parse_weights(args.weights) if args.weights else _default_weights(identity, args.n)
+    if args.weights is not None and identity not in ("det-convex", "det-pencil"):
+        raise ValueError(f"--weights applies to det-convex and det-pencil only, not {identity!r}")
+    if identity in ("det-sum", "det-convex", "det-pencil"):
+        weights = _parse_weights(args.weights) if args.weights is not None else _default_weights(identity, args.n)
         report = verify_det_identity(map_fn, cls, args.n, weights, args.samples,
                                      args.seed, args.tol, identity=identity)
     elif identity in ("trace-inverse", "trace-product", "trace-square"):
@@ -242,7 +243,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (PreserverLabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (PreserverLabError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,10 @@
 """Dense complex matrix kernel for desk-scale (n <= 16) matrices.
 
 Everything operates on plain numpy ``complex128`` arrays and is a pure
-function of its arguments.  The stacked small-matrix kernels take one
-n x n matrix or any (..., n, n) stack:
+function of its arguments.  It is linear algebra only: it imports no other
+module of the package, and the JSON wire format lives in :mod:`jsonio`.
+The stacked small-matrix kernels take one n x n matrix or any (..., n, n)
+stack:
 
 * ``sandwich`` forms left @ X @ right as two flat gemms over the whole
   stack instead of one tiny gemm per member;
@@ -28,10 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jsonio import int_from_json
-
 __all__ = [
-    "as_square_matrix",
     "SENTINEL",
     "finite_or",
     "frob",
@@ -47,19 +46,7 @@ __all__ = [
     "is_singular",
     "unit_lift",
     "principal_root",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
-
-
-def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and coerce ``a`` to a finite square complex128 array."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"{name} must be a square n x n array, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
 
 
 def frob(a) -> float:
@@ -290,24 +277,3 @@ def principal_root(z, k: int) -> complex:
     if z.imag == 0.0 and z.real > 0.0:
         return complex(z.real ** (1.0 / k))
     return z ** (1.0 / k)
-
-
-def matrix_to_json(a) -> dict:
-    """Encode a matrix as the repo-wide JSON object {"n", "re", "im"}."""
-    m = as_square_matrix(a)
-    return {"n": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
-
-
-def matrix_from_json(d) -> np.ndarray:
-    """Decode the {"n", "re", "im"} JSON matrix encoding."""
-    if not isinstance(d, dict) or "n" not in d or "re" not in d or "im" not in d:
-        raise ValueError("matrix JSON must be an object with keys n, re, im")
-    n = int_from_json(d["n"])
-    try:
-        re = np.asarray(d["re"], dtype=float)
-        im = np.asarray(d["im"], dtype=float)
-    except (OverflowError, TypeError) as exc:
-        raise ValueError(f"matrix JSON entries are not floats: {exc}") from None
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise ValueError(f"matrix JSON arrays must both be {n} x {n}")
-    return as_square_matrix(re + 1j * im)

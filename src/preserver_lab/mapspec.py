@@ -11,6 +11,8 @@ A map spec is an object with a string ``kind`` key:
   are submitted; it is realized as a :class:`LinearRep`;
 * ``remark1`` and ``pinching`` take no parameters.
 
+Every matrix is decoded at the requested n (n^2 for ``rep``) by
+:func:`jsonio.matrix_from_json`, which makes the one dimension check.
 Gauge constraints are deliberately not enforced on load; loaded specs are
 black boxes for the verifiers and the recovery pipeline.
 """
@@ -19,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core_linalg import matrix_from_json, matrix_to_json
-from .jsonio import complex_from_json, complex_to_json, int_from_json
+from .jsonio import complex_from_json, complex_to_json, int_from_json, matrix_from_json, matrix_to_json
 from .preservers import (CanonicalPreserver, LinearRep, PreserverForm, gauge_residual, pinching,
                          remark1_map)
 
@@ -34,7 +35,7 @@ __all__ = [
 _CANONICAL_KINDS = {form.value: form for form in PreserverForm}
 
 
-def spec_to_preserver(spec: dict, n: int | None = None) -> CanonicalPreserver:
+def spec_to_preserver(spec: dict, n: int) -> CanonicalPreserver:
     kind = spec.get("kind")
     form = _CANONICAL_KINDS.get(kind) if isinstance(kind, str) else None
     if form is None:
@@ -50,18 +51,11 @@ def spec_to_preserver(spec: dict, n: int | None = None) -> CanonicalPreserver:
             raise ValueError("tn-diagonal spec needs sigma and lambdas as arrays")
         sigma = tuple(int_from_json(s) - 1 for s in sigma_raw)  # wire format is 1-based
         lambdas = np.array([complex_from_json(z) for z in lambdas_raw], dtype=complex)
-        dim = len(sigma)
-        if n is not None and n != dim:
-            raise ValueError(f"spec dimension {dim} does not match requested n={n}")
-        return CanonicalPreserver(form, dim, alpha, sigma=sigma, lambdas=lambdas,
-                                  transpose=transpose,
+        return CanonicalPreserver(form, n, alpha, sigma=sigma, lambdas=lambdas, transpose=transpose,
                                   offdiag_seed=int_from_json(spec.get("offdiag_seed", 0)))
-    m = matrix_from_json(spec["M"])
-    dim = m.shape[0]
-    if n is not None and n != dim:
-        raise ValueError(f"spec dimension {dim} does not match requested n={n}")
-    right = matrix_from_json(spec["N"]) if form is PreserverForm.MN_TWO_SIDED else None
-    return CanonicalPreserver(form, dim, alpha, M=m, N=right, transpose=transpose)
+    m = matrix_from_json(spec.get("M"), n)
+    right = matrix_from_json(spec.get("N"), n) if form is PreserverForm.MN_TWO_SIDED else None
+    return CanonicalPreserver(form, n, alpha, M=m, N=right, transpose=transpose)
 
 
 def preserver_to_spec(p: CanonicalPreserver) -> dict:
@@ -87,10 +81,7 @@ def realize_map(spec: dict, n: int):
     if kind in _CANONICAL_KINDS:
         return spec_to_preserver(spec, n)
     if kind == "linear-rep":
-        rep = matrix_from_json(spec["rep"])
-        if rep.shape != (n * n, n * n):
-            raise ValueError(f"linear-rep matrix must be {n * n} x {n * n}")
-        return LinearRep(n, rep)
+        return LinearRep(n, matrix_from_json(spec.get("rep"), n * n))
     if kind == "remark1":
         return remark1_map
     if kind == "pinching":

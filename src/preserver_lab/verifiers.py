@@ -233,21 +233,13 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
     return _Unitalized(map_fn, inverse(unit))
 
 
-def _traces(cls, x, y, kind, k) -> np.ndarray:
-    """Either side's trace functional per stack member; diagonal sums for triangular classes."""
+def _traces(cls, x, y, invert: bool, k: int) -> np.ndarray:
+    """tr(X Y^-1), or tr(X Y^k), per stack member; diagonal sums for triangular classes."""
     if cls.triangular:
         dx = np.diagonal(x, axis1=-2, axis2=-1)
         dy = np.diagonal(y, axis1=-2, axis2=-1)
-        if kind == "inverse":
-            return np.sum(dx / dy, axis=-1)
-        if kind == "product":
-            return np.sum(dx * dy, axis=-1)
-        return np.sum(dx * dy**k, axis=-1)
-    if kind == "inverse":
-        y = inverse(y)
-    elif kind == "power":
-        y = np.linalg.matrix_power(y, k)
-    return trace_product(x, y)
+        return np.sum(dx / dy if invert else dx * dy**k, axis=-1)
+    return trace_product(x, inverse(y) if invert else np.linalg.matrix_power(y, k))
 
 
 def verify_trace_identity(map_fn, cls: MatrixClass, n: int, kind: str, samples: int,
@@ -256,31 +248,28 @@ def verify_trace_identity(map_fn, cls: MatrixClass, n: int, kind: str, samples: 
 
     ``kind`` is one of ``inverse`` (tr(phi(A) phi(B)^{-1}) = tr(A B^{-1}),
     B redrawn until |det B| > 1e-6), ``product``, ``power`` (exponent ``power``
-    in [1, 64], else a ValueError) or ``square`` (single samples).  See the
-    module docstring for the gauge convention of the last three.
+    in [1, 64], else a ValueError) or ``square`` (B = A); ``product`` and
+    ``square`` are ``power`` at k = 1.  See the module docstring for the gauge
+    convention of the last three.
     """
     if kind not in ("inverse", "product", "power", "square"):
         raise ValueError(f"unknown trace identity kind {kind!r}")
     if kind == "power" and not 1 <= power <= 64:  # above 64, A^k and phi(A)^k can overflow together
         raise ValueError("power must lie in [1, 64]")
     _require_samples(samples)
-    k = power if kind == "power" else 2
+    invert, k = kind == "inverse", power if kind == "power" else 1
     label = {"inverse": "trace-inverse", "product": "trace-product",
              "square": "trace-square", "power": f"trace-power-{power}"}[kind]
     with np.errstate(**_QUIET):
-        fn = map_fn if kind == "inverse" else unitalize(map_fn, cls, n)
+        fn = map_fn if invert else unitalize(map_fn, cls, n)
         a = sample_batch(cls, n, mix_seed(seed, 0), samples)
+        fa = _images(fn, a)
         if kind == "square":
-            fa = _images(fn, a)
-            lhs = _traces(cls, fa, fa, "product", k)
-            rhs = _traces(cls, a, a, "product", k)
+            b, fb = a, fa
         else:
-            b = sample_batch(cls, n, mix_seed(seed, 1), samples,
-                             _INVERTIBLE_DET if kind == "inverse" else None)
-            fa, fb = _images(fn, a), _images(fn, b)
-            lhs = _traces(cls, fa, fb, kind, k)
-            rhs = _traces(cls, a, b, kind, k)
-        residuals = scalar_residual(lhs, rhs)
+            b = sample_batch(cls, n, mix_seed(seed, 1), samples, _INVERTIBLE_DET if invert else None)
+            fb = _images(fn, b)
+        residuals = scalar_residual(_traces(cls, fa, fb, invert, k), _traces(cls, a, b, invert, k))
     return _report(label, cls, n, tol, residuals)
 
 

@@ -332,10 +332,10 @@ class TestPrincipalRoot:
 class TestMatrixJson:
     def test_roundtrip(self):
         a = sample(MatrixClass.FULL, 4, 0)
-        assert np.array_equal(matrix_from_json(matrix_to_json(a)), a)
+        assert np.array_equal(matrix_from_json(matrix_to_json(a), 4), a)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            matrix_from_json({"n": 2, "re": [[1.0]], "im": [[0.0]]})
+            matrix_from_json({"n": 2, "re": [[1.0]], "im": [[0.0]]}, 2)
         with pytest.raises(ValueError):
-            matrix_from_json({"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]]})
+            matrix_from_json({"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}, 2)

@@ -3,6 +3,8 @@
 ``bench/tracing.py`` picks the call sites it traces from ``__all__``, so a
 stale entry would point it at a function that is gone.  No module keeps an
 import it does not use, the leftover a deletion most often leaves behind.
+The layers hold: ``core_linalg`` and ``jsonio`` import nothing from the
+package, and ``jsonio`` owns every JSON codec.
 """
 
 import ast
@@ -41,3 +43,22 @@ def test_no_unused_imports(name):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(getattr(mod, "__all__", ()))) == []
+
+
+def _tree(name):
+    return ast.parse(Path(importlib.import_module(f"preserver_lab.{name}").__file__).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", ["core_linalg", "jsonio"])
+def test_base_layers_import_no_package_module(name):
+    nodes = list(ast.walk(_tree(name)))
+    imported = ["." * node.level + (node.module or "") for node in nodes if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    assert [m for m in imported if m.startswith((".", "preserver_lab"))] == []
+
+
+def test_only_jsonio_defines_json_codecs():
+    # mapspec's recovery_to_json encodes a whole recovery result from jsonio's codecs
+    codecs = {(name, node.name) for name in MODULES for node in ast.walk(_tree(name))
+              if isinstance(node, ast.FunctionDef) and node.name.endswith(("_to_json", "_from_json"))}
+    assert {c for c in codecs if c[0] != "jsonio"} == {("mapspec", "recovery_to_json")}

@@ -20,7 +20,7 @@ from preserver_lab import (
     remark1_map,
     sample,
 )
-from preserver_lab.core_linalg import matrix_to_json
+from preserver_lab.jsonio import matrix_to_json
 
 ALL_FORMS = list(PreserverForm)
 

@@ -38,9 +38,9 @@ from preserver_lab import (
     verify_det_identity,
     verify_trace_identity,
 )
-from preserver_lab.core_linalg import matrix_to_json, unit_lift
+from preserver_lab.core_linalg import unit_lift
 from preserver_lab.domains import sample_batch
-from preserver_lab.jsonio import dumps_stable
+from preserver_lab.jsonio import dumps_stable, matrix_to_json
 
 from oracles import dual_witness_cascade
 

@@ -85,8 +85,15 @@ def _validate_common(args) -> None:
         raise ValueError("--n must be >= 1")
     if getattr(args, "samples", 1) < 1:
         raise ValueError("--samples must be >= 1")
-    if not 0.0 < getattr(args, "tol", 1.0) < math.inf:
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError("--tol must be a finite number > 0")
+
+
+def _only_for(option: str, value, allowed: tuple, name: str) -> None:
+    """Reject an option given to an identity or oracle that does not read it."""
+    if value is not None and name not in allowed:
+        raise ValueError(f"{option} applies to {' and '.join(allowed)} only, not {name!r}")
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -104,8 +111,8 @@ def _cmd_verify(args) -> int:
     map_fn = realize_map(_load_map_spec(args.map), args.n)
     identity = args.identity
     power_match = re.fullmatch(r"trace-power-(\d+)", identity)
-    if args.weights is not None and identity not in ("det-convex", "det-pencil"):
-        raise ValueError(f"--weights applies to det-convex and det-pencil only, not {identity!r}")
+    _only_for("--weights", args.weights, ("det-convex", "det-pencil"), identity)
+    _only_for("--k", args.k, ("trace-power-k",), identity)
     if identity in ("det-sum", "det-convex", "det-pencil"):
         weights = _parse_weights(args.weights) if args.weights is not None else _default_weights(identity, args.n)
         report = verify_det_identity(map_fn, cls, args.n, weights, args.samples,
@@ -116,7 +123,7 @@ def _cmd_verify(args) -> int:
     elif identity == "trace-power-k" or power_match:
         k = int(power_match.group(1)) if power_match else args.k
         report = verify_trace_identity(map_fn, cls, args.n, "power", args.samples,
-                                       args.seed, args.tol, power=k)
+                                       args.seed, args.tol, power=2 if k is None else k)
     elif identity == "homogeneity-additivity":
         report = check_homogeneity_additivity(map_fn, cls, args.n, args.samples, args.seed, args.tol)
     else:
@@ -142,20 +149,23 @@ def _cmd_recover(args) -> int:
 _ORACLES = {
     "minkowski": lambda args: oracle_minkowski(args.n, args.samples, args.seed),
     "jacobi": lambda args: oracle_jacobi(args.n, args.samples, args.seed),
-    "kadison-choi": lambda args: oracle_kadison_choi(args.n, args.samples, args.seed, args.tol),
-    "dual-witness": lambda args: oracle_dual_witness(_CLASSES[args.klass], args.n,
+    "kadison-choi": lambda args: oracle_kadison_choi(args.n, args.samples, args.seed, args.tol or 1e-8),
+    "dual-witness": lambda args: oracle_dual_witness(_CLASSES[args.klass or "full"], args.n,
                                                      args.samples, args.seed),
 }
 
 
 def _cmd_oracle(args) -> int:
     _validate_common(args)
+    _only_for("--tol", args.tol, ("kadison-choi",), args.oracle)
+    _only_for("--class", args.klass, ("dual-witness",), args.oracle)
     report = _ORACLES[args.oracle](args)
     _emit(report, args.out)
     return 0 if report["pass"] else 2
 
 
 def _cmd_counterexample(args) -> int:
+    _validate_common(args)
     map_fn = NormConjugation(0.0 if args.generator == "zero" else 1.0)
     square = verify_trace_identity(map_fn, MatrixClass.PD, args.n, "square",
                                    args.samples, args.seed, 1e-9)
@@ -194,10 +204,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # a string default is parsed by type=int only when --seed is omitted (argparse error if bad)
     seed = os.environ.get("PRESERVER_LAB_SEED", "0")
 
-    def common(p, classes, with_map=False):
+    def common(p, classes, with_map=False, samples=True):
         p.add_argument("--class", dest="klass", choices=classes, required=True)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--samples", type=int, default=100)
+        if samples:
+            p.add_argument("--samples", type=int, default=100)
         p.add_argument("--seed", type=int, default=seed)
         p.add_argument("--tol", type=float, default=1e-8)
         if with_map:
@@ -208,20 +219,20 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--identity", required=True)
     common(pv, sorted(_CLASSES), with_map=True)
     pv.add_argument("--weights", default=None, help="semicolon list of s,t pairs (components may be complex)")
-    pv.add_argument("--k", type=int, default=2, help="exponent for trace-power-k, 1 to 64")
+    pv.add_argument("--k", type=int, help="exponent for trace-power-k, 1 to 64 (default 2)")
     pv.set_defaults(fn=_cmd_verify)
 
     pr = sub.add_parser("recover", help="recover canonical parameters of a map spec")
-    common(pr, _RECOVER_CLASSES, with_map=True)
+    common(pr, _RECOVER_CLASSES, with_map=True, samples=False)  # --seed is accepted; the probes are fixed
     pr.set_defaults(fn=_cmd_recover)
 
     po = sub.add_parser("oracle", help="run a named oracle battery")
     po.add_argument("oracle", choices=("minkowski", "jacobi", "kadison-choi", "dual-witness"))
-    po.add_argument("--class", dest="klass", choices=_ORACLE_CLASSES, default="full")
+    po.add_argument("--class", dest="klass", choices=_ORACLE_CLASSES, help="dual-witness only (default full)")
     po.add_argument("--n", type=int, required=True)
     po.add_argument("--samples", type=int, default=100)
     po.add_argument("--seed", type=int, default=seed)
-    po.add_argument("--tol", type=float, default=1e-8)
+    po.add_argument("--tol", type=float, help="kadison-choi only (default 1e-8)")
     po.add_argument("--out", default=None)
     po.set_defaults(fn=_cmd_oracle)
 
@@ -238,10 +249,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
     except SystemExit as exc:  # argparse reports to stderr already
         return 1 if exc.code not in (0, None) else 0
     try:
+        if extra:
+            raise ValueError(f"{args.command} does not take {' '.join(extra)}")
         return args.fn(args)
     except (PreserverLabError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -221,11 +221,11 @@ def adjugate(a) -> np.ndarray:
 
 
 def hermitian_defect(a):
-    """||A - A^*||_F / (1 + ||A||_F) per member (a float for one matrix); inf where not finite."""
+    """||A - A^*||_F / ||A||_F per member (a float for one matrix); 0 for a zero member, inf if not finite."""
     m = np.asarray(a, dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):
-        d = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) / (
-            1.0 + np.linalg.norm(m, axis=(-2, -1)))
+        norm = np.linalg.norm(m, axis=(-2, -1))
+        d = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) / np.where(norm == 0.0, 1.0, norm)
     return finite_or(d, np.inf)
 
 

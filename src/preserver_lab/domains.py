@@ -52,7 +52,7 @@ _CLASS_TAG = {cls: i + 1 for i, cls in enumerate(MatrixClass)}
 
 
 def contains(cls: MatrixClass, a, tol: float) -> bool:
-    """Structural membership within a scale-aware tolerance; PD is :func:`is_pd` of the Hermitian part.
+    """Structural membership within ``tol`` relative to ||A||_F; PD is :func:`is_pd` of the Hermitian part.
 
     A matrix with a NaN or infinite entry is a member of no class.
     """
@@ -61,7 +61,7 @@ def contains(cls: MatrixClass, a, tol: float) -> bool:
     m = np.asarray(a, dtype=complex)
     if not np.isfinite(m).all():
         return False
-    scale = 1.0 + frob(m)
+    scale = frob(m)
     if cls is MatrixClass.FULL:
         return True
     if cls is MatrixClass.HERMITIAN:
@@ -191,15 +191,15 @@ def dual_witness(a, cls: MatrixClass) -> np.ndarray:
     for the diagonal class), so tr(AB) = lambda tr A + v a_kj + w a_jk in
     closed form.  lambda runs over {2, 3, 5}, which avoids every excluded
     value of the underlying constructions, and each member gets the first
-    candidate clearing the margin.  B has the shape of ``a``.  Every class
-    member is separated; a non-member that no candidate separates raises
-    :class:`WitnessNotFound`, which names it.
+    candidate clearing the margin.  B has the shape of ``a``.  Every nonzero
+    class member is separated, at any scale; a zero member raises :class:`ZeroInput`,
+    and a non-member that no candidate separates :class:`WitnessNotFound`, which names it.
     """
     m = np.asarray(a, dtype=complex)
     n = m.shape[-1]
     x = m.reshape(-1, n, n)
     anorm = np.linalg.norm(x, axis=(-2, -1))
-    if np.any(anorm <= 1e-12):
+    if np.any(anorm == 0.0):
         raise ZeroInput("witness construction needs a nonzero matrix")
     if cls not in _WITNESS_UNITS:
         raise ValueError(f"dual witness not defined for class {cls.value}")

@@ -27,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core_linalg import determinant, frob, matrix_residual, principal_root
+from .core_linalg import frob, matrix_residual, principal_root
 from .domains import MatrixClass, mix_seed, sample_batch
 from .errors import NotCanonical, NotLinear, NotRankOne, NotStarForm, SingularUnit
 from .preservers import CanonicalPreserver, LinearRep, PreserverForm, apply_preserver
@@ -153,7 +153,7 @@ def _sign_canonical(m):
     return m
 
 
-def _recover_two_sided(map_fn, unit, unit_det, cls, n, tol):
+def _recover_two_sided(map_fn, unit, alpha, cls, n, tol):
     e0j, ej0 = _unit_images(map_fn, cls, n, np.zeros(n, dtype=int), np.arange(n), unit)
     transpose, other = False, e0j
     try:  # row (i, a) of the stack is row a of phi(E_i0) = m_i r_0 on the plain branch
@@ -167,13 +167,6 @@ def _recover_two_sided(map_fn, unit, unit_det, cls, n, tol):
     m0 = u.reshape(n, n).T
     n0 = m0[:, 0].conj() @ other / np.vdot(m0[:, 0], m0[:, 0])  # row j: r_j, from other[j] = m_0 r_j
     t = np.sqrt(frob(n0) / frob(m0))  # balanced, ||M0|| = ||N0||, as one split of the whole map
-
-    if cls is MatrixClass.PD:
-        if unit_det.real <= 0.0 or abs(unit_det.imag) > 1e-8 * (1.0 + abs(unit_det)):
-            raise NotCanonical("det(map(I)) is not positive real on the PD class")
-        alpha = complex(unit_det.real ** (1.0 / n))
-    else:
-        alpha = principal_root(unit_det, n)
     s = principal_root(1.0 / alpha, 2)
     left, right = s * (t * m0), s * (n0 / t)
 
@@ -187,7 +180,7 @@ def _recover_two_sided(map_fn, unit, unit_det, cls, n, tol):
     return CanonicalPreserver(PreserverForm.MN_TWO_SIDED, n, alpha, M=mp, N=right / ph, transpose=transpose)
 
 
-def _recover_symmetric(map_fn, unit_det, n):
+def _recover_symmetric(map_fn, alpha, n):
     idx = np.arange(n)  # the E_ii, then the E_0j for j >= 1
     ij, ji = _unit_images(map_fn, MatrixClass.SYMMETRIC, n, np.r_[idx, 0 * idx[1:]], np.r_[idx, idx[1:]])
     try:
@@ -201,13 +194,11 @@ def _recover_symmetric(map_fn, unit_det, n):
     y = (ij[n:, :, k] + ji[n:, :, k]).T  # y[:, j - 1] = column k of L(E_0j + E_j0)
     gamma = y[k] / (2.0 * beta)
     q = np.column_stack([q1, (y - gamma * q1[:, None]) / beta])
-
-    alpha = principal_root(unit_det, n)
     return CanonicalPreserver(PreserverForm.SN_CONGRUENCE, n, alpha,
                               M=_sign_canonical(principal_root(1.0 / alpha, 2) * q))
 
 
-def _recover_diagonal(map_fn, unit, unit_det, cls, n, tol):
+def _recover_diagonal(map_fn, unit, alpha, cls, n, tol):
     du = np.diagonal(unit)
     imgs, _ = _unit_images(map_fn, cls, n, np.arange(n), np.arange(n))
     model = (np.diagonal(imgs, axis1=-2, axis2=-1) / du).T  # model[i, k] = [psi(E_kk)]_ii
@@ -227,10 +218,8 @@ def _recover_diagonal(map_fn, unit, unit_det, cls, n, tol):
         if sigma[m] != -1:
             raise NotCanonical("diagonal matching is not a permutation")
         sigma[m] = k
-    alpha = principal_root(unit_det, n)
-    lambdas = du / alpha
     return CanonicalPreserver(PreserverForm.TN_DIAGONAL, n, alpha,
-                              sigma=tuple(sigma), lambdas=lambdas, offdiag_seed=0)
+                              sigma=tuple(sigma), lambdas=du / alpha, offdiag_seed=0)
 
 
 def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
@@ -245,19 +234,22 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
     :func:`verifiers._lifted`), and ``residual`` is the lifted one.
     """
     with np.errstate(**_QUIET):
-        lift, unit, fn = _lifted(map_fn, cls, n, SingularUnit("map(I) is not invertible"))
-        unit_det = determinant(unit, cls.triangular)
+        lift, unit, unit_det, fn = _lifted(map_fn, cls, n, SingularUnit("map(I) is not invertible"))
+        pd = cls is MatrixClass.PD
         if cls in (MatrixClass.FULL, MatrixClass.PD, MatrixClass.SYMMETRIC):
             x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)[:11]
-            worst = _linearity_residual(fn, x, 1.0, 0.5 if cls is MatrixClass.PD else 0.5j, 1)
+            worst = _linearity_residual(fn, x, 1.0, 0.5 if pd else 0.5j, 1)
             if not worst <= tol:
                 raise NotLinear(f"phi(A + cB) misses phi(A) + c phi(B) by {worst:.3e} > {tol:.1e}")
+        if pd and (unit_det.real <= 0.0 or abs(unit_det.imag) > 1e-8 * (1.0 + abs(unit_det))):
+            raise NotCanonical("det(map(I)) is not positive real on the PD class")
+        alpha = principal_root(unit_det.real if pd else unit_det, n)  # alpha^n = det phi(I)
         if cls in (MatrixClass.FULL, MatrixClass.PD):
-            p = _recover_two_sided(fn, unit, unit_det, cls, n, tol)
+            p = _recover_two_sided(fn, unit, alpha, cls, n, tol)
         elif cls is MatrixClass.SYMMETRIC:
-            p = _recover_symmetric(fn, unit_det, n)
+            p = _recover_symmetric(fn, alpha, n)
         elif cls in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
-            p = _recover_diagonal(fn, unit, unit_det, cls, n, tol)
+            p = _recover_diagonal(fn, unit, alpha, cls, n, tol)
         else:
             raise ValueError(f"recovery not defined for class {cls.value}")
     residual = roundtrip_residual(fn, p, cls, n, _RESIDUAL_SAMPLES,

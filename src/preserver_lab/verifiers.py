@@ -156,13 +156,16 @@ class _Unitalized:
 
 
 def _lifted(map_fn, cls: MatrixClass, n: int, singular: Exception | None = None):
-    """(lift, lift phi(I), lift phi), lift = :func:`core_linalg.unit_lift` of phi(I) (queried once);
-    lift phi is ``map_fn`` at lift 1.  Raises ``singular`` where :func:`core_linalg.is_singular` holds."""
+    """(lift, lift phi(I), det(lift phi(I)), lift phi), lift = :func:`core_linalg.unit_lift` of phi(I)
+    (queried once); lift phi is ``map_fn`` at lift 1.  The determinant is taken only given ``singular``,
+    which is raised where :func:`core_linalg.is_singular` holds or the determinant is exactly 0; a
+    non-finite phi(I) is neither, so its residuals fail instead."""
     unit = _images(map_fn, np.eye(n, dtype=complex))
-    if singular is not None and is_singular(unit, cls.triangular):
-        raise singular
     lift = unit_lift(unit)
-    return lift, lift * unit, map_fn if lift == 1.0 else _Unitalized(map_fn, lift)
+    unit_det = None if singular is None else determinant(lift * unit, cls.triangular)
+    if singular is not None and (unit_det == 0 or is_singular(unit, cls.triangular)):
+        raise singular
+    return lift, lift * unit, unit_det, map_fn if lift == 1.0 else _Unitalized(map_fn, lift)
 
 
 def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
@@ -179,8 +182,7 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
         raise ValueError("weights must be a nonempty list of finite (s, t) pairs, not both zero")
     _require_samples(samples)
     with np.errstate(**_QUIET):
-        _, unit, fn = _lifted(map_fn, cls, n, DegenerateUnit("det(map(I)) vanishes; alpha is undefined"))
-        unit_det = determinant(unit, cls.triangular)
+        _, _, unit_det, fn = _lifted(map_fn, cls, n, DegenerateUnit("det(map(I)) vanishes; alpha is undefined"))
         a = sample_batch(cls, n, mix_seed(seed, 0), samples)
         b = sample_batch(cls, n, mix_seed(seed, 1), samples)
         fa, fb = _images(fn, a), _images(fn, b)
@@ -411,7 +413,7 @@ def check_homogeneity_additivity(map_fn, cls: MatrixClass, n: int, samples: int,
     a = sample_batch(cls, n, mix_seed(seed, 0), samples)
     b = sample_batch(cls, n, mix_seed(seed, 1), samples)
     with np.errstate(**_QUIET):
-        fn = _lifted(map_fn, cls, n)[2]
+        fn = _lifted(map_fn, cls, n)[3]
         fa, fb = _images(fn, a), _images(fn, b)
         worst = matrix_residual(_images(fn, a + b), fa + fb, axis=(-2, -1))
         for lam in _HOMOGENEITY_SCALES:

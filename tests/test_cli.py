@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, JSON shapes, byte determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -24,7 +25,7 @@ from preserver_lab import (
     random_canonical,
     realize_map,
 )
-from preserver_lab.cli import main
+from preserver_lab.cli import _build_parser, main
 from preserver_lab.jsonio import dumps_stable
 
 
@@ -307,6 +308,18 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {error}: map(I) is")
 
+    def test_unit_determinant_cancelling_to_zero_is_degenerate(self, capsys):
+        # phi(I) = M^* M has condition v^4 ~ 1e52 (v = 1.05e13), which is_singular misses, and its det
+        # cancels to 0: recover ended in "principal root of zero" (exit 1), det-sum failed (exit 2)
+        spec = '{"kind":"pn-congruence","M":{"n":2,"re":[[1,1.0480896200805e13],[0,1]],"im":[[0,0],[0,0]]}}'
+        argv = ["--class", "full", "--n", "2", "--map", spec]
+        assert main(["recover", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == "SingularUnit" and err.startswith("recovery failed: SingularUnit: ")
+        assert main(["verify", "--identity", "det-sum", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: DegenerateUnit: ")
+
     def test_linear_rep_of_another_size_is_input_error(self, spec_dir, capsys):
         assert main(["verify", "--identity", "det-sum", "--class", "full", "--n", "2",
                      "--map", str(spec_dir / "perturbed.json")]) == 1
@@ -324,7 +337,8 @@ class TestVerifyCommand:
 # One JSON token per case with the float it must decode to, or None for an input error.
 _SPEC_NUMBERS = [("true", None), ('"1"', None), ("null", None), ("[1]", None), ('{"re":1}', None),
                  ("1" + "0" * 400, None), ("1e400", None), ("NaN", None), ("Infinity", None),
-                 ("-Infinity", None), ("-0.0", -0.0), ("5e-324", 5e-324), ("1e308", 1e308), ("3", 3.0)]
+                 ("-Infinity", None), ("-0.0", -0.0), ("5e-324", 5e-324), ("1e308", 1e308), ("3", 3.0),
+                 ("1.0480896200805e13", 1.0480896200805e13)]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -333,7 +347,8 @@ _SPEC_NUMBERS = [("true", None), ('"1"', None), ("null", None), ("[1]", None), (
 def test_spec_number_rule(case):
     # the number rule at the spec boundary: one token in an off-diagonal entry of M and of rep, on
     # otherwise unit-triangular matrices.  A finite value is decoded exactly; the map may then fail
-    # or be degenerate (phi(I) of condition above 1e12 is DegenerateUnit), never a decoding error.
+    # or be degenerate (a phi(I) that is_singular flags or whose determinant cancels to 0 is
+    # DegenerateUnit, and SingularUnit in recover), never a decoding error.
     token, value = case
     specs = {"M": ('{"kind":"pn-congruence","M":{"n":2,"re":[[1,%s],[0,1]],"im":[[0,0],[0,0]]}}', 2),
              "rep": ('{"kind":"linear-rep","rep":{"n":4,"re":[[1,0,0,%s],[0,1,0,0],[0,0,1,0],[0,0,0,1]],'
@@ -353,11 +368,8 @@ def test_spec_number_rule(case):
                 assert code == 1 and out.getvalue() == "", (field, token, command)
                 assert err.getvalue().startswith("error: ValueError: "), (field, token, command)
             else:
-                # known defect (ROADMAP item 10): is_singular misses a phi(I) of condition ~1e28 (off-diagonal
-                # ~1e13 in M), whose det then cancels to 0, and recover ends in principal_root's ValueError
-                known = "error: ValueError: principal root of zero is undefined here\n"
-                assert code in (0, 2, 3) or err.getvalue().startswith("error: DegenerateUnit: ") or (
-                    command == ["recover"] and err.getvalue() == known), (field, token, command, err.getvalue())
+                assert code in (0, 2, 3) or err.getvalue().startswith("error: DegenerateUnit: "), (
+                    field, token, command, err.getvalue())
 
 
 class TestRecoverCommand:
@@ -447,6 +459,44 @@ class TestClassChoices:
     def test_unsupported_class_is_rejected_by_the_parser(self, argv, capsys):
         assert main(argv) == 1
         assert "invalid choice" in capsys.readouterr().err
+
+
+_PINCHING = ["--class", "full", "--n", "2", "--map", '{"kind":"pinching"}']
+
+
+class TestOptionSets:
+    def test_each_command_declares_only_the_options_it_reads(self):
+        # recover's probes use fixed seeds; it keeps --seed so that seeded scripts still run
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                    for name, p in sub.choices.items()}
+        assert declared == {
+            "verify": {"--identity", "--class", "--n", "--samples", "--seed", "--tol", "--map", "--out",
+                       "--weights", "--k"},
+            "recover": {"--class", "--n", "--seed", "--tol", "--map", "--out"},
+            "oracle": {"--class", "--n", "--samples", "--seed", "--tol", "--out"},
+            "counterexample": {"--n", "--samples", "--seed", "--generator", "--out"},
+        }
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--identity", "trace-power-3", "--k", "9", *_PINCHING],
+         "--k applies to trace-power-k only, not 'trace-power-3'"),
+        (["verify", "--identity", "det-sum", "--k", "7", *_PINCHING],
+         "--k applies to trace-power-k only, not 'det-sum'"),
+        (["recover", "--samples", "0", *_PINCHING], "recover does not take --samples 0"),
+        (["oracle", "minkowski", "--tol", "1e-300", "--class", "symmetric", "--n", "2"],
+         "--tol applies to kadison-choi only, not 'minkowski'"),
+        (["oracle", "jacobi", "--class", "symmetric", "--n", "2"],
+         "--class applies to dual-witness only, not 'jacobi'"),
+        (["counterexample", "--n", "-3"], "--n must be >= 1"),
+    ], ids=["k-on-trace-power-3", "k-on-det-sum", "recover-samples", "minkowski-tol", "jacobi-class",
+            "counterexample-negative-n"])
+    def test_an_option_the_command_ignores_is_input_error(self, argv, message, capsys):
+        # each of these ran and ignored the option, or failed on it (recover --samples 0, and numpy's
+        # "negative dimensions are not allowed" for counterexample --n -3)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: ValueError: {message}\n"
 
 
 class TestOracleCommand:

@@ -180,7 +180,8 @@ class TestInverse:
 class TestHermitianDefect:
     def test_values(self):
         assert hermitian_defect(sample(MatrixClass.PD, 4, 2)) == 0.0
-        assert hermitian_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(np.sqrt(2.0) / 2.0)
+        assert hermitian_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(np.sqrt(2.0))
+        assert hermitian_defect(np.zeros((2, 2))) == 0.0
 
     def test_stack_is_per_member(self):
         stack = np.stack([sample(MatrixClass.HERMITIAN, 3, 1), sample(MatrixClass.FULL, 3, 1)])

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preserver_lab import (
     MatrixClass,
+    PreserverLabError,
     WitnessNotFound,
     ZeroInput,
     contains,
@@ -14,6 +17,7 @@ from preserver_lab import (
     sample,
     sample_invertible,
 )
+from preserver_lab.core_linalg import is_pd, is_singular
 from preserver_lab.domains import sample_batch
 
 from oracles import dual_witness_cascade
@@ -258,3 +262,39 @@ class TestDualWitness:
         b = dual_witness(a, MatrixClass.HERMITIAN)
         assert abs(np.trace(a @ b)) >= 1e-6 * np.linalg.norm(a)
         assert contains(MatrixClass.HERMITIAN, b, 1e-12)
+
+
+def _decisions(a):
+    """Every class decision on one matrix; dual_witness as its B bytes or its exception type."""
+    witnesses = []
+    for cls in ALL_CLASSES:
+        try:
+            witnesses.append(dual_witness(a, cls).tobytes())
+        except (ValueError, PreserverLabError) as exc:
+            witnesses.append(type(exc))
+    return (is_pd(a), is_singular(a), is_singular(a, True),
+            [contains(cls, a, 1e-9) for cls in ALL_CLASSES], witnesses)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_CLASSES), st.integers(1, 5), st.integers(0, 2**32),
+       st.sampled_from(["member", "non-hermitian bump", "zeroed column", "zero"]), st.integers(-120, 120))
+def test_decisions_are_invariant_under_exact_scaling(cls, n, seed, variant, k):
+    # c = 4^k keeps every square normal and scales Cholesky and QR exactly; 1e-30 [[1, 1], [0, 1]]
+    # was PD under an absolute defect floor, -1e-30 I was PSD and 1e-13 I had no dual witness
+    a = sample(cls, n, seed)
+    if variant == "non-hermitian bump":
+        a[0, -1] += 0.5 + 0.5j
+    elif variant == "zeroed column":
+        a[:, 0] = 0.0
+    elif variant == "zero":
+        a[:] = 0.0
+    assert _decisions(4.0**k * a) == _decisions(a)
+
+
+def test_tiny_matrices_keep_their_decisions():
+    assert not is_pd(1e-30 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert not contains(MatrixClass.HERMITIAN, 1e-30 * np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-9)
+    assert not contains(MatrixClass.PSD, -1e-30 * np.eye(2), 1e-9)
+    eye = np.eye(2)
+    assert dual_witness(1e-13 * eye, MatrixClass.FULL).tobytes() == dual_witness(eye, MatrixClass.FULL).tobytes()

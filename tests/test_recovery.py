@@ -323,6 +323,14 @@ class TestRecover:
         with pytest.raises(NotStarForm):
             recover(lambda a: m @ a, MatrixClass.PD, 3)
 
+    def test_pd_unit_determinant_must_be_positive_real(self):
+        # det(phi(I)) = -1 for phi(A) = -A at n = 3: alpha is not positive real
+        with pytest.raises(NotCanonical, match=r"^det\(map\(I\)\) is not positive real on the PD class$"):
+            recover(lambda a: -a, MatrixClass.PD, 3)
+        # the linearity probe is judged first: det(phi(I)) = -1.331 here as well
+        with pytest.raises(NotLinear):
+            recover(lambda a: -a - 0.1 * a @ a, MatrixClass.PD, 3)
+
     def test_singular_unit(self):
         from preserver_lab import SingularUnit
 

@@ -14,7 +14,9 @@ classes match the diagonals of phi(I)^{-1} phi(E_kk) to standard basis vectors.
 
 Linearity is not assumed: before any factor is extracted, phi(A + cB) must
 equal phi(A) + c phi(B) on 10 pairs of consistency samples (c > 0 on PD,
-non-real on the full and symmetric classes), else :class:`NotLinear`.  A
+non-real on the full and symmetric classes), else :class:`NotLinear`.  Then
+alpha is derived once, the principal n-th root of det(phi(I)) as read by
+:func:`verifiers._lifted` (positive real on PD, else :class:`NotCanonical`).  A
 canonical map or a :class:`LinearRep` takes each probe stack in one call
 (:func:`verifiers._images`); a box queried one matrix at a time is queried
 2n + 71 times on the full, PD and symmetric classes: phi(I), 2n - 1 unit

@@ -1,9 +1,9 @@
 """Seeded sampling verification of the determinant and trace identities.
 
 Determinant identities compare det(s phi(A) + t phi(B)) against
-alpha^n det(sA + tB) with alpha^n recomputed as det(phi(I)), which keeps
-the check black-box; a map below unit scale is lifted to it by an exact
-power of two first (:func:`_lifted`).  The trace identities with kinds ``product``,
+alpha^n det(sA + tB), alpha^n = det(phi(I)) read black-box by :func:`_lifted`,
+which lifts a map below unit scale by an exact power of two and refuses a
+singular phi(I) or a zero determinant.  The trace identities with kinds ``product``,
 ``square`` and ``power`` hold in the unital gauge, so those kinds are
 evaluated on the unitalized companion map (phi conjugated by its unit
 image per domain class); the ``inverse`` kind needs no gauge and runs on
@@ -157,9 +157,8 @@ class _Unitalized:
 
 def _lifted(map_fn, cls: MatrixClass, n: int, singular: Exception | None = None):
     """(lift, lift phi(I), det(lift phi(I)), lift phi), lift = :func:`core_linalg.unit_lift` of phi(I)
-    (queried once); lift phi is ``map_fn`` at lift 1.  The determinant is taken only given ``singular``,
-    which is raised where :func:`core_linalg.is_singular` holds or the determinant is exactly 0; a
-    non-finite phi(I) is neither, so its residuals fail instead."""
+    (queried once); lift phi is ``map_fn`` at lift 1.  Given ``singular``, the determinant is taken and
+    ``singular`` raised where :func:`core_linalg.is_singular` holds or it is exactly 0 (never if not finite)."""
     unit = _images(map_fn, np.eye(n, dtype=complex))
     lift = unit_lift(unit)
     unit_det = None if singular is None else determinant(lift * unit, cls.triangular)

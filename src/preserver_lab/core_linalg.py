@@ -19,9 +19,10 @@ stack:
 * ``scalar_residual`` and ``matrix_residual`` reduce per member, and every
   non-finite residual becomes the failing sentinel ``SENTINEL``.
 
-``hermitian_defect`` is the one Hermitian measure, ``is_pd`` the one
-positive-definiteness decision and ``is_singular`` the one scale-free test of
-a unit image phi(I), which ``unit_lift`` brings to unit scale in :func:`verifiers._lifted`;
+``hermitian_defect`` is the one Hermitian measure, ``is_pd`` the one positive-definiteness
+decision and ``is_singular`` the one singularity test of a unit image phi(I); each decides on
+``unit_scaled`` input, so A and 2^k A agree, and ``frob`` is the Frobenius norm at any finite scale.
+``unit_lift`` takes phi(I) into the binade [1, 2) from either side, in :func:`verifiers._lifted`;
 factorizations are LAPACK's, through numpy.  The gauge factors come from one ``eigh`` each, in
 :func:`verifiers.unitalize`; the one rank decision is :func:`recovery.rank_one_split`.
 """
@@ -33,6 +34,7 @@ import numpy as np
 __all__ = [
     "SENTINEL",
     "finite_or",
+    "unit_scaled",
     "frob",
     "scalar_residual",
     "matrix_residual",
@@ -49,8 +51,27 @@ __all__ = [
 ]
 
 
-def frob(a) -> float:
-    return float(np.linalg.norm(a))
+def _binade(a, axis=None):
+    """(2^k A, k), 2^k taking the largest modulus of each member over ``axis`` into [1, 2) (k <= 1023, kept
+    as size-1 axes); k = 0 for a zero or non-finite member.  Exact while the entries stay normal."""
+    m = np.asarray(a)
+    peak = np.max(np.abs(m), axis=axis, keepdims=True, initial=0.0)
+    k = np.where((peak > 0.0) & (peak < np.inf), np.minimum(1 - np.frexp(peak)[1], 1023), 0)
+    return np.multiply(m, np.ldexp(1.0, k), out=m.astype(np.result_type(m, 1.0)), where=k != 0), k
+
+
+def unit_scaled(a) -> np.ndarray:
+    """Each member in the binade [1, 2): the input of every class decision, so A and 2^k A agree."""
+    return _binade(a, (-2, -1))[0]
+
+
+def frob(a, axis=None):
+    """||A||_F (a float), or per member with ``axis=(-2, -1)``, taken in the binade [1, 2): it neither
+    overflows nor underflows, and equals ``np.linalg.norm`` bit for bit where the squares stay normal."""
+    m, k = _binade(a, axis)
+    norm = np.linalg.norm(m, axis=axis)
+    r = np.ldexp(norm, -k.reshape(np.shape(norm)))
+    return float(r) if axis is None else r
 
 
 # A non-finite residual, gap or margin stands for a failed check: it is
@@ -221,8 +242,9 @@ def adjugate(a) -> np.ndarray:
 
 
 def hermitian_defect(a):
-    """||A - A^*||_F / ||A||_F per member (a float for one matrix); 0 for a zero member, inf if not finite."""
-    m = np.asarray(a, dtype=complex)
+    """||A - A^*||_F / ||A||_F of each :func:`unit_scaled` member (a float for one matrix); 0 for a zero
+    member, inf if not finite."""
+    m = unit_scaled(np.asarray(a, dtype=complex))
     with np.errstate(invalid="ignore", over="ignore"):
         norm = np.linalg.norm(m, axis=(-2, -1))
         d = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) / np.where(norm == 0.0, 1.0, norm)
@@ -233,9 +255,9 @@ def is_pd(a) -> bool:
     """True only when every member is finite, Hermitian within 1e-10 and passes Cholesky of A - cI.
 
     With c = (n + 2) eps tr(A), that success proves A positive definite at any scale (S. M. Rump,
-    "Verification of positive definiteness", BIT 46, 2006).
+    "Verification of positive definiteness", BIT 46, 2006).  It is decided on :func:`unit_scaled` members.
     """
-    m = np.asarray(a, dtype=complex)
+    m = unit_scaled(np.asarray(a, dtype=complex))
     if not np.isfinite(m).all() or np.any(hermitian_defect(m) > 1e-10):
         return False
     c = (m.shape[-1] + 2) * np.finfo(float).eps * np.trace(m, axis1=-2, axis2=-1).real
@@ -249,9 +271,10 @@ def is_pd(a) -> bool:
 def is_singular(a, triangular: bool = False) -> bool:
     """min |r_ii| <= 1e-12 max |r_ii| over A = QR (A's own diagonal if ``triangular``); False if not finite.
 
-    sigma_min <= |r_ii| <= sigma_max: condition below 1e12 is never singular, at any scale or n.
+    sigma_min <= |r_ii| <= sigma_max of :func:`unit_scaled` A: condition below 1e12 is never singular,
+    at any scale or n.
     """
-    m = np.asarray(a, dtype=complex)
+    m = unit_scaled(np.asarray(a, dtype=complex))
     if not np.isfinite(m).all():
         return False
     r = np.abs(np.diagonal(m if triangular else np.linalg.qr(m, mode="r")))
@@ -259,11 +282,11 @@ def is_singular(a, triangular: bool = False) -> bool:
 
 
 def unit_lift(a) -> float:
-    """2^k taking max |a_ij| from (0, 1/2) into [1/2, 1), else 1.
+    """2^k taking max |a_ij| into [1, 2) from any finite nonzero scale (at most 2^1023), else 1.
 
-    The scaling is exact, and the residuals (floor 1) of a lifted map are relative."""
-    s = float(np.max(np.abs(a)))
-    return float(np.ldexp(1.0, min(-int(np.frexp(s)[1]), 1023))) if 0.0 < s < 0.5 else 1.0
+    Exact both ways, and a unit-scale matrix such as I keeps lift 1; the residuals (floor 1) of a
+    lifted map are relative."""
+    return float(np.ldexp(1.0, _binade(a)[1]).item())
 
 
 def principal_root(z, k: int) -> complex:

@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core_linalg import determinant, frob, hermitian_defect, is_pd
+from .core_linalg import determinant, frob, hermitian_defect, is_pd, unit_scaled
 from .errors import WitnessNotFound, ZeroInput
 
 __all__ = [
@@ -54,11 +54,12 @@ _CLASS_TAG = {cls: i + 1 for i, cls in enumerate(MatrixClass)}
 def contains(cls: MatrixClass, a, tol: float) -> bool:
     """Structural membership within ``tol`` relative to ||A||_F; PD is :func:`is_pd` of the Hermitian part.
 
-    A matrix with a NaN or infinite entry is a member of no class.
+    A matrix with a NaN or infinite entry is a member of no class.  It is decided on
+    :func:`core_linalg.unit_scaled` A, so A and 2^k A are members of the same classes.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    m = np.asarray(a, dtype=complex)
+    m = unit_scaled(np.asarray(a, dtype=complex))
     if not np.isfinite(m).all():
         return False
     scale = frob(m)
@@ -67,7 +68,7 @@ def contains(cls: MatrixClass, a, tol: float) -> bool:
     if cls is MatrixClass.HERMITIAN:
         return hermitian_defect(m) <= tol
     if cls is MatrixClass.SYMMETRIC:
-        return float(np.linalg.norm(m - m.T)) <= tol * scale
+        return frob(m - m.T) <= tol * scale
     if cls is MatrixClass.PD:
         return hermitian_defect(m) <= tol and is_pd(0.5 * (m + m.conj().T))
     if cls is MatrixClass.PSD:
@@ -197,8 +198,8 @@ def dual_witness(a, cls: MatrixClass) -> np.ndarray:
     """
     m = np.asarray(a, dtype=complex)
     n = m.shape[-1]
-    x = m.reshape(-1, n, n)
-    anorm = np.linalg.norm(x, axis=(-2, -1))
+    x = unit_scaled(m.reshape(-1, n, n))  # the margins and B are the same for A and 2^k A
+    anorm = frob(x, (-2, -1))
     if np.any(anorm == 0.0):
         raise ZeroInput("witness construction needs a nonzero matrix")
     if cls not in _WITNESS_UNITS:

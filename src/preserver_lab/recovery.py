@@ -232,8 +232,8 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
     fresh class samples (diagonal-restricted for the triangular classes).
     Raises :class:`NotLinear` / :class:`NotCanonical` / :class:`NotStarForm`
     / :class:`SingularUnit` when the box falls outside the characterized
-    family.  A box below unit scale is recovered as lift * box (exact, from
-    :func:`verifiers._lifted`), and ``residual`` is the lifted one.
+    family.  The box is recovered as lift * box, lift the exact power of two from
+    :func:`verifiers._lifted`, alpha is divided back by it and ``residual`` is the lifted one.
     """
     with np.errstate(**_QUIET):
         lift, unit, unit_det, fn = _lifted(map_fn, cls, n, SingularUnit("map(I) is not invertible"))

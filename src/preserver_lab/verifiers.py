@@ -1,13 +1,13 @@
 """Seeded sampling verification of the determinant and trace identities.
 
-Determinant identities compare det(s phi(A) + t phi(B)) against
-alpha^n det(sA + tB), alpha^n = det(phi(I)) read black-box by :func:`_lifted`,
-which lifts a map below unit scale by an exact power of two and refuses a
-singular phi(I) or a zero determinant.  The trace identities with kinds ``product``,
-``square`` and ``power`` hold in the unital gauge, so those kinds are
-evaluated on the unitalized companion map (phi conjugated by its unit
-image per domain class); the ``inverse`` kind needs no gauge and runs on
-the raw map.  All residuals are scale-aware.
+Determinant identities compare det(s phi(A) + t phi(B)) against alpha^n det(sA + tB),
+alpha^n = det(phi(I)).  :func:`_lifted` reads phi(I) once for every battery and recovery, takes
+max |phi(I)_ij| into [1, 2) by an exact power of two and refuses a singular phi(I) or a zero
+determinant, so a report on c phi (c = 2^k) is the report on phi while the images stay finite and
+normal.  The trace identities with kinds ``product``, ``square`` and ``power`` hold in the unital
+gauge, so those kinds run on the unitalized companion of the lifted map (conjugated by its unit image
+per domain class); the ``inverse`` kind needs no gauge and runs on the raw map, equivariant as it
+is.  All residuals are scale-aware.
 
 Every battery, the oracle batteries included, draws its samples as
 stacks, A = ``sample_batch(cls, n, mix_seed(seed, 0), samples)`` and B from
@@ -156,15 +156,17 @@ class _Unitalized:
 
 
 def _lifted(map_fn, cls: MatrixClass, n: int, singular: Exception | None = None):
-    """(lift, lift phi(I), det(lift phi(I)), lift phi), lift = :func:`core_linalg.unit_lift` of phi(I)
-    (queried once); lift phi is ``map_fn`` at lift 1.  Given ``singular``, the determinant is taken and
-    ``singular`` raised where :func:`core_linalg.is_singular` holds or it is exactly 0 (never if not finite)."""
+    """(lift, lift phi(I), det(lift phi(I)), lift phi), lift = :func:`core_linalg.unit_lift` of phi(I),
+    from the one query of phi(I) of a battery or recovery; at lift 1, phi(I) and ``map_fn`` as they are.
+    Given ``singular``, the determinant is taken and ``singular`` raised where :func:`core_linalg.is_singular`
+    holds or it is exactly 0 (never if not finite)."""
     unit = _images(map_fn, np.eye(n, dtype=complex))
     lift = unit_lift(unit)
-    unit_det = None if singular is None else determinant(lift * unit, cls.triangular)
+    unit, fn = (unit, map_fn) if lift == 1.0 else (lift * unit, _Unitalized(map_fn, lift))
+    unit_det = None if singular is None else determinant(unit, cls.triangular)
     if singular is not None and (unit_det == 0 or is_singular(unit, cls.triangular)):
         raise singular
-    return lift, lift * unit, unit_det, map_fn if lift == 1.0 else _Unitalized(map_fn, lift)
+    return lift, unit, unit_det, fn
 
 
 def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
@@ -194,7 +196,7 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
 
 
 def unitalize(map_fn, cls: MatrixClass, n: int):
-    """Conjugate the map by its unit image so that the result fixes I.
+    """Conjugate the lifted map (:func:`_lifted`) by its unit image so that the result fixes I.
 
     Each gauge factor comes from one ``eigh``.  PD/PSD/Hermitian classes use
     W (.) W with W = V diag(w)^{-1/2} V^* from phi(I) = V diag(w) V^*, once
@@ -203,35 +205,31 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
     part of phi(I): the eigenvectors [x; y] of the n positive eigenvalues t
     of [[Re C, Im C], [Im C, -Re C]] give a unitary U = x + iy with
     C = U diag(t) U^t, so Q^{-1} = diag(t)^{-1/2} U^*.  The remaining classes
-    use phi(I)^{-1} (.).  A numerically singular phi(I) raises
-    :class:`DegenerateUnit` (scale-free: :func:`core_linalg.is_singular`, or
-    t_min <= 1e-12 t_max on the symmetric class); a non-finite one gives a companion whose every
-    image is NaN, so every residual on it fails; an already-unital map is
-    returned untouched.  The result takes a whole (count, n, n) stack where
-    the map does (see :func:`_images`).
+    use phi(I)^{-1} (.).  A singular phi(I) (C on the symmetric class, by
+    :func:`core_linalg.is_singular`) raises :class:`DegenerateUnit`; a non-finite one gives a
+    companion whose every image is NaN, so every residual on it fails; an already-unital map is
+    returned untouched.  c phi (c = 2^k) gets the companion of phi, which takes a whole
+    (count, n, n) stack where the map does (see :func:`_images`).
     """
-    eye = np.eye(n, dtype=complex)
-    unit = np.asarray(map_fn(eye), dtype=complex)
+    _, unit, _, fn = _lifted(map_fn, cls, n)
     if not np.isfinite(unit).all():
-        return _Unitalized(map_fn, np.full((n, n), np.nan))
-    if matrix_residual(unit, eye) <= 1e-12:
-        return map_fn
+        return _Unitalized(fn, np.full((n, n), np.nan))
+    if matrix_residual(unit, np.eye(n)) <= 1e-12:
+        return fn
     if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN):
         if not is_pd(unit):
             raise NotPositiveDefinite("map(I) is not certified positive definite")
         w, v = np.linalg.eigh(unit)
         left = (v / np.sqrt(w)) @ v.conj().T
-        return _Unitalized(map_fn, left, left)
-    if cls is MatrixClass.SYMMETRIC:
-        c = 0.5 * (unit + unit.T)
-        t, v = np.linalg.eigh(np.block([[c.real, c.imag], [c.imag, -c.real]]))
-        if t[n] <= 1e-12 * t[-1]:
-            raise DegenerateUnit("map(I) is numerically singular")
-        qi = (v[:n, n:] - 1j * v[n:, n:]).T / np.sqrt(t[n:, None])
-        return _Unitalized(map_fn, qi, qi.T)
-    if is_singular(unit, cls.triangular):
+        return _Unitalized(fn, left, left)
+    c = 0.5 * (unit + unit.T) if cls is MatrixClass.SYMMETRIC else unit
+    if is_singular(c, cls.triangular):
         raise DegenerateUnit("map(I) is singular")
-    return _Unitalized(map_fn, inverse(unit))
+    if cls is MatrixClass.SYMMETRIC:
+        t, v = np.linalg.eigh(np.block([[c.real, c.imag], [c.imag, -c.real]]))
+        qi = (v[:n, n:] - 1j * v[n:, n:]).T / np.sqrt(t[n:, None])
+        return _Unitalized(fn, qi, qi.T)
+    return _Unitalized(fn, inverse(unit))
 
 
 def _traces(cls, x, y, invert: bool, k: int) -> np.ndarray:

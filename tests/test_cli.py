@@ -259,6 +259,30 @@ class TestVerifyCommand:
                      "--map", spec, "--samples", "20"]) == 2
         assert json.loads(capsys.readouterr().out)["pass"] is False
 
+    def test_large_alpha_is_regular(self, capsys):
+        # phi(A) = 1e30 A at n = 16: det(phi(I)) = 1e480 overflowed, so recover ended in a bare
+        # "principal root of zero" on PD (exit 1) and in NotCanonical on full, and det-sum failed
+        # (exit 2); the unit lift now takes max |phi(I)_ij| into [1, 2) from above too
+        spec = dumps_stable({"kind": "pn-congruence", "alpha": {"re": 1e30, "im": 0.0},
+                             "M": matrix_to_json(np.eye(16))})
+        assert main(["verify", "--identity", "det-sum", "--class", "pd", "--n", "16",
+                     "--map", spec, "--samples", "20"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-14
+        for klass in ("pd", "full"):
+            assert main(["recover", "--class", klass, "--n", "16", "--map", spec]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and json.loads(out)["alpha"]["re"] == pytest.approx(1e30, rel=1e-14)
+
+    def test_antisymmetric_unit_on_symmetric_class(self, capsys):
+        # phi(X) = tr(X) J with J antisymmetric: phi(I) = 2J has symmetric part C = 0, which the
+        # symmetric gauge must refuse (is_singular of C) before it divides by its Takagi values
+        j = np.array([0.0, 1.0, -1.0, 0.0])
+        spec = dumps_stable({"kind": "linear-rep", "rep": matrix_to_json(np.outer(j, np.eye(2).ravel()))})
+        assert main(["verify", "--identity", "trace-product", "--class", "symmetric", "--n", "2",
+                     "--map", spec, "--samples", "10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: DegenerateUnit: ")
+
     def test_remaining_identity_tags(self, spec_dir):
         for identity in ("trace-square", "trace-product", "homogeneity-additivity"):
             code, out, _ = run_cli("verify", "--identity", identity, "--class", "pd",

@@ -296,18 +296,26 @@ class TestIsSingular:
 
 
 class TestUnitLift:
+    # max |a_ij| of scale * diag(1, -0.5j) is scale; the target binade is [1, 2)
     @pytest.mark.parametrize("scale", [1e-3, 1e-30, 0.3, 2.0**-1000, 1e-310])
     def test_below_half_lands_in_unit_range(self, scale):
         a = scale * np.diag([1.0, -0.5j])
         lift = unit_lift(a)
         assert lift >= 2.0 and np.log2(lift) == int(np.log2(lift))
-        if scale >= 2.0**-1000:  # a subnormal entry stays below 1/2: the lift stops at 2^1023
-            assert 0.5 <= np.max(np.abs(lift * a)) < 1.0
+        if scale >= 2.0**-1000:  # a subnormal entry stays below 1: the lift stops at 2^1023
+            assert 1.0 <= np.max(np.abs(lift * a)) < 2.0
         else:
             assert lift == 2.0**1023
 
-    @pytest.mark.parametrize("a", [0.5 * np.eye(2), np.eye(3), 1e200 * np.eye(2), np.zeros((2, 2))]
-                             + NON_FINITE)
+    @pytest.mark.parametrize("scale", [0.5, 0.999, 2.0, 1e30, 1e200, 2.0**1000, np.finfo(float).max])
+    def test_both_sides_land_in_unit_range(self, scale):
+        a = scale * np.diag([1.0, -0.5j])
+        lift = unit_lift(a)
+        assert lift != 1.0 and np.log2(lift) == int(np.log2(lift))
+        assert 1.0 <= np.max(np.abs(lift * a)) < 2.0
+
+    @pytest.mark.parametrize("a", [1.5 * np.eye(2), np.eye(3), np.nextafter(2.0, 0.0) * np.eye(2),
+                                   np.zeros((2, 2))] + NON_FINITE)
     def test_no_lift(self, a):
         assert unit_lift(a) == 1.0
 

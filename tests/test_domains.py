@@ -276,12 +276,29 @@ def _decisions(a):
             [contains(cls, a, 1e-9) for cls in ALL_CLASSES], witnesses)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+def _normal_exponents(a):
+    """(lo, hi): c = 2^k keeps every |c a_ij| finite and every nonzero real and imaginary part of cA
+    normal iff lo <= k <= hi."""
+    parts = np.abs(np.concatenate([a.real.ravel(), a.imag.ravel()]))
+    parts = parts[parts > 0.0]
+    if not parts.size:
+        return -1100, 1100
+    return -1021 - int(np.frexp(parts.min())[1]), 1024 - int(np.frexp(np.abs(a).max())[1])
+
+
+def _times_power_of_two(a, k: int):
+    """2^k A, exact while the entries stay normal, for any k whose 2^k A is finite (in two halves,
+    since 2^k alone may not be a float)."""
+    return a * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.sampled_from(ALL_CLASSES), st.integers(1, 5), st.integers(0, 2**32),
-       st.sampled_from(["member", "non-hermitian bump", "zeroed column", "zero"]), st.integers(-120, 120))
+       st.sampled_from(["member", "non-hermitian bump", "zeroed column", "zero"]), st.integers(-1100, 1100))
 def test_decisions_are_invariant_under_exact_scaling(cls, n, seed, variant, k):
-    # c = 4^k keeps every square normal and scales Cholesky and QR exactly; 1e-30 [[1, 1], [0, 1]]
-    # was PD under an absolute defect floor, -1e-30 I was PSD and 1e-13 I had no dual witness
+    # c = 2^k over the whole range where the entries of cA stay finite and normal, the edges included;
+    # 1e-30 [[1, 1], [0, 1]] was PD under an absolute defect floor, -1e-30 I was PSD, 1e-13 I had no
+    # dual witness, and an overflowing ||A||_F made every bound infinite
     a = sample(cls, n, seed)
     if variant == "non-hermitian bump":
         a[0, -1] += 0.5 + 0.5j
@@ -289,7 +306,8 @@ def test_decisions_are_invariant_under_exact_scaling(cls, n, seed, variant, k):
         a[:, 0] = 0.0
     elif variant == "zero":
         a[:] = 0.0
-    assert _decisions(4.0**k * a) == _decisions(a)
+    lo, hi = _normal_exponents(a)
+    assert _decisions(_times_power_of_two(a, min(max(k, lo), hi))) == _decisions(a)
 
 
 def test_tiny_matrices_keep_their_decisions():
@@ -298,3 +316,7 @@ def test_tiny_matrices_keep_their_decisions():
     assert not contains(MatrixClass.PSD, -1e-30 * np.eye(2), 1e-9)
     eye = np.eye(2)
     assert dual_witness(1e-13 * eye, MatrixClass.FULL).tobytes() == dual_witness(eye, MatrixClass.FULL).tobytes()
+    # ||A||_F underflowed to 0 below about 1e-162 (ZeroInput) and overflowed above about 1e154
+    assert dual_witness(1e-200 * eye, MatrixClass.FULL).tobytes() == dual_witness(eye, MatrixClass.FULL).tobytes()
+    big = 1e200 * np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert [contains(cls, big, 1e-9) for cls in ALL_CLASSES] == [cls is MatrixClass.FULL for cls in ALL_CLASSES]

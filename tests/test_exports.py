@@ -4,7 +4,8 @@
 stale entry would point it at a function that is gone.  No module keeps an
 import it does not use, the leftover a deletion most often leaves behind.
 The layers hold: ``core_linalg`` and ``jsonio`` import nothing from the
-package, and ``jsonio`` owns every JSON codec.
+package, and ``jsonio`` owns every JSON codec.  phi(I) is read, lifted and
+judged in one place, ``verifiers._lifted``.
 """
 
 import ast
@@ -62,3 +63,23 @@ def test_only_jsonio_defines_json_codecs():
     codecs = {(name, node.name) for name in MODULES for node in ast.walk(_tree(name))
               if isinstance(node, ast.FunctionDef) and node.name.endswith(("_to_json", "_from_json"))}
     assert {c for c in codecs if c[0] != "jsonio"} == {("mapspec", "recovery_to_json")}
+
+
+def _calls(node, name):
+    """The calls of ``name`` (plain or as an attribute) inside ``node``."""
+    return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+            and name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+
+
+def test_unit_image_is_lifted_in_one_place():
+    # unit_lift has one caller, verifiers._lifted; unitalize hands its map only to _lifted, so the
+    # trace batteries read phi(I) through the same lift as the det batteries and recovery
+    callers = {(name, fn.name) for name in MODULES for fn in ast.walk(_tree(name))
+               if isinstance(fn, ast.FunctionDef) and _calls(fn, "unit_lift")}
+    assert callers == {("verifiers", "_lifted")}
+    unitalize = next(fn for fn in ast.walk(_tree("verifiers"))
+                     if isinstance(fn, ast.FunctionDef) and fn.name == "unitalize")
+    uses = {(node.lineno, node.col_offset) for node in ast.walk(unitalize)
+            if isinstance(node, ast.Name) and node.id == "map_fn"}
+    handed = {(arg.lineno, arg.col_offset) for call in _calls(unitalize, "_lifted") for arg in call.args}
+    assert uses and uses <= handed

@@ -6,15 +6,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preserver_lab import (
     CanonicalPreserver,
     DegenerateUnit,
+    LinearRep,
     MatrixClass,
     NotLinear,
     NotPositiveDefinite,
     NotUnital,
     PreserverForm,
+    PreserverLabError,
+    VerificationReport,
     build_linear_rep,
     check_homogeneity_additivity,
     check_jacobi,
@@ -31,6 +36,7 @@ from preserver_lab import (
     random_canonical,
     realize_map,
     recover,
+    recovery_to_json,
     remark1_map,
     sample,
     scalar_residual,
@@ -190,10 +196,12 @@ class TestDetIdentity:
         assert failures and all(list(f) == ["index", "residual"] for f in failures)
         a_all = sample_batch(MatrixClass.PD, n, mix_seed(seed, 0), samples)
         b_all = sample_batch(MatrixClass.PD, n, mix_seed(seed, 1), samples)
-        unit_det = determinant(affine_map(np.eye(n)))
+        lift = unit_lift(affine_map(np.eye(n)))  # phi(I) = 2I: lift 1/2 takes it into [1, 2)
+        assert lift == 0.5
+        unit_det = determinant(lift * affine_map(np.eye(n)))
         for f in failures:
             a, b = a_all[f["index"]], b_all[f["index"]]
-            lhs = determinant(affine_map(a) + affine_map(b))
+            lhs = determinant(lift * affine_map(a) + lift * affine_map(b))
             assert scalar_residual(lhs, unit_det * determinant(a + b)) == f["residual"]
 
 
@@ -293,9 +301,11 @@ class TestTraceIdentity:
 
     @pytest.mark.parametrize("cls", [MatrixClass.PD, MatrixClass.SYMMETRIC, MatrixClass.FULL],
                              ids=lambda c: c.value)
-    @pytest.mark.parametrize("unit", [np.full((2, 2), np.nan), np.array([[1.0, np.inf], [0.0, 1.0]])],
-                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("unit", [np.full((2, 2), np.nan), np.array([[1.0, np.inf], [0.0, 1.0]]),
+                                      np.array([[1.0, complex(np.inf, 1.0)], [0.0, 1.0]])],
+                             ids=["nan", "inf", "complex-inf"])
     def test_non_finite_unit_image_gives_nan_companion(self, cls, unit):
+        # called outside the batteries' errstate: a warning here is an error (1.0 * (inf + 0j) is NaN)
         companion = unitalize(lambda a: unit, cls, 2)
         assert np.isnan(companion(np.eye(2))).all()
         assert np.isnan(companion(np.stack([np.eye(2)] * 3))).all()
@@ -638,3 +648,75 @@ class TestReportShape:
     def test_samples_below_one_rejected(self, battery, samples):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             battery(samples)
+
+
+def _times(fn, c: float):
+    """c phi, called on whole stacks where phi is (the ``__wrapped__`` convention of :func:`_images`)."""
+    def scaled(a):
+        return c * np.asarray(fn(a), dtype=complex)
+    scaled.__wrapped__ = fn
+    return scaled
+
+
+_TWO_SIDED = (PreserverForm.PN_CONGRUENCE, PreserverForm.MN_TWO_SIDED)
+
+
+def _equivariance_map(name: str, n: int, seed: int, transpose: bool):
+    """(map, class): a canonical form on its class, the pinching, or a perturbed two-sided rep."""
+    if name == "pinching":
+        return pinching, MatrixClass.PD
+    if name == "perturbed-rep":
+        p = random_canonical(PreserverForm.MN_TWO_SIDED, n, seed)
+        rep = p.alpha * np.kron(p.M, p.N.T)  # row-major vec(M X N) = (M kron N^t) vec(X)
+        rep[0, -1] += 1e-3
+        return LinearRep(n, rep), MatrixClass.FULL
+    form = PreserverForm(name)
+    cls = {PreserverForm.PN_CONGRUENCE: MatrixClass.PD, PreserverForm.SN_CONGRUENCE: MatrixClass.SYMMETRIC,
+           PreserverForm.MN_TWO_SIDED: MatrixClass.FULL,
+           PreserverForm.TN_DIAGONAL: MatrixClass.UPPER_TRIANGULAR}[form]
+    return random_canonical(form, n, seed, transpose and form in _TWO_SIDED), cls
+
+
+_EQUIVARIANCE_BATTERIES = [
+    lambda fn, cls, n: verify_det_identity(fn, cls, n, SUM, 12, 5, 1e-8, identity="det-sum"),
+    lambda fn, cls, n: verify_det_identity(fn, cls, n, CONVEX, 12, 5, 1e-8, identity="det-convex"),
+    lambda fn, cls, n: verify_det_identity(fn, cls, n, [(1.0, 0.5 + 2j)], 12, 5, 1e-8, identity="det-pencil"),
+    lambda fn, cls, n: verify_trace_identity(fn, cls, n, "inverse", 12, 5, 1e-8),
+    lambda fn, cls, n: verify_trace_identity(fn, cls, n, "product", 12, 5, 1e-8),
+    lambda fn, cls, n: verify_trace_identity(fn, cls, n, "power", 12, 5, 1e-8, power=3),
+    lambda fn, cls, n: check_homogeneity_additivity(fn, cls, n, 12, 5, 1e-8),
+]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PreserverLabError as exc:
+        return type(exc)
+
+
+class TestScaleEquivariance:
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(st.sampled_from([f.value for f in PreserverForm] + ["pinching", "perturbed-rep"]),
+           st.integers(1, 3), st.integers(0, 2**16), st.booleans(), st.integers(-900, 900))
+    def test_reports_and_recovery_are_bit_equivariant(self, name, n, seed, transpose, k):
+        # the nonzero real and imaginary parts of these maps' images lie in [2^-69, 2^7]; clipping k
+        # to |k| <= 900 / n keeps them finite and normal, and c^n too, the scale of the determinants
+        # that trace-inverse's closed-form inverses divide by at n <= 3.  phi(I) is read once,
+        # through the exact lift, so every report on c phi is the report on phi, byte for byte
+        map_fn, cls = _equivariance_map(name, n, seed, transpose)
+        c = 2.0 ** max(-900 // n, min(k, 900 // n))
+        scaled = _times(map_fn, c)
+        for battery in _EQUIVARIANCE_BATTERIES:
+            mine, plain = (_outcome(lambda fn=fn: battery(fn, cls, n)) for fn in (scaled, map_fn))
+            if isinstance(plain, VerificationReport):
+                assert dumps_stable(mine.to_dict()) == dumps_stable(plain.to_dict())
+            else:
+                assert mine is plain
+        mine, plain = (_outcome(lambda fn=fn: recover(fn, cls, n)) for fn in (scaled, map_fn))
+        if isinstance(plain, tuple):
+            assert mine[0].alpha == c * plain[0].alpha and mine[1] == plain[1]
+            assert (dumps_stable(recovery_to_json(replace(mine[0], alpha=plain[0].alpha), mine[1]))
+                    == dumps_stable(recovery_to_json(*plain)))
+        else:
+            assert mine is plain

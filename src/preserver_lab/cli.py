@@ -14,12 +14,12 @@ import os
 import re
 import sys
 
-from .domains import MatrixClass
+from .domains import _WITNESS_UNITS, MatrixClass
 from .errors import RECOVERY_ERRORS, PreserverLabError
 from .jsonio import dumps_stable
 from .mapspec import realize_map, recovery_to_json
 from .preservers import NormConjugation
-from .recovery import recover
+from .recovery import _EXTRACTORS, recover
 from .verifiers import (
     check_homogeneity_additivity,
     oracle_dual_witness,
@@ -31,10 +31,6 @@ from .verifiers import (
 )
 
 _CLASSES = {cls.value: cls for cls in MatrixClass}
-# The classes each command handles: recovery's characterizations, and the
-# classes dual_witness constructs witnesses for.
-_RECOVER_CLASSES = ("full", "pd", "symmetric", "upper-triangular", "diagonal")
-_ORACLE_CLASSES = ("full", "symmetric", "diagonal", "hermitian")
 
 
 def _parse_scalar(text: str) -> complex:
@@ -223,12 +219,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(fn=_cmd_verify)
 
     pr = sub.add_parser("recover", help="recover canonical parameters of a map spec")
-    common(pr, _RECOVER_CLASSES, with_map=True, samples=False)  # --seed is accepted; the probes are fixed
+    # --seed is accepted; the probes are fixed
+    common(pr, [cls.value for cls in _EXTRACTORS], with_map=True, samples=False)
     pr.set_defaults(fn=_cmd_recover)
 
     po = sub.add_parser("oracle", help="run a named oracle battery")
     po.add_argument("oracle", choices=("minkowski", "jacobi", "kadison-choi", "dual-witness"))
-    po.add_argument("--class", dest="klass", choices=_ORACLE_CLASSES, help="dual-witness only (default full)")
+    po.add_argument("--class", dest="klass", choices=[cls.value for cls in _WITNESS_UNITS],
+                    help="dual-witness only (default full)")
     po.add_argument("--n", type=int, required=True)
     po.add_argument("--samples", type=int, default=100)
     po.add_argument("--seed", type=int, default=seed)

@@ -12,15 +12,17 @@ images in one stack and takes the other congruence columns from the E_0j
 images; :func:`rank_one_split` is the one rank decision.  The triangular
 classes match the diagonals of phi(I)^{-1} phi(E_kk) to standard basis vectors.
 
-Linearity is not assumed: before any factor is extracted, phi(A + cB) must
-equal phi(A) + c phi(B) on 10 pairs of consistency samples (c > 0 on PD,
-non-real on the full and symmetric classes), else :class:`NotLinear`.  Then
-alpha is derived once, the principal n-th root of det(phi(I)) as read by
-:func:`verifiers._lifted` (positive real on PD, else :class:`NotCanonical`).  A
-canonical map or a :class:`LinearRep` takes each probe stack in one call
+:func:`recover` and :func:`build_linear_rep` read phi(I) only through
+:func:`verifiers._lifted` and query the lifted map.  Linearity is not assumed:
+before any factor is extracted, phi(A + cB) must equal phi(A) + c phi(B) on 10
+pairs of consistency samples (c = 0.5 on PD, 0.5i elsewhere), else
+:class:`NotLinear`; the triangular classes compare diagonals here and in the
+round trip (:func:`verifiers._residuals`).  Then alpha is derived once, the
+principal n-th root of det(phi(I)) (positive real on PD, else :class:`NotCanonical`).
+A canonical map or a :class:`LinearRep` takes each probe stack in one call
 (:func:`verifiers._images`); a box queried one matrix at a time is queried
-2n + 71 times on the full, PD and symmetric classes: phi(I), 2n - 1 unit
-images, 21 linearity probes and 50 round-trip probes.
+2n + 71 times on the full, PD and symmetric classes (phi(I), 2n - 1 unit
+images, 21 linearity probes, 50 round-trip probes), n + 72 on the triangular ones.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .core_linalg import frob, matrix_residual, principal_root
 from .domains import MatrixClass, mix_seed, sample_batch
 from .errors import NotCanonical, NotLinear, NotRankOne, NotStarForm, SingularUnit
 from .preservers import CanonicalPreserver, LinearRep, PreserverForm, apply_preserver
-from .verifiers import _QUIET, _images, _lifted, _linearity_residual
+from .verifiers import _QUIET, _images, _lifted, _linearity_residual, _residuals
 
 __all__ = [
     "build_linear_rep",
@@ -78,27 +80,27 @@ def _unit_images(map_fn, cls: MatrixClass, n: int, rows, cols, unit=None):
 
 
 def build_linear_rep(map_fn, cls: MatrixClass, n: int, tol: float) -> LinearRep:
-    """Assemble the linear rep from all matrix-unit images (:func:`_unit_images`; PD adds phi(I)).
+    """The whole linear map's rep, from the unit images (:func:`_unit_images`) of lift * box.
 
-    Raises :class:`NotLinear` when the assembled representation deviates
-    from the box by more than ``tol`` on 20 fresh class samples (e.g. for
-    the norm-dependent conjugation counterexample, or a box that returns
-    non-finite values).
+    lift is :func:`verifiers._lifted`'s exact power of two and the rep is divided back by it, so
+    c phi (c = 2^k) gets c times phi's rep, bit for bit, while the images stay finite and normal.
+    Raises :class:`NotLinear` when the rep misses the lifted box by more than ``tol`` on 20 fresh
+    class samples, as whole matrices (e.g. the norm conjugation, non-finite values, 1e-30 (A + det(A) I)).
     """
     if cls not in (MatrixClass.FULL, MatrixClass.SYMMETRIC, MatrixClass.UPPER_TRIANGULAR,
                    MatrixClass.PD):
         raise ValueError(f"linear rep not defined for class {cls.value}")
     with np.errstate(**_QUIET):
+        lift, unit, _, fn = _lifted(map_fn, cls, n)
         rows, cols = np.triu_indices(n)
-        unit = _images(map_fn, np.eye(n, dtype=complex)) if cls is MatrixClass.PD else None
         r4 = np.empty((n, n, n, n), dtype=complex)  # r4[i, j] = L(E_ij)
-        r4[rows, cols], r4[cols, rows] = _unit_images(map_fn, cls, n, rows, cols, unit)
+        r4[rows, cols], r4[cols, rows] = _unit_images(fn, cls, n, rows, cols, unit)
         lin = LinearRep(n, r4.reshape(n * n, n * n).T)
         x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)
-        worst = float(np.max(matrix_residual(lin(x), _images(map_fn, x), axis=(-2, -1))))
+        worst = float(np.max(matrix_residual(lin(x), _images(fn, x), axis=(-2, -1))))
     if not worst <= tol:
         raise NotLinear(f"linear rep misses the black box by {worst:.3e} > {tol:.1e}")
-    return lin
+    return LinearRep(n, lin.rep / lift)
 
 
 def rank_one_split(j):
@@ -122,20 +124,13 @@ def roundtrip_residual(map_fn, p: CanonicalPreserver, cls: MatrixClass, n: int,
                        samples: int, seed: int) -> float:
     """Worst scale-aware deviation between the box and the canonical map.
 
-    The probes are ``sample_batch(cls, n, seed, samples)``.  Diagonal-restricted
-    for the tn-diagonal form, whose off-diagonal completion is not part of
-    the characterization.
+    The probes are ``sample_batch(cls, n, seed, samples)``, and ``map_fn`` is compared as given.
+    On the triangular classes only the diagonals are compared (:func:`verifiers._residuals`): the
+    off-diagonal completion of a tn-diagonal map is not part of the characterization.
     """
     x = sample_batch(cls, n, seed, samples)
     with np.errstate(**_QUIET):
-        y1 = _images(map_fn, x)
-        y2 = apply_preserver(p, x)
-        if p.form is PreserverForm.TN_DIAGONAL:
-            r = matrix_residual(np.diagonal(y1, axis1=-2, axis2=-1),
-                                np.diagonal(y2, axis1=-2, axis2=-1), axis=-1)
-        else:
-            r = matrix_residual(y1, y2, axis=(-2, -1))
-    return float(np.max(r))
+        return float(np.max(_residuals(cls, _images(map_fn, x), apply_preserver(p, x))))
 
 
 def _phase_canonical(m):
@@ -182,7 +177,7 @@ def _recover_two_sided(map_fn, unit, alpha, cls, n, tol):
     return CanonicalPreserver(PreserverForm.MN_TWO_SIDED, n, alpha, M=mp, N=right / ph, transpose=transpose)
 
 
-def _recover_symmetric(map_fn, alpha, n):
+def _recover_symmetric(map_fn, unit, alpha, cls, n, tol):
     idx = np.arange(n)  # the E_ii, then the E_0j for j >= 1
     ij, ji = _unit_images(map_fn, MatrixClass.SYMMETRIC, n, np.r_[idx, 0 * idx[1:]], np.r_[idx, idx[1:]])
     try:
@@ -201,15 +196,11 @@ def _recover_symmetric(map_fn, alpha, n):
 
 
 def _recover_diagonal(map_fn, unit, alpha, cls, n, tol):
+    """sigma and lambdas from the n images phi(E_kk) alone; linearity is :func:`recover`'s probe,
+    and a diagonal that reads other entries fails its round trip."""
     du = np.diagonal(unit)
     imgs, _ = _unit_images(map_fn, cls, n, np.arange(n), np.arange(n))
     model = (np.diagonal(imgs, axis1=-2, axis2=-1) / du).T  # model[i, k] = [psi(E_kk)]_ii
-    x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)
-    predicted = du * (np.diagonal(x, axis1=-2, axis2=-1) @ model.T)
-    got = np.diagonal(_images(map_fn, x), axis1=-2, axis2=-1)
-    if not np.max(matrix_residual(got, predicted, axis=-1)) <= tol:
-        raise NotLinear("diagonal action is not linear in the input diagonal")
-
     sigma = [-1] * n
     for k in range(n):
         col = model[:, k]
@@ -224,6 +215,12 @@ def _recover_diagonal(map_fn, unit, alpha, cls, n, tol):
                               sigma=tuple(sigma), lambdas=du / alpha, offdiag_seed=0)
 
 
+# recovery's classes (the CLI's recover choices), each to (lifted map, lifted phi(I), alpha, cls, n, tol) -> p
+_EXTRACTORS = {MatrixClass.FULL: _recover_two_sided, MatrixClass.PD: _recover_two_sided,
+               MatrixClass.SYMMETRIC: _recover_symmetric, MatrixClass.UPPER_TRIANGULAR: _recover_diagonal,
+               MatrixClass.DIAGONAL: _recover_diagonal}
+
+
 def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
     """Recover canonical parameters of a black-box map on the given class.
 
@@ -232,28 +229,23 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
     fresh class samples (diagonal-restricted for the triangular classes).
     Raises :class:`NotLinear` / :class:`NotCanonical` / :class:`NotStarForm`
     / :class:`SingularUnit` when the box falls outside the characterized
-    family.  The box is recovered as lift * box, lift the exact power of two from
-    :func:`verifiers._lifted`, alpha is divided back by it and ``residual`` is the lifted one.
+    family, and ``ValueError``, before any query, for a class without an extractor.  The box
+    is recovered as lift * box, lift the exact power of two from :func:`verifiers._lifted`, the
+    one read of phi(I); alpha is divided back by it and ``residual`` is the lifted one.
     """
+    if cls not in _EXTRACTORS:
+        raise ValueError(f"recovery not defined for class {cls.value}")
     with np.errstate(**_QUIET):
         lift, unit, unit_det, fn = _lifted(map_fn, cls, n, SingularUnit("map(I) is not invertible"))
         pd = cls is MatrixClass.PD
-        if cls in (MatrixClass.FULL, MatrixClass.PD, MatrixClass.SYMMETRIC):
-            x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)[:11]
-            worst = _linearity_residual(fn, x, 1.0, 0.5 if pd else 0.5j, 1)
-            if not worst <= tol:
-                raise NotLinear(f"phi(A + cB) misses phi(A) + c phi(B) by {worst:.3e} > {tol:.1e}")
+        x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)[:11]
+        worst = _linearity_residual(fn, cls, x, 1.0, 0.5 if pd else 0.5j, 1)
+        if not worst <= tol:
+            raise NotLinear(f"phi(A + cB) misses phi(A) + c phi(B) by {worst:.3e} > {tol:.1e}")
         if pd and (unit_det.real <= 0.0 or abs(unit_det.imag) > 1e-8 * (1.0 + abs(unit_det))):
             raise NotCanonical("det(map(I)) is not positive real on the PD class")
         alpha = principal_root(unit_det.real if pd else unit_det, n)  # alpha^n = det phi(I)
-        if cls in (MatrixClass.FULL, MatrixClass.PD):
-            p = _recover_two_sided(fn, unit, alpha, cls, n, tol)
-        elif cls is MatrixClass.SYMMETRIC:
-            p = _recover_symmetric(fn, alpha, n)
-        elif cls in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
-            p = _recover_diagonal(fn, unit, alpha, cls, n, tol)
-        else:
-            raise ValueError(f"recovery not defined for class {cls.value}")
+        p = _EXTRACTORS[cls](fn, unit, alpha, cls, n, tol)
     residual = roundtrip_residual(fn, p, cls, n, _RESIDUAL_SAMPLES,
                                   mix_seed(_ROUNDTRIP_TAG, n))
     if not residual <= tol:

@@ -27,9 +27,10 @@ the Kadison/Choi eigenvalue minima), so it fails; numpy's overflow and
 invalid-value warnings are silenced inside the batteries for that reason.
 
 For the upper-triangular and diagonal classes only diagonal data enters:
-determinants become diagonal products and traces of triangular products
-reduce to diagonal sums, matching the diagonal-only contract of those
-maps.
+determinants become diagonal products, traces of triangular products
+reduce to diagonal sums and images are compared on their diagonals
+(:func:`_residuals`, for homogeneity-additivity and recovery), matching the
+diagonal-only contract of those maps.
 """
 
 from __future__ import annotations
@@ -136,10 +137,17 @@ def _images(map_fn, x) -> np.ndarray:
     return np.stack([np.asarray(map_fn(m), dtype=complex) for m in x])
 
 
-def _linearity_residual(map_fn, x, s, t, lag: int) -> float:
-    """Worst residual of phi(s x_k + t x_{k+lag}) against s phi(x_k) + t phi(x_{k+lag}) over a stack x."""
+def _residuals(cls: MatrixClass, x, y) -> np.ndarray:
+    """Per-member matrix_residual of two image stacks; of their diagonals alone where cls.triangular holds."""
+    if not cls.triangular:
+        return matrix_residual(x, y, axis=(-2, -1))
+    return matrix_residual(np.diagonal(x, axis1=-2, axis2=-1), np.diagonal(y, axis1=-2, axis2=-1), axis=-1)
+
+
+def _linearity_residual(map_fn, cls: MatrixClass, x, s, t, lag: int) -> float:
+    """Worst :func:`_residuals` of phi(s x_k + t x_{k+lag}) against s phi(x_k) + t phi(x_{k+lag})."""
     combo, fx = _images(map_fn, s * x[:-lag] + t * x[lag:]), _images(map_fn, x)
-    return float(np.max(matrix_residual(combo, s * fx[:-lag] + t * fx[lag:], axis=(-2, -1))))
+    return float(np.max(_residuals(cls, combo, s * fx[:-lag] + t * fx[lag:])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,7 +392,7 @@ def check_kadison_choi(map_fn, n: int, samples: int, seed: int, tol: float = 1e-
         x = np.concatenate([sample_batch(MatrixClass.HERMITIAN, n, mix_seed(seed, 0x11AEA, k), 5)
                             for k in (0, 1)])
         c = np.random.default_rng(mix_seed(seed, 0x11AEA, 2)).uniform(-2.0, 2.0, size=(2, 5, 1, 1))
-        if _linearity_residual(map_fn, x, c[0], c[1], 5) > 1e-8:
+        if _linearity_residual(map_fn, MatrixClass.HERMITIAN, x, c[0], c[1], 5) > 1e-8:
             raise NotLinear("map failed the linear-combination spot check")
         a = sample_batch(MatrixClass.PD, n, mix_seed(seed, 0), samples)
         fa = _images(map_fn, a)
@@ -405,16 +413,17 @@ _HOMOGENEITY_SCALES = (0.5, 2.0, 7.25)
 
 def check_homogeneity_additivity(map_fn, cls: MatrixClass, n: int, samples: int,
                                  seed: int, tol: float) -> VerificationReport:
-    """Residuals of phi(lambda A) - lambda phi(A) and phi(A+B) - phi(A) - phi(B), after the unit lift."""
+    """Residuals of phi(lambda A) - lambda phi(A) and phi(A+B) - phi(A) - phi(B), after the unit lift;
+    of the diagonals alone on the triangular classes (:func:`_residuals`)."""
     _require_samples(samples)
     a = sample_batch(cls, n, mix_seed(seed, 0), samples)
     b = sample_batch(cls, n, mix_seed(seed, 1), samples)
     with np.errstate(**_QUIET):
         fn = _lifted(map_fn, cls, n)[3]
         fa, fb = _images(fn, a), _images(fn, b)
-        worst = matrix_residual(_images(fn, a + b), fa + fb, axis=(-2, -1))
+        worst = _residuals(cls, _images(fn, a + b), fa + fb)
         for lam in _HOMOGENEITY_SCALES:
-            worst = np.maximum(worst, matrix_residual(_images(fn, lam * a), lam * fa, axis=(-2, -1)))
+            worst = np.maximum(worst, _residuals(cls, _images(fn, lam * a), lam * fa))
     return _report("homogeneity-additivity", cls, n, tol, worst)
 
 

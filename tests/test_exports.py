@@ -5,7 +5,8 @@ stale entry would point it at a function that is gone.  No module keeps an
 import it does not use, the leftover a deletion most often leaves behind.
 The layers hold: ``core_linalg`` and ``jsonio`` import nothing from the
 package, and ``jsonio`` owns every JSON codec.  phi(I) is read, lifted and
-judged in one place, ``verifiers._lifted``.
+judged in one place, ``verifiers._lifted``, and the CLI's class choices come
+from the library's class tables.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import preserver_lab
+from preserver_lab import MatrixClass
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(preserver_lab.__path__))
 
@@ -71,15 +73,36 @@ def _calls(node, name):
             and name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
 
 
+def _handed_only_to_lifted(fn):
+    """Every use of ``map_fn`` in the function node ``fn`` is an argument of a ``_lifted`` call."""
+    uses = {(node.lineno, node.col_offset) for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id == "map_fn"}
+    handed = {(arg.lineno, arg.col_offset) for call in _calls(fn, "_lifted") for arg in call.args}
+    return uses and uses <= handed
+
+
+def _function(module, name):
+    return next(fn for fn in ast.walk(_tree(module)) if isinstance(fn, ast.FunctionDef) and fn.name == name)
+
+
 def test_unit_image_is_lifted_in_one_place():
     # unit_lift has one caller, verifiers._lifted; unitalize hands its map only to _lifted, so the
     # trace batteries read phi(I) through the same lift as the det batteries and recovery
     callers = {(name, fn.name) for name in MODULES for fn in ast.walk(_tree(name))
                if isinstance(fn, ast.FunctionDef) and _calls(fn, "unit_lift")}
     assert callers == {("verifiers", "_lifted")}
-    unitalize = next(fn for fn in ast.walk(_tree("verifiers"))
-                     if isinstance(fn, ast.FunctionDef) and fn.name == "unitalize")
-    uses = {(node.lineno, node.col_offset) for node in ast.walk(unitalize)
-            if isinstance(node, ast.Name) and node.id == "map_fn"}
-    handed = {(arg.lineno, arg.col_offset) for call in _calls(unitalize, "_lifted") for arg in call.args}
-    assert uses and uses <= handed
+    assert _handed_only_to_lifted(_function("verifiers", "unitalize"))
+
+
+@pytest.mark.parametrize("name", ["build_linear_rep", "recover"])
+def test_recovery_reads_the_box_through_the_lift(name):
+    # the unit images, the probes and the round trip all query the lifted map
+    assert _handed_only_to_lifted(_function("recovery", name))
+
+
+def test_cli_lists_no_class_names():
+    # recover's choices come from recovery's extractor table, dual-witness's from its witness table
+    names = {cls.value for cls in MatrixClass}
+    listed = [(node.lineno, elt.value) for node in ast.walk(_tree("cli")) if isinstance(node, (ast.Tuple, ast.List))
+              for elt in node.elts if isinstance(elt, ast.Constant) and elt.value in names]
+    assert listed == []

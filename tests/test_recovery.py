@@ -54,6 +54,11 @@ def _unit_image_stacks(fn, n):
             np.stack([fn(e) for e in units[0, :]]).reshape(n * n, n))
 
 
+_REP_FORMS = {MatrixClass.FULL: PreserverForm.MN_TWO_SIDED, MatrixClass.SYMMETRIC: PreserverForm.SN_CONGRUENCE,
+              MatrixClass.UPPER_TRIANGULAR: PreserverForm.TN_DIAGONAL, MatrixClass.PD: PreserverForm.PN_CONGRUENCE}
+_REP_CLASSES = list(_REP_FORMS)
+
+
 class TestBuildLinearRep:
     def test_identity_rep_is_identity_matrix(self):
         # tol 1e-12: the build raises NotLinear unless the rep reproduces the box to 1e-12
@@ -124,6 +129,38 @@ class TestBuildLinearRep:
         lin = build_linear_rep(p, MatrixClass.FULL, 3, 1e-8)
         x = sample(MatrixClass.FULL, 3, 9)
         assert np.linalg.norm(lin(x) - p(x)) <= 1e-10
+
+    @pytest.mark.parametrize("cls", _REP_CLASSES, ids=lambda c: c.value)
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-30])
+    def test_small_non_linear_box_is_not_linear(self, cls, scale):
+        # A + det(A) I: without the unit lift every residual of the 1e-30 box sat below the floor of 1
+        def fn(a):
+            return scale * (a + np.linalg.det(a) * np.eye(3))
+
+        with pytest.raises(NotLinear):
+            build_linear_rep(fn, cls, 3, 1e-8)
+
+    @pytest.mark.parametrize("cls", _REP_CLASSES, ids=lambda c: c.value)
+    def test_rep_is_scale_equivariant_bit_for_bit(self, cls):
+        p = random_canonical(_REP_FORMS[cls], 3, 7)
+        rep = build_linear_rep(lambda a: p(a), cls, 3, 1e-8).rep
+        scaled = build_linear_rep(lambda a: 2.0**37 * p(a), cls, 3, 1e-8).rep
+        assert np.array_equal(scaled, 2.0**37 * rep)
+
+    @pytest.mark.parametrize("cls", _REP_CLASSES, ids=lambda c: c.value)
+    def test_query_count(self, cls):
+        # phi(I), the unit images (n^2, or n(n + 1)/2 where the class fixes the rest), 20 probes
+        for n in (1, 2, 3):
+            hidden = random_canonical(_REP_FORMS[cls], n, 6)
+            queries = []
+
+            def box(a):
+                queries.append(a)
+                return hidden(a)
+
+            build_linear_rep(box, cls, n, 1e-8)
+            units = n * (n + 1) // 2 if cls in (MatrixClass.SYMMETRIC, MatrixClass.UPPER_TRIANGULAR) else n * n
+            assert len(queries) == 1 + units + 20
 
 
 class TestRankOneSplit:
@@ -360,10 +397,13 @@ class TestRecover:
 
     @pytest.mark.parametrize("form,cls", [(PreserverForm.MN_TWO_SIDED, MatrixClass.FULL),
                                           (PreserverForm.PN_CONGRUENCE, MatrixClass.PD),
-                                          (PreserverForm.SN_CONGRUENCE, MatrixClass.SYMMETRIC)],
-                             ids=["full", "pd", "symmetric"])
+                                          (PreserverForm.SN_CONGRUENCE, MatrixClass.SYMMETRIC),
+                                          (PreserverForm.TN_DIAGONAL, MatrixClass.UPPER_TRIANGULAR),
+                                          (PreserverForm.TN_DIAGONAL, MatrixClass.DIAGONAL)],
+                             ids=["full", "pd", "symmetric", "upper-triangular", "diagonal"])
     def test_query_count(self, form, cls):
-        # the unit, 2n - 1 unit images, 11 + 10 linearity probes, 50 round-trip probes
+        # the unit, 2n - 1 unit images (n on the triangular classes), 11 + 10 linearity probes,
+        # 50 round-trip probes
         for n in (1, 2, 3, 4, 16):
             hidden = random_canonical(form, n, 6)
             queries = []
@@ -373,7 +413,43 @@ class TestRecover:
                 return hidden(a)
 
             recover(box, cls, n)
-            assert len(queries) == 2 * n + 71
+            assert len(queries) == (n + 72 if cls.triangular else 2 * n + 71)
+
+    def test_unhandled_class_raises_before_any_query(self):
+        queries = []
+        with pytest.raises(ValueError, match="^recovery not defined for class hermitian$"):
+            recover(lambda a: queries.append(a) or a, MatrixClass.HERMITIAN, 3)
+        assert queries == []
+
+    def test_diagonal_reading_an_off_diagonal_entry_fails_the_round_trip(self):
+        # linear, so the linearity probe passes; [phi(A)]_00 reads A_01, which the round trip sees
+        tn = random_canonical(PreserverForm.TN_DIAGONAL, 3, 0)
+        with pytest.raises(NotCanonical, match="^round-trip residual .* exceeds 1.0e-08$"):
+            recover(lambda a: tn(a) + a[0, 1] * _unit(3, 0, 0), MatrixClass.UPPER_TRIANGULAR, 3)
+
+    @pytest.mark.parametrize("cls", [MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL],
+                             ids=lambda c: c.value)
+    def test_diagonal_image_off_a_basis_vector_is_not_canonical(self, cls):
+        # keeps triu(A), but [phi(A)]_00 = A_00 + A_11, so psi(E_00) has diagonal (1/2, 0, 0)
+        def box(a):
+            out = np.triu(a).astype(complex)
+            out[0, 0] = a[0, 0] + a[1, 1]
+            return out
+
+        with pytest.raises(NotCanonical, match="^psi\\(E_00\\) diagonal does not match a standard basis vector$"):
+            recover(box, cls, 3)
+
+    @pytest.mark.parametrize("cls", [MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL],
+                             ids=lambda c: c.value)
+    def test_repeated_diagonal_match_is_not_a_permutation(self, cls):
+        # diag(A_00 + A_11, 0), but I on I: psi(E_00) and psi(E_11) both match e_0
+        def box(a):
+            if np.array_equal(a, np.eye(2)):
+                return np.eye(2, dtype=complex)
+            return np.diag([a[0, 0] + a[1, 1], 0.0]).astype(complex)
+
+        with pytest.raises(NotCanonical, match="^diagonal matching is not a permutation$"):
+            recover(box, cls, 2)
 
     def test_swap_map_not_canonical_on_full(self):
         # X -> diag-swapped non-two-sided linear map: neither the E_i0 nor the E_0j

@@ -609,6 +609,19 @@ class TestHomogeneityAdditivity:
             lin = check_homogeneity_additivity(lambda a: scale * a, MatrixClass.FULL, 3, 50, 1, 1e-8)
             assert lin.passed and lin.max_residual <= 1e-15
 
+    def test_triangular_classes_compare_diagonals(self):
+        # a non-linear off-diagonal completion |A_01|^2 E_01 of a tn map, which recover accepts too
+        tn = random_canonical(PreserverForm.TN_DIAGONAL, 3, 0)
+        e01 = np.zeros((3, 3))
+        e01[0, 1] = 1.0
+
+        def box(a):
+            return tn(a) + abs(a[0, 1]) ** 2 * e01
+
+        assert check_homogeneity_additivity(box, MatrixClass.UPPER_TRIANGULAR, 3, 100, 0, 1e-8).passed
+        assert recover(box, MatrixClass.UPPER_TRIANGULAR, 3)[0].form is PreserverForm.TN_DIAGONAL
+        assert check_homogeneity_additivity(box, MatrixClass.FULL, 3, 100, 0, 1e-8).max_residual > 1e-2
+
     def test_affine_homogeneity_fails(self):
         # phi(2I) = 3I but 2 phi(I) = 4I, so the gap is -I
         gap = np.linalg.norm(affine_map(2.0 * np.eye(2)) - 2.0 * affine_map(np.eye(2)))

@@ -8,11 +8,15 @@ diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import re
 import sys
+
+if __name__ == "__main__":  # at n <= 16 numpy's BLAS pool only spins while numpy loads; a user's setting wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .domains import _WITNESS_UNITS, MatrixClass
 from .errors import RECOVERY_ERRORS, PreserverLabError
@@ -259,9 +263,7 @@ def main(argv=None) -> int:
         return 1
 
 
-def entry_point() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # the process is ending: spare its exit-time collection a sweep over numpy's objects
+    sys.exit(code)

@@ -17,7 +17,8 @@ alone decides how a map is called: a :class:`CanonicalPreserver`, a
 :class:`LinearRep`, a :class:`NormConjugation` or a unitalized companion
 takes a whole stack in one call, also behind a wrapper that sets
 ``__wrapped__`` (the :func:`functools.wraps` convention); any other map is
-a black box queried once per matrix.  The Minkowski and Jacobi oracles run
+a black box queried once per matrix; an image that is not a numeric matrix
+of its input's shape raises DimensionMismatch.  The Minkowski and Jacobi oracles run
 as one stacked computation each, of which :func:`check_minkowski` and
 :func:`check_jacobi` are the one-pair views, and the dual-witness oracle
 is one :func:`domains.dual_witness` call on the drawn stack.  Minkowski's
@@ -56,7 +57,7 @@ from .core_linalg import (
     unit_lift,
 )
 from .domains import MatrixClass, dual_witness, mix_seed, sample_batch
-from .errors import DegenerateUnit, NotLinear, NotPositiveDefinite, NotUnital
+from .errors import DegenerateUnit, DimensionMismatch, NotLinear, NotPositiveDefinite, NotUnital
 from .preservers import CanonicalPreserver, LinearRep, NormConjugation, PreserverForm, pinching
 
 __all__ = [
@@ -130,11 +131,23 @@ def _report(identity, cls, n, tol, residuals) -> VerificationReport:
 
 
 def _images(map_fn, x) -> np.ndarray:
-    """The map on one matrix or on every member of a (count, n, n) stack (see the module doc)."""
+    """The map on one matrix or on every member of a (count, n, n) stack (see the module doc).
+
+    Every image must be a numeric matrix of its input's shape; any other image (a scalar, a matrix
+    of another size, a string) raises DimensionMismatch."""
     if x.ndim == 2 or isinstance(inspect.unwrap(map_fn),
                                  (CanonicalPreserver, LinearRep, _Unitalized, NormConjugation)):
-        return np.asarray(map_fn(x), dtype=complex)
-    return np.stack([np.asarray(map_fn(m), dtype=complex) for m in x])
+        out = map_fn(x)
+    else:
+        out = [map_fn(m) for m in x]
+    try:
+        imgs = np.asarray(out, dtype=complex)
+        if imgs.shape == x.shape:
+            return imgs
+    except (TypeError, ValueError):
+        pass
+    raise DimensionMismatch(f"the map must send each {x.shape[-2]}x{x.shape[-1]} matrix "
+                            "to a numeric matrix of that size")
 
 
 def _residuals(cls: MatrixClass, x, y) -> np.ndarray:

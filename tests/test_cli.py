@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -30,8 +31,6 @@ from preserver_lab.jsonio import dumps_stable
 
 
 def run_cli(*args, env_extra=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -588,6 +587,56 @@ def test_cli_import_does_not_load_scipy():
     code = "import preserver_lab.cli, sys; assert 'scipy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_package_import_does_not_load_numpy():
+    code = "import preserver_lab, sys; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+# Installed through sitecustomize: reports OPENBLAS_NUM_THREADS at the moment numpy is first imported.
+_NUMPY_IMPORT_PROBE = """
+import os, sys
+
+class _Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            print("numpy import sees OPENBLAS_NUM_THREADS =", os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+
+sys.meta_path.insert(0, _Probe())
+"""
+
+
+@pytest.mark.parametrize("entry", ["preserver_lab.cli", "preserver_lab"])
+def test_program_loads_numpy_with_one_blas_thread_unless_told_otherwise(entry, tmp_path):
+    # the program defaults OPENBLAS_NUM_THREADS before numpy loads; a caller's own value is kept
+    (tmp_path / "sitecustomize.py").write_text(_NUMPY_IMPORT_PROBE)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", entry, "oracle", "jacobi", "--n", "2", "--samples", "3"]
+    for given, seen in [(None, "1"), ("2", "2")]:
+        proc = subprocess.run(argv, capture_output=True, text=True,
+                              env=env if given is None else {**env, "OPENBLAS_NUM_THREADS": given})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"numpy import sees OPENBLAS_NUM_THREADS = {seen}\n"
+        assert proc.stdout == dumps_stable(oracle_jacobi(2, 3, 0)) + "\n"
+
+
+_IMPORT_AND_MAIN = """
+import gc, os
+environ = dict(os.environ)
+import preserver_lab, preserver_lab.__main__, preserver_lab.cli as cli
+assert cli.main(["oracle", "jacobi", "--n", "2", "--samples", "3"]) == 0
+assert dict(os.environ) == environ and gc.get_freeze_count() == 0
+"""
+
+
+def test_library_import_and_main_leave_environ_and_gc_alone():
+    # the tests and the benchmark call main() in process: only the program's __main__ block acts
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_AND_MAIN], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDeterminism:

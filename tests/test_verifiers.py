@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from preserver_lab import (
     CanonicalPreserver,
     DegenerateUnit,
+    DimensionMismatch,
     LinearRep,
     MatrixClass,
     NotLinear,
@@ -408,6 +409,22 @@ class TestStackDispatch:
             shapes.clear()
             battery(box)
             assert set(shapes) == {(3, 3)} and len(shapes) == count
+
+
+    @pytest.mark.parametrize("run", [
+        lambda box: verify_det_identity(box, MatrixClass.FULL, 3, SUM, 20, 0, 1e-8, identity="det-sum"),
+        lambda box: verify_trace_identity(box, MatrixClass.FULL, 3, "product", 20, 0, 1e-8),
+        lambda box: recover(box, MatrixClass.FULL, 3),
+    ], ids=["det-sum", "trace-product", "recover"])
+    @pytest.mark.parametrize("box", [
+        lambda a: 1.0,
+        lambda a: np.eye(4),
+        lambda a: "x",
+        lambda a: a if a[0, 0].real > 0 else a[:2, :2],  # right on phi(I), ragged on the stacks
+    ], ids=["scalar", "larger-matrix", "string", "ragged"])
+    def test_an_image_that_is_no_matrix_of_the_input_shape_is_a_dimension_mismatch(self, run, box):
+        with pytest.raises(DimensionMismatch, match="numeric matrix of that size"):
+            run(box)
 
 
 class TestMinkowski:

@@ -23,7 +23,7 @@ stack:
 decision and ``is_singular`` the one singularity test of a unit image phi(I); each decides on
 ``unit_scaled`` input, so A and 2^k A agree, and ``frob`` is the Frobenius norm at any finite scale.
 ``unit_lift`` takes phi(I) into the binade [1, 2) from either side, in :func:`verifiers._lifted`;
-factorizations are LAPACK's, through numpy.  The gauge factors come from one ``eigh`` each, in
+factorizations are LAPACK's, through numpy.  The gauge factors come from one SVD of phi(I), in
 :func:`verifiers.unitalize`; the one rank decision is :func:`recovery.rank_one_split`.
 """
 

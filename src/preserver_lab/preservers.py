@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -114,20 +115,13 @@ def _square_stack(a, n: int) -> np.ndarray:
     return m
 
 
-_FILLER_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@cache
 def _tn_filler(n: int, seed: int) -> np.ndarray:
     # Fixed seeded linear map on the strict upper entries; the diagonal
     # theorem leaves the off-diagonal action free, this makes phi total.
-    key = (n, seed)
-    got = _FILLER_CACHE.get(key)
-    if got is None:
-        m = n * (n - 1) // 2
-        rng = np.random.default_rng(mix_seed(0x7F11E12, n, seed))
-        got = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
-        _FILLER_CACHE[key] = got
-    return got
+    m = n * (n - 1) // 2
+    rng = np.random.default_rng(mix_seed(0x7F11E12, n, seed))
+    return (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
 
 
 def apply_preserver(p: CanonicalPreserver, a) -> np.ndarray:

@@ -5,9 +5,9 @@ alpha^n = det(phi(I)).  :func:`_lifted` reads phi(I) once for every battery and 
 max |phi(I)_ij| into [1, 2) by an exact power of two and refuses a singular phi(I) or a zero
 determinant, so a report on c phi (c = 2^k) is the report on phi while the images stay finite and
 normal.  The trace identities with kinds ``product``, ``square`` and ``power`` hold in the unital
-gauge, so those kinds run on the unitalized companion of the lifted map (conjugated by its unit image
-per domain class); the ``inverse`` kind needs no gauge and runs on the raw map, equivariant as it
-is.  All residuals are scale-aware.
+gauge, so those kinds run on the unitalized companion of the lifted map (gauged by one SVD of its
+unit image, by its diagonal on the triangular classes); the ``inverse`` kind needs no gauge and runs
+on the raw map, equivariant as it is.  All residuals are scale-aware.
 
 Every battery, the oracle batteries included, draws its samples as
 stacks, A = ``sample_batch(cls, n, mix_seed(seed, 0), samples)`` and B from
@@ -217,40 +217,34 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
 
 
 def unitalize(map_fn, cls: MatrixClass, n: int):
-    """Conjugate the lifted map (:func:`_lifted`) by its unit image so that the result fixes I.
+    """Gauge the lifted map (:func:`_lifted`) by its unit image so that the result fixes I.
 
-    Each gauge factor comes from one ``eigh``.  PD/PSD/Hermitian classes use
-    W (.) W with W = V diag(w)^{-1/2} V^* from phi(I) = V diag(w) V^*, once
-    :func:`core_linalg.is_pd` accepts phi(I) (else :class:`NotPositiveDefinite`).
-    The symmetric class uses Q^{-1} (.) Q^{-t} with Q Q^t = C, the symmetric
-    part of phi(I): the eigenvectors [x; y] of the n positive eigenvalues t
-    of [[Re C, Im C], [Im C, -Re C]] give a unitary U = x + iy with
-    C = U diag(t) U^t, so Q^{-1} = diag(t)^{-1/2} U^*.  The remaining classes
-    use phi(I)^{-1} (.).  A singular phi(I) (C on the symmetric class, by
-    :func:`core_linalg.is_singular`) raises :class:`DegenerateUnit`; a non-finite one gives a
-    companion whose every image is NaN, so every residual on it fails; an already-unital map is
-    returned untouched.  c phi (c = 2^k) gets the companion of phi, which takes a whole
-    (count, n, n) stack where the map does (see :func:`_images`).
+    One SVD, phi(I) = U diag(s) V^*, gives the gauge diag(s)^{-1/2} U^* (.) V diag(s)^{-1/2}; for
+    phi(X) = M X N the companion is the similarity S^{-1} X S with S = N V diag(s)^{-1/2}, so every
+    trace of products is kept.  PD/PSD/Hermitian classes factor phi(I) once :func:`core_linalg.is_pd`
+    accepts it (else :class:`NotPositiveDefinite`); the symmetric class factors C, the symmetric part
+    of phi(I), whose SVD is a Takagi factorization up to diagonal phases; the triangular classes
+    scale by diag(phi(I))^{-1} alone, the diagonal-only contract of their batteries.  A singular
+    phi(I) (C on the symmetric class, by :func:`core_linalg.is_singular`) raises
+    :class:`DegenerateUnit`; a non-finite one gives a companion whose every image is NaN, so every
+    residual on it fails; an already-unital map is returned untouched.  c phi (c = 2^k) gets the
+    companion of phi, which takes a whole (count, n, n) stack where the map does (see :func:`_images`).
     """
     _, unit, _, fn = _lifted(map_fn, cls, n)
     if not np.isfinite(unit).all():
         return _Unitalized(fn, np.full((n, n), np.nan))
     if matrix_residual(unit, np.eye(n)) <= 1e-12:
         return fn
+    c = 0.5 * (unit + unit.T) if cls is MatrixClass.SYMMETRIC else unit
     if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN):
         if not is_pd(unit):
             raise NotPositiveDefinite("map(I) is not certified positive definite")
-        w, v = np.linalg.eigh(unit)
-        left = (v / np.sqrt(w)) @ v.conj().T
-        return _Unitalized(fn, left, left)
-    c = 0.5 * (unit + unit.T) if cls is MatrixClass.SYMMETRIC else unit
-    if is_singular(c, cls.triangular):
+    elif is_singular(c, cls.triangular):
         raise DegenerateUnit("map(I) is singular")
-    if cls is MatrixClass.SYMMETRIC:
-        t, v = np.linalg.eigh(np.block([[c.real, c.imag], [c.imag, -c.real]]))
-        qi = (v[:n, n:] - 1j * v[n:, n:]).T / np.sqrt(t[n:, None])
-        return _Unitalized(fn, qi, qi.T)
-    return _Unitalized(fn, inverse(unit))
+    if cls.triangular:
+        return _Unitalized(fn, np.diag(1 / np.diagonal(unit)))
+    u, s, vh = np.linalg.svd(c)
+    return _Unitalized(fn, u.conj().T / np.sqrt(s)[:, None], vh.conj().T / np.sqrt(s))
 
 
 def _traces(cls, x, y, invert: bool, k: int) -> np.ndarray:
@@ -400,7 +394,8 @@ def check_kadison_choi(map_fn, n: int, samples: int, seed: int, tol: float = 1e-
     _require_samples(samples)
     eye = np.eye(n, dtype=complex)
     with np.errstate(**_QUIET):
-        if finite_or(frob(map_fn(eye) - eye)) > 1e-9:
+        # unlifted: the lift would take 2 phi to phi, and 2 phi is not unital
+        if finite_or(frob(_images(map_fn, eye) - eye)) > 1e-9:
             raise NotUnital("map(I) differs from I by more than 1e-9")
         x = np.concatenate([sample_batch(MatrixClass.HERMITIAN, n, mix_seed(seed, 0x11AEA, k), 5)
                             for k in (0, 1)])

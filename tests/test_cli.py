@@ -274,7 +274,7 @@ class TestVerifyCommand:
 
     def test_antisymmetric_unit_on_symmetric_class(self, capsys):
         # phi(X) = tr(X) J with J antisymmetric: phi(I) = 2J has symmetric part C = 0, which the
-        # symmetric gauge must refuse (is_singular of C) before it divides by its Takagi values
+        # symmetric gauge must refuse (is_singular of C) before it divides by its singular values
         j = np.array([0.0, 1.0, -1.0, 0.0])
         spec = dumps_stable({"kind": "linear-rep", "rep": matrix_to_json(np.outer(j, np.eye(2).ravel()))})
         assert main(["verify", "--identity", "trace-product", "--class", "symmetric", "--n", "2",

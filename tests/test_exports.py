@@ -102,6 +102,13 @@ def test_unit_image_is_lifted_in_one_place():
     assert _handed_only_to_lifted(_function("verifiers", "unitalize"))
 
 
+def test_maps_are_called_only_in_images():
+    # every query of a map, phi(I) included, goes through verifiers._images and its image contract
+    callers = {(name, fn.name) for name in MODULES for fn in ast.walk(_tree(name))
+               if isinstance(fn, ast.FunctionDef) and _calls(fn, "map_fn")}
+    assert callers == {("verifiers", "_images")}
+
+
 @pytest.mark.parametrize("name", ["build_linear_rep", "recover"])
 def test_recovery_reads_the_box_through_the_lift(name):
     # the unit images, the probes and the round trip all query the lifted map

@@ -283,11 +283,28 @@ class TestTraceIdentity:
          MatrixClass.PD, 5),
         (CanonicalPreserver(PreserverForm.SN_CONGRUENCE, 5, 0.75 + 0.5j, M=_conditioned(5, 1e3, 0)),
          MatrixClass.SYMMETRIC, 5),
-    ], ids=["sn-equal-takagi-values-n16", "pn-kappa-1e3", "sn-kappa-1e3"])
+        (CanonicalPreserver(PreserverForm.MN_TWO_SIDED, 3, 1.25 - 0.5j, M=_conditioned(3, 1e3, 3),
+                            N=_conditioned(3, 1e3, 4)), MatrixClass.FULL, 3),
+        (CanonicalPreserver(PreserverForm.PN_CONGRUENCE, 3, 0.75, M=_conditioned(3, 1e3, 3)), MatrixClass.FULL, 3),
+    ], ids=["sn-equal-takagi-values-n16", "pn-kappa-1e3", "sn-kappa-1e3", "mn-full-kappa-1e3", "pn-full-kappa-1e3"])
     def test_gauge_edge_cases_pass(self, map_fn, cls, n):
-        # phi(I) = 6 I for P = 2 x complex orthogonal: every Takagi value is repeated
+        # phi(I) = 6 I for P = 2 x complex orthogonal: every singular value is repeated; on the full
+        # class a gauge by phi(I)^{-1} alone loses about kappa^2 eps, the two-sided SVD gauge does not
         for kind in ("product", "square", "power"):
             rep = verify_trace_identity(map_fn, cls, n, kind, 50, 5, 1e-8, power=3)
+            assert rep.passed, (kind, rep.max_residual)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_triangular_gauge_reads_the_diagonal_alone(self, n):
+        # the identity on diagonals, writing tr(A) below the diagonal: phi(I)^{-1} (.) would mix
+        # phi(I)'s lower entry into the diagonal; diag(phi(I))^{-1} (.) keeps the diagonal data
+        def box(a):
+            out = np.array(a, dtype=complex)
+            out[-1, 0] += np.trace(a)
+            return out
+
+        for kind in ("product", "square", "power"):
+            rep = verify_trace_identity(box, MatrixClass.UPPER_TRIANGULAR, n, kind, 50, 5, 1e-8, power=3)
             assert rep.passed, (kind, rep.max_residual)
 
     @pytest.mark.parametrize("cls,unit,error", [
@@ -415,7 +432,8 @@ class TestStackDispatch:
         lambda box: verify_det_identity(box, MatrixClass.FULL, 3, SUM, 20, 0, 1e-8, identity="det-sum"),
         lambda box: verify_trace_identity(box, MatrixClass.FULL, 3, "product", 20, 0, 1e-8),
         lambda box: recover(box, MatrixClass.FULL, 3),
-    ], ids=["det-sum", "trace-product", "recover"])
+        lambda box: check_kadison_choi(box, 3, 20, 0),
+    ], ids=["det-sum", "trace-product", "recover", "kadison-choi"])
     @pytest.mark.parametrize("box", [
         lambda a: 1.0,
         lambda a: np.eye(4),

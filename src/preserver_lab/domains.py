@@ -128,7 +128,7 @@ def _draw(cls: MatrixClass, rng, n: int, count: int) -> np.ndarray:
     raise ValueError(f"unknown class {cls}")
 
 
-_FULL_MIN_ABS_DET = 1e-6
+_MIN_ABS_DET = 1e-6  # the invertible-sample threshold: every full draw, and trace-inverse's B
 _MAX_REDRAWS = 64
 
 
@@ -142,14 +142,16 @@ def sample_batch(cls: MatrixClass, n: int, seed: int, count: int,
     eigenvalues in [0.1, 10] (resp. [0, 10]), which caps the PD condition
     number at 100.  Members with |det| <= ``min_abs_det`` (always
     |det| <= 1e-6 for the full class) are redrawn in place from the same
-    stream, at most 64 times.
+    stream, at most 64 times.  A ``count`` below 1 is a ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if count < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=mix_seed(_CLASS_TAG[cls], n, seed)))
     out = _draw(cls, rng, n, count)
     if cls is MatrixClass.FULL:
-        min_abs_det = max(min_abs_det or 0.0, _FULL_MIN_ABS_DET)
+        min_abs_det = max(min_abs_det or 0.0, _MIN_ABS_DET)
     if min_abs_det is None:
         return out
     bad = np.flatnonzero(np.abs(determinant(out, cls.triangular)) <= min_abs_det)
@@ -168,7 +170,7 @@ def sample(cls: MatrixClass, n: int, seed: int) -> np.ndarray:
     return sample_batch(cls, n, seed, 1)[0]
 
 
-def sample_invertible(cls: MatrixClass, n: int, seed: int, min_abs_det: float = 1e-6) -> np.ndarray:
+def sample_invertible(cls: MatrixClass, n: int, seed: int, min_abs_det: float = _MIN_ABS_DET) -> np.ndarray:
     """Class sample with |det| > min_abs_det: ``sample_batch(..., 1, min_abs_det)[0]``."""
     return sample_batch(cls, n, seed, 1, min_abs_det)[0]
 

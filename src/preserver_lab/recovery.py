@@ -14,11 +14,11 @@ classes match the diagonals of phi(I)^{-1} phi(E_kk) to standard basis vectors.
 
 :func:`recover` and :func:`build_linear_rep` read phi(I) only through
 :func:`verifiers._lifted` and query the lifted map.  Linearity is not assumed:
-before any factor is extracted, phi(A + cB) must equal phi(A) + c phi(B) on 10
-pairs of consistency samples (c = 0.5 on PD, 0.5i elsewhere), else
-:class:`NotLinear`; the triangular classes compare diagonals here and in the
-round trip (:func:`verifiers._residuals`).  Then alpha is derived once, the
-principal n-th root of det(phi(I)) (positive real on PD, else :class:`NotCanonical`).
+before any factor is extracted, phi(A + cB) must equal phi(A) + c phi(B) on 10 pairs of
+consistency samples (:func:`verifiers._require_linear`), else :class:`NotLinear`; the triangular
+classes compare diagonals here and in the round trip (:func:`verifiers._residuals`).  On PD,
+:func:`core_linalg.is_pd` must accept phi(I), else :class:`NotCanonical`.  Then alpha is derived
+once, the principal n-th root of det(phi(I)).
 A canonical map or a :class:`LinearRep` takes each probe stack in one call
 (:func:`verifiers._images`); a box queried one matrix at a time is queried
 2n + 71 times on the full, PD and symmetric classes (phi(I), 2n - 1 unit
@@ -31,11 +31,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core_linalg import frob, matrix_residual, principal_root
+from .core_linalg import frob, is_pd, matrix_residual, principal_root
 from .domains import MatrixClass, mix_seed, sample_batch
 from .errors import NotCanonical, NotLinear, NotRankOne, NotStarForm, SingularUnit
 from .preservers import CanonicalPreserver, LinearRep, PreserverForm, apply_preserver
-from .verifiers import _QUIET, _images, _lifted, _linearity_residual, _residuals
+from .verifiers import _CONSISTENCY_SAMPLES, _CONSISTENCY_TAG, _QUIET, _images, _lifted, _require_linear, _residuals
 
 __all__ = [
     "build_linear_rep",
@@ -45,9 +45,7 @@ __all__ = [
 ]
 
 RANK_RATIO_TOL = 1e-7  # the one rank tolerance, an order above the 1e-8 identity tolerance
-_CONSISTENCY_SAMPLES = 20
 _RESIDUAL_SAMPLES = 50
-_CONSISTENCY_TAG = 0xC0451
 _ROUNDTRIP_TAG = 0x407A11
 
 
@@ -237,13 +235,10 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
         raise ValueError(f"recovery not defined for class {cls.value}")
     with np.errstate(**_QUIET):
         lift, unit, unit_det, fn = _lifted(map_fn, cls, n, SingularUnit("map(I) is not invertible"))
+        _require_linear(fn, cls, n, tol)
         pd = cls is MatrixClass.PD
-        x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)[:11]
-        worst = _linearity_residual(fn, cls, x, 1.0, 0.5 if pd else 0.5j, 1)
-        if not worst <= tol:
-            raise NotLinear(f"phi(A + cB) misses phi(A) + c phi(B) by {worst:.3e} > {tol:.1e}")
-        if pd and (unit_det.real <= 0.0 or abs(unit_det.imag) > 1e-8 * (1.0 + abs(unit_det))):
-            raise NotCanonical("det(map(I)) is not positive real on the PD class")
+        if pd and not is_pd(unit):
+            raise NotCanonical("map(I) is not certified positive definite on the PD class")
         alpha = principal_root(unit_det.real if pd else unit_det, n)  # alpha^n = det phi(I)
         p = _EXTRACTORS[cls](fn, unit, alpha, cls, n, tol)
     residual = roundtrip_residual(fn, p, cls, n, _RESIDUAL_SAMPLES,

@@ -7,11 +7,13 @@ determinant, so a report on c phi (c = 2^k) is the report on phi while the image
 normal.  The trace identities with kinds ``product``, ``square`` and ``power`` hold in the unital
 gauge, so those kinds run on the unitalized companion of the lifted map (gauged by one SVD of its
 unit image, by its diagonal on the triangular classes); the ``inverse`` kind needs no gauge and runs
-on the raw map, equivariant as it is.  All residuals are scale-aware.
+on the raw map, equivariant as it is.  All residuals are scale-aware, and each weight pair (s, t)
+of a determinant identity is taken into [1, 2) by an exact power of two.
 
 Every battery, the oracle batteries included, draws its samples as
 stacks, A = ``sample_batch(cls, n, mix_seed(seed, 0), samples)`` and B from
-``mix_seed(seed, 1)``, evaluates the map through :func:`_images` and
+``mix_seed(seed, 1)``, before its first query of the map (so the sampler's ``samples`` check
+comes first), evaluates the map through :func:`_images` and
 reduces with the stacked kernels of :mod:`core_linalg`.  :func:`_images`
 alone decides how a map is called: a :class:`CanonicalPreserver`, a
 :class:`LinearRep`, a :class:`NormConjugation` or a unitalized companion
@@ -22,7 +24,8 @@ of its input's shape raises DimensionMismatch.  The Minkowski and Jacobi oracles
 as one stacked computation each, of which :func:`check_minkowski` and
 :func:`check_jacobi` are the one-pair views, and the dual-witness oracle
 is one :func:`domains.dual_witness` call on the drawn stack.  Minkowski's
-PD gate and the PD unitalization are views of :func:`core_linalg.is_pd`.
+PD gate, the PD unitalization and recovery's PD gate are views of :func:`core_linalg.is_pd`, and
+:func:`_require_linear` is the one linearity probe, of Kadison/Choi and of recovery.
 A non-finite residual counts as the failing sentinel 1e100 (-1e100 for
 the Kadison/Choi eigenvalue minima), so it fails; numpy's overflow and
 invalid-value warnings are silenced inside the batteries for that reason.
@@ -55,8 +58,9 @@ from .core_linalg import (
     scalar_residual,
     trace_product,
     unit_lift,
+    unit_scaled,
 )
-from .domains import MatrixClass, dual_witness, mix_seed, sample_batch
+from .domains import _MIN_ABS_DET, MatrixClass, dual_witness, mix_seed, sample_batch
 from .errors import DegenerateUnit, DimensionMismatch, NotLinear, NotPositiveDefinite, NotUnital
 from .preservers import CanonicalPreserver, LinearRep, NormConjugation, PreserverForm, pinching
 
@@ -78,14 +82,11 @@ __all__ = [
     "oracle_dual_witness",
 ]
 
-_INVERTIBLE_DET = 1e-6
 # Non-finite values become the failing sentinel, so their warnings are noise.
 _QUIET = {"over": "ignore", "invalid": "ignore"}
-
-
-def _require_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+# the linearity probe's consistency samples, also recovery.build_linear_rep's
+_CONSISTENCY_TAG = 0xC0451
+_CONSISTENCY_SAMPLES = 20
 
 
 @dataclass(slots=True)
@@ -157,10 +158,16 @@ def _residuals(cls: MatrixClass, x, y) -> np.ndarray:
     return matrix_residual(np.diagonal(x, axis1=-2, axis2=-1), np.diagonal(y, axis1=-2, axis2=-1), axis=-1)
 
 
-def _linearity_residual(map_fn, cls: MatrixClass, x, s, t, lag: int) -> float:
-    """Worst :func:`_residuals` of phi(s x_k + t x_{k+lag}) against s phi(x_k) + t phi(x_{k+lag})."""
-    combo, fx = _images(map_fn, s * x[:-lag] + t * x[lag:]), _images(map_fn, x)
-    return float(np.max(_residuals(cls, combo, s * fx[:-lag] + t * fx[lag:])))
+def _require_linear(map_fn, cls: MatrixClass, n: int, tol: float) -> None:
+    """Raise :class:`NotLinear` unless phi(x_k + c x_{k+1}) = phi(x_k) + c phi(x_{k+1}) within ``tol``
+    (:func:`_residuals`), x the first 11 consistency samples of ``cls``: 21 queries.  c = 0.5 on
+    PD/PSD/Hermitian, which only real combinations keep, else 0.5i: a conjugate-linear map fails."""
+    x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)[:11]
+    c = 0.5 if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN) else 0.5j
+    combo, fx = _images(map_fn, x[:-1] + c * x[1:]), _images(map_fn, x)
+    worst = float(np.max(_residuals(cls, combo, fx[:-1] + c * fx[1:])))
+    if not worst <= tol:
+        raise NotLinear(f"phi(A + cB) misses phi(A) + c phi(B) by {worst:.3e} > {tol:.1e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,19 +204,19 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
     ``weights`` is a nonempty list of (s, t) scalar pairs: (1, 1) for the
     sum identity, (t, 1-t) for convex combinations, (1, lambda) with complex
     lambda for the pencil variant.  A (0, 0) pair (both sides det(0)) or a non-finite
-    component is a ValueError.
+    component is a ValueError.  Both sides are homogeneous of degree n in (s, t), so each pair is
+    taken into [1, 2) by :func:`core_linalg.unit_scaled`: its scale can neither overflow nor pass.
     """
     w = np.asarray(weights, dtype=complex).reshape(-1, 2)
     if not w.size or not np.isfinite(w).all() or (w == 0).all(axis=1).any():
         raise ValueError("weights must be a nonempty list of finite (s, t) pairs, not both zero")
-    _require_samples(samples)
+    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
+    b = sample_batch(cls, n, mix_seed(seed, 1), samples)
     with np.errstate(**_QUIET):
         _, _, unit_det, fn = _lifted(map_fn, cls, n, DegenerateUnit("det(map(I)) vanishes; alpha is undefined"))
-        a = sample_batch(cls, n, mix_seed(seed, 0), samples)
-        b = sample_batch(cls, n, mix_seed(seed, 1), samples)
         fa, fb = _images(fn, a), _images(fn, b)
         worst = np.zeros(samples)
-        for s_, t_ in weights:
+        for s_, t_ in unit_scaled(w[:, None, :])[:, 0]:
             lhs = determinant(s_ * fa + t_ * fb, cls.triangular)
             rhs = unit_det * determinant(s_ * a + t_ * b, cls.triangular)
             worst = np.maximum(worst, scalar_residual(lhs, rhs))
@@ -227,14 +234,12 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
     scale by diag(phi(I))^{-1} alone, the diagonal-only contract of their batteries.  A singular
     phi(I) (C on the symmetric class, by :func:`core_linalg.is_singular`) raises
     :class:`DegenerateUnit`; a non-finite one gives a companion whose every image is NaN, so every
-    residual on it fails; an already-unital map is returned untouched.  c phi (c = 2^k) gets the
-    companion of phi, which takes a whole (count, n, n) stack where the map does (see :func:`_images`).
+    residual on it fails; the SVD of I is (I, 1, I), so an exactly unital map keeps its images.  c phi
+    (c = 2^k) gets the companion of phi, which takes a whole stack where the map does (:func:`_images`).
     """
     _, unit, _, fn = _lifted(map_fn, cls, n)
     if not np.isfinite(unit).all():
         return _Unitalized(fn, np.full((n, n), np.nan))
-    if matrix_residual(unit, np.eye(n)) <= 1e-12:
-        return fn
     c = 0.5 * (unit + unit.T) if cls is MatrixClass.SYMMETRIC else unit
     if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN):
         if not is_pd(unit):
@@ -270,18 +275,17 @@ def verify_trace_identity(map_fn, cls: MatrixClass, n: int, kind: str, samples: 
         raise ValueError(f"unknown trace identity kind {kind!r}")
     if kind == "power" and not 1 <= power <= 64:  # above 64, A^k and phi(A)^k can overflow together
         raise ValueError("power must lie in [1, 64]")
-    _require_samples(samples)
     invert, k = kind == "inverse", power if kind == "power" else 1
     label = {"inverse": "trace-inverse", "product": "trace-product",
              "square": "trace-square", "power": f"trace-power-{power}"}[kind]
+    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
     with np.errstate(**_QUIET):
         fn = map_fn if invert else unitalize(map_fn, cls, n)
-        a = sample_batch(cls, n, mix_seed(seed, 0), samples)
         fa = _images(fn, a)
         if kind == "square":
             b, fb = a, fa
         else:
-            b = sample_batch(cls, n, mix_seed(seed, 1), samples, _INVERTIBLE_DET if invert else None)
+            b = sample_batch(cls, n, mix_seed(seed, 1), samples, _MIN_ABS_DET if invert else None)
             fb = _images(fn, b)
         residuals = scalar_residual(_traces(cls, fa, fb, invert, k), _traces(cls, a, b, invert, k))
     return _report(label, cls, n, tol, residuals)
@@ -386,23 +390,19 @@ def check_kadison_choi(map_fn, n: int, samples: int, seed: int, tol: float = 1e-
     """Operator inequalities phi(A)^2 <= phi(A^2), phi(A)^{-1} <= phi(A^{-1}).
 
     The caller asserts the map is unital positive linear; unitality and
-    linearity are spot-checked first (the squared-trace counterexample is
-    unital but nonlinear, and the inequalities are stated for linear maps).
+    linearity are checked first (the squared-trace counterexample is
+    unital but nonlinear, and the inequalities are stated for linear maps):
+    ||phi(I) - I||_F <= 1e-9 on the unlifted map (:func:`_lifted` would take 2 phi, not unital, to
+    phi), then recovery's probe, :func:`_require_linear` on the Hermitian class at 1e-8.
     Reports the worst lower eigenvalue of each gap over the PD stack from
     ``mix_seed(seed, 0)``; a non-finite gap counts as -1e100 and fails.
     """
-    _require_samples(samples)
+    a = sample_batch(MatrixClass.PD, n, mix_seed(seed, 0), samples)
     eye = np.eye(n, dtype=complex)
     with np.errstate(**_QUIET):
-        # unlifted: the lift would take 2 phi to phi, and 2 phi is not unital
         if finite_or(frob(_images(map_fn, eye) - eye)) > 1e-9:
             raise NotUnital("map(I) differs from I by more than 1e-9")
-        x = np.concatenate([sample_batch(MatrixClass.HERMITIAN, n, mix_seed(seed, 0x11AEA, k), 5)
-                            for k in (0, 1)])
-        c = np.random.default_rng(mix_seed(seed, 0x11AEA, 2)).uniform(-2.0, 2.0, size=(2, 5, 1, 1))
-        if _linearity_residual(map_fn, MatrixClass.HERMITIAN, x, c[0], c[1], 5) > 1e-8:
-            raise NotLinear("map failed the linear-combination spot check")
-        a = sample_batch(MatrixClass.PD, n, mix_seed(seed, 0), samples)
+        _require_linear(map_fn, MatrixClass.HERMITIAN, n, 1e-8)
         fa = _images(map_fn, a)
         min_kad = float(np.min(_lowest_eigenvalues(_images(map_fn, a @ a) - fa @ fa)))
         min_choi = float(np.min(_lowest_eigenvalues(_images(map_fn, inverse(a)) - inverse(fa))))
@@ -423,7 +423,6 @@ def check_homogeneity_additivity(map_fn, cls: MatrixClass, n: int, samples: int,
                                  seed: int, tol: float) -> VerificationReport:
     """Residuals of phi(lambda A) - lambda phi(A) and phi(A+B) - phi(A) - phi(B), after the unit lift;
     of the diagonals alone on the triangular classes (:func:`_residuals`)."""
-    _require_samples(samples)
     a = sample_batch(cls, n, mix_seed(seed, 0), samples)
     b = sample_batch(cls, n, mix_seed(seed, 1), samples)
     with np.errstate(**_QUIET):
@@ -442,7 +441,6 @@ def oracle_minkowski(n: int, samples: int, seed: int) -> dict:
     ``(seed, 1)``; proportional pair i is member i of ``(seed, 2)`` against
     itself scaled by 0.25 + 3 (i mod 7) / 7, for i < max(1, samples // 10).
     """
-    _require_samples(samples)
     a, b = (sample_batch(MatrixClass.PD, n, mix_seed(seed, k), samples) for k in (0, 1))
     c = sample_batch(MatrixClass.PD, n, mix_seed(seed, 2), max(1, samples // 10))
     lhs, rhs, proportional, equality = _minkowski(a, b)
@@ -464,7 +462,6 @@ def oracle_jacobi(n: int, samples: int, seed: int) -> dict:
     A0 and Adir (normalized) are the full stacks from ``mix_seed(seed, 0)``
     and ``(seed, 1)``; t0 is uniform in [0, 1) from ``default_rng(mix_seed(seed, 2))``.
     """
-    _require_samples(samples)
     h = 1e-4
     a0, adir = (sample_batch(MatrixClass.FULL, n, mix_seed(seed, k), samples) for k in (0, 1))
     adir /= np.linalg.norm(adir, axis=(-2, -1), keepdims=True)
@@ -489,7 +486,6 @@ def oracle_kadison_choi(n: int, samples: int, seed: int, tol: float = 1e-8) -> d
 
 def oracle_dual_witness(cls: MatrixClass, n: int, samples: int, seed: int) -> dict:
     """:func:`dual_witness` margins |tr(AB)| / ||A||_F over the class stack from ``mix_seed(seed, 0)``."""
-    _require_samples(samples)
     a = sample_batch(cls, n, mix_seed(seed, 0), samples)
     b = dual_witness(a, cls)
     margin = float(np.min(finite_or(np.abs(trace_product(a, b)) / np.linalg.norm(a, axis=(-2, -1)),

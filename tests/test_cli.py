@@ -272,6 +272,19 @@ class TestVerifyCommand:
             out, err = capsys.readouterr()
             assert err == "" and json.loads(out)["alpha"]["re"] == pytest.approx(1e30, rel=1e-14)
 
+    @pytest.mark.parametrize("identity", ["det-convex", "det-pencil"])
+    @pytest.mark.parametrize("w", ["1e-5", "1e-200", "1e308"])
+    def test_weight_scale_decides_nothing(self, identity, w, capsys):
+        # both sides are homogeneous of degree n in (s, t): remark1 passed at 1e-5 and 1e-200, where
+        # the residual floor of 1 made the comparison absolute, and the identity failed at 1e308
+        argv = ["verify", "--identity", identity, "--class", "full", "--n", "3", "--samples", "200",
+                "--weights", f"{w},{w}", "--map"]
+        identity_spec = dumps_stable({"kind": "pn-congruence", "M": matrix_to_json(np.eye(3))})
+        assert main(argv + ['{"kind":"remark1"}']) == 2
+        assert json.loads(capsys.readouterr().out)["max_residual"] >= 0.5
+        assert main(argv + [identity_spec]) == 0
+        assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-14
+
     def test_antisymmetric_unit_on_symmetric_class(self, capsys):
         # phi(X) = tr(X) J with J antisymmetric: phi(I) = 2J has symmetric part C = 0, which the
         # symmetric gauge must refuse (is_singular of C) before it divides by its singular values

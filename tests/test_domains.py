@@ -130,6 +130,12 @@ class TestSampleBatch:
         with pytest.raises(RuntimeError):
             sample_batch(MatrixClass.DIAGONAL, 2, 0, 3, min_abs_det=1e300)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        # the one samples check of every battery; count 0 used to return an empty stack
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
+            sample_batch(MatrixClass.FULL, 3, 1, count)
+
 
 def _crafted_members(cls, n, count=12):
     """Pairs (A, lambda): A's candidates at the smaller lambdas fall below the margin.

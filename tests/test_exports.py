@@ -115,6 +115,13 @@ def test_recovery_reads_the_box_through_the_lift(name):
     assert _handed_only_to_lifted(_function("recovery", name))
 
 
+def test_linearity_is_judged_in_one_place():
+    # Kadison/Choi and recover share the one probe; build_linear_rep judges its whole rep
+    raisers = {(name, fn.name) for name in MODULES for fn in ast.walk(_tree(name))
+               if isinstance(fn, ast.FunctionDef) and _calls(fn, "NotLinear")}
+    assert raisers == {("verifiers", "_require_linear"), ("recovery", "build_linear_rep")}
+
+
 def test_cli_lists_no_class_names():
     # recover's choices come from recovery's extractor table, dual-witness's from its witness table
     names = {cls.value for cls in MatrixClass}

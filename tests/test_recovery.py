@@ -361,9 +361,10 @@ class TestRecover:
             recover(lambda a: m @ a, MatrixClass.PD, 3)
 
     def test_pd_unit_determinant_must_be_positive_real(self):
-        # det(phi(I)) = -1 for phi(A) = -A at n = 3: alpha is not positive real
-        with pytest.raises(NotCanonical, match=r"^det\(map\(I\)\) is not positive real on the PD class$"):
-            recover(lambda a: -a, MatrixClass.PD, 3)
+        # phi(I) = -I is not PD at any n, though det(-I) = 1 at even n: core_linalg.is_pd is the gate
+        for n in (2, 3, 4):
+            with pytest.raises(NotCanonical, match=r"^map\(I\) is not certified positive definite on the PD class$"):
+                recover(lambda a: -a, MatrixClass.PD, n)
         # the linearity probe is judged first: det(phi(I)) = -1.331 here as well
         with pytest.raises(NotLinear):
             recover(lambda a: -a - 0.1 * a @ a, MatrixClass.PD, 3)

@@ -328,6 +328,16 @@ class TestTraceIdentity:
         assert np.isnan(companion(np.eye(2))).all()
         assert np.isnan(companion(np.stack([np.eye(2)] * 3))).all()
 
+    @pytest.mark.parametrize("cls", [MatrixClass.FULL, MatrixClass.PD, MatrixClass.SYMMETRIC,
+                                     MatrixClass.UPPER_TRIANGULAR], ids=lambda c: c.value)
+    def test_exactly_unital_map_keeps_its_images(self, cls):
+        # no already-unital shortcut: the SVD of I is (I, 1, I), and the diagonal gauge of I is I, so
+        # every image is kept to the last bit (a zero entry may come back as -0)
+        for n in range(1, 17):
+            x = sample_batch(cls, n, mix_seed(9, n), 7)
+            for fn in (identity_map, pinching):
+                assert np.array_equal(unitalize(fn, cls, n)(x), [fn(m) for m in x])
+
     def test_tn_diagonal_power(self):
         p = random_canonical(PreserverForm.TN_DIAGONAL, 4, 3)
         rep = verify_trace_identity(p, MatrixClass.UPPER_TRIANGULAR, 4, "power", 50, 7, 1e-8, power=3)
@@ -568,7 +578,7 @@ class TestKadisonChoi:
         assert report["min_eig_kadison"] == report["min_eig_choi"] == -1e100
 
     def test_query_count(self):
-        # the unit, 5 x 3 linearity probes, 3 images per PD sample
+        # the unit, 11 + 10 linearity probes, 3 images per PD sample
         queries = []
 
         def box(a):
@@ -576,7 +586,7 @@ class TestKadisonChoi:
             return pinching(a)
 
         assert check_kadison_choi(box, 3, 20, 1).passed
-        assert len(queries) == 76
+        assert len(queries) == 82
 
 
 class TestOracleBatteries:
@@ -682,20 +692,29 @@ class TestReportShape:
         assert not bad.passed and len(bad.failures) > 0
 
     @pytest.mark.parametrize("battery", [
-        lambda s: verify_det_identity(identity_map, MatrixClass.PD, 2, SUM, s, 1, 1e-8),
-        lambda s: verify_trace_identity(identity_map, MatrixClass.PD, 2, "inverse", s, 1, 1e-8),
-        lambda s: check_homogeneity_additivity(identity_map, MatrixClass.PD, 2, s, 1, 1e-8),
-        lambda s: check_kadison_choi(identity_map, 2, s, 1),
-        lambda s: oracle_minkowski(2, s, 1),
-        lambda s: oracle_jacobi(2, s, 1),
-        lambda s: oracle_kadison_choi(2, s, 1),
-        lambda s: oracle_dual_witness(MatrixClass.FULL, 2, s, 1),
-    ], ids=["det", "trace", "homogeneity-additivity", "kadison-choi", "oracle-minkowski",
-            "oracle-jacobi", "oracle-kadison-choi", "oracle-dual-witness"])
+        lambda fn, s: verify_det_identity(fn, MatrixClass.PD, 2, SUM, s, 1, 1e-8),
+        lambda fn, s: verify_trace_identity(fn, MatrixClass.PD, 2, "inverse", s, 1, 1e-8),
+        lambda fn, s: verify_trace_identity(fn, MatrixClass.PD, 2, "product", s, 1, 1e-8),
+        lambda fn, s: check_homogeneity_additivity(fn, MatrixClass.PD, 2, s, 1, 1e-8),
+        lambda fn, s: check_kadison_choi(fn, 2, s, 1),
+        lambda fn, s: oracle_minkowski(2, s, 1),
+        lambda fn, s: oracle_jacobi(2, s, 1),
+        lambda fn, s: oracle_kadison_choi(2, s, 1),
+        lambda fn, s: oracle_dual_witness(MatrixClass.FULL, 2, s, 1),
+    ], ids=["det", "trace-inverse", "trace-product", "homogeneity-additivity", "kadison-choi",
+            "oracle-minkowski", "oracle-jacobi", "oracle-kadison-choi", "oracle-dual-witness"])
     @pytest.mark.parametrize("samples", [0, -3])
     def test_samples_below_one_rejected(self, battery, samples):
+        # the sampler's own check: every battery draws its first stack before its first query
+        queries = []
+
+        def box(a):
+            queries.append(a)
+            return a.copy()
+
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            battery(samples)
+            battery(box, samples)
+        assert queries == []
 
 
 def _times(fn, c: float):

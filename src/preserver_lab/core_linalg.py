@@ -52,12 +52,16 @@ __all__ = [
 
 
 def _binade(a, axis=None):
-    """(2^k A, k), 2^k taking the largest modulus of each member over ``axis`` into [1, 2) (k <= 1023, kept
-    as size-1 axes); k = 0 for a zero or non-finite member.  Exact while the entries stay normal."""
+    """(2^k A, k), 2^k taking the largest modulus of each member over ``axis`` into [1, 2) (k kept as
+    size-1 axes); k = 0 for a zero or non-finite member.  The scaling is ``np.ldexp`` on the real and
+    imaginary parts, so it is exact from a subnormal scale up, and down while the entries stay normal."""
     m = np.asarray(a)
     peak = np.max(np.abs(m), axis=axis, keepdims=True, initial=0.0)
-    k = np.where((peak > 0.0) & (peak < np.inf), np.minimum(1 - np.frexp(peak)[1], 1023), 0)
-    return np.multiply(m, np.ldexp(1.0, k), out=m.astype(np.result_type(m, 1.0)), where=k != 0), k
+    k = np.where((peak > 0.0) & (peak < np.inf), 1 - np.frexp(peak)[1], 0)
+    out = m.astype(np.result_type(m, 1.0))
+    for part in (out.real, out.imag) if np.iscomplexobj(out) else (out,):
+        np.ldexp(part, k, out=part)
+    return out, k
 
 
 def unit_scaled(a) -> np.ndarray:
@@ -286,7 +290,7 @@ def unit_lift(a) -> float:
 
     Exact both ways, and a unit-scale matrix such as I keeps lift 1; the residuals (floor 1) of a
     lifted map are relative."""
-    return float(np.ldexp(1.0, _binade(a)[1]).item())
+    return float(np.ldexp(1.0, np.minimum(_binade(a)[1], 1023)).item())
 
 
 def principal_root(z, k: int) -> complex:

@@ -1,8 +1,14 @@
 """Matrix classes, membership predicates, seeded samplers as (count, n, n)
-stacks, and the trace dual witness of one matrix or a stack."""
+stacks, and the trace dual witness of one matrix or a stack.
+
+Member i of a sampled stack depends only on (class, n, seed, i): each field
+of a member is read from its own counter-based Philox substream (Salmon et
+al., SC'11), so a shorter stack is a prefix of a longer one, bit for bit."""
 
 from __future__ import annotations
 
+import functools
+import threading
 from enum import Enum
 
 import numpy as np
@@ -82,50 +88,142 @@ def contains(cls: MatrixClass, a, tol: float) -> bool:
     raise ValueError(f"unknown class {cls}")
 
 
-def _gaussian(rng, shape) -> np.ndarray:
-    # Same values as (x + 1j * y) / sqrt(2), without the complex temporaries.
-    g = np.empty(shape, dtype=complex)
-    g.real = rng.standard_normal(shape)
-    g.imag = rng.standard_normal(shape)
-    g /= np.sqrt(2.0)
-    return g
+# Field substreams: the high word of the Philox key names the field, and a redraw of member i at
+# attempt a >= 1 reads its field from counter (0, 0, i, a); attempt 0 is one member-major block
+# for the whole stack, so member i depends only on (class, n, seed, i).
+_NORMALS, _UNIFORMS = 1, 2
+_SQRT_HALF = np.sqrt(0.5)
+_local = threading.local()
 
 
-def _invertible_diags(rng, count: int, n: int) -> np.ndarray:
-    mod = rng.uniform(0.1, 10.0, size=(count, n))
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(count, n))
-    return mod * np.exp(1j * phase)
+def _stream(key: int, field: int, member: int = 0, attempt: int = 0) -> np.random.Generator:
+    """This thread's Generator, re-keyed to ``Philox(counter=(0, 0, member, attempt), key=key + 2^64 field)``.
+
+    Setting the state builds no BitGenerator and draws no OS entropy."""
+    if not hasattr(_local, "gen"):
+        _local.gen = np.random.Generator(np.random.Philox(key=0))
+        _local.state = _local.gen.bit_generator.state  # counter 0, empty buffer
+    state = _local.state
+    state["state"]["counter"][2:] = member, attempt
+    state["state"]["key"][:] = key, field
+    _local.gen.bit_generator.state = state
+    return _local.gen
 
 
-def _draw(cls: MatrixClass, rng, n: int, count: int) -> np.ndarray:
-    """``count`` class members from ``rng``, stacked as (count, n, n)."""
-    if cls is MatrixClass.PD or cls is MatrixClass.PSD:
-        # V diag(lam) V^* is unchanged by V -> V D for diagonal unitary D, so
-        # the unitary factor of the QR needs no phase correction.
-        v = np.linalg.qr(_gaussian(rng, (count, n, n)))[0]
-        lo = 0.1 if cls is MatrixClass.PD else 0.0
-        lam = rng.uniform(lo, 10.0, size=(count, n))
-        a = (v * lam[:, None, :]) @ v.conj().swapaxes(-1, -2)
-        a += a.conj().swapaxes(-1, -2)
-        a *= 0.5
-        return a
-    if cls is MatrixClass.HERMITIAN:
-        g = _gaussian(rng, (count, n, n))
-        return 0.5 * (g + g.conj().swapaxes(-1, -2))
-    if cls is MatrixClass.SYMMETRIC:
-        g = _gaussian(rng, (count, n, n))
-        return 0.5 * (g + g.swapaxes(-1, -2))
-    if cls is MatrixClass.UPPER_TRIANGULAR:
-        g = np.triu(_gaussian(rng, (count, n, n)), 1)
-        g[:, np.arange(n), np.arange(n)] = _invertible_diags(rng, count, n)
-        return g
-    if cls is MatrixClass.DIAGONAL:
-        g = np.zeros((count, n, n), dtype=complex)
-        g[:, np.arange(n), np.arange(n)] = _invertible_diags(rng, count, n)
-        return g
+def _normals(key: int, member: int, attempt: int, count: int, width: int) -> np.ndarray:
+    """(count, width) standard normals from the Gaussian substream, member-major."""
+    z = np.empty((count, width))
+    _stream(key, _NORMALS, member, attempt).standard_normal(out=z)
+    return z
+
+
+@functools.cache
+def _layout(cls: MatrixClass, n: int) -> np.ndarray:
+    """Where each entry of an n x n member of a Hermitian, symmetric or triangular class comes from,
+    row-major, as an index into its free entries: the strict upper triangle, then its conjugate (on
+    the Hermitian class), then the diagonal, then one zero (on the triangular classes)."""
+    rows, cols = np.triu_indices(n, 1)
+    upper = np.arange(0 if cls is MatrixClass.DIAGONAL else rows.size)
+    first_diag = 2 * upper.size if cls is MatrixClass.HERMITIAN else upper.size
+    index = np.full((n, n), first_diag + n, dtype=np.intp)  # the zero slot
+    if upper.size:
+        index[rows, cols] = upper
+        if cls is MatrixClass.SYMMETRIC:
+            index[cols, rows] = upper
+        elif cls is MatrixClass.HERMITIAN:
+            index[cols, rows] = upper.size + upper
+    diag = np.arange(n)
+    index[diag, diag] = first_diag + diag
+    return index.ravel()
+
+
+def _haar_spectrum(g, lam) -> np.ndarray:
+    """V diag(lam) V^* per member, V Haar unitary: lam_n I + sum_{j<n} (lam_j - lam_n) q_j q_j^*,
+    q_j the orthonormalized columns of the (count, n, n - 1) Ginibre stack ``g``.
+
+    V diag(lam) V^* does not depend on column phases, so the columns come from LAPACK's QR for
+    n >= 4 and from Gram-Schmidt twice (Giraud et al. 2005) for n <= 3, with no LAPACK or BLAS call,
+    so those bytes do not depend on the BLAS kernel.  Every intermediate is named: numpy reuses a
+    temporary operand in place above 256 KiB, which would change the last bits on large stacks.
+    """
+    count, n = lam.shape
+    last = lam[:, -1]
+    weight = lam[:, :-1] - last[:, None]
+    a = np.zeros((count, n, n), dtype=complex)
+    a[:, np.arange(n), np.arange(n)] = last[:, None]
+    if n >= 4:
+        q = np.linalg.qr(g)[0]
+        qw = q * weight[:, None, :]
+        a += qw @ q.conj().swapaxes(-1, -2)
+    else:
+        done = []  # (q, q^*) of each orthonormalized column
+        for j in range(n - 1):
+            v = g[:, :, j]
+            for _ in range(2):  # "twice is enough"
+                for q, qc in done:
+                    p = qc * v
+                    dot = p[:, 0]
+                    for k in range(1, n):
+                        dot = dot + p[:, k]
+                    proj = q * dot[:, None]
+                    v = v - proj
+            re, im = v.real, v.imag
+            sq = re * re
+            sq += im * im
+            nsq = sq[:, 0]
+            for k in range(1, n):
+                nsq = nsq + sq[:, k]
+            scale = 1.0 / np.sqrt(nsq)
+            q = v * scale[:, None]
+            qc = q.conj()
+            done.append((q, qc))
+            outer = q[:, :, None] * qc[:, None, :]
+            term = outer * weight[:, j, None, None]
+            a += term
+    a += a.conj().swapaxes(-1, -2)
+    a *= 0.5
+    return a
+
+
+def _draw(cls: MatrixClass, n: int, key: int, count: int, member: int = 0, attempt: int = 0) -> np.ndarray:
+    """``count`` class members, stacked as (count, n, n), from the field substreams of ``key``.
+
+    Only free entries are drawn: n^2 complex Gaussians on the full class, the first n - 1 Ginibre
+    columns on PD/PSD, the upper triangle on the Hermitian and symmetric classes (real diagonal on
+    the Hermitian one) and the strict upper triangle on the upper-triangular class; the uniform field
+    holds the PD/PSD eigenvalues or the diagonal moduli and phases.  Each entry has the distribution
+    of a complex Gaussian of unit variance symmetrized as 0.5 (G + G^*) or 0.5 (G + G^t).
+    """
     if cls is MatrixClass.FULL:
-        return _gaussian(rng, (count, n, n))
-    raise ValueError(f"unknown class {cls}")
+        z = _normals(key, member, attempt, count, 2 * n * n)
+        z *= _SQRT_HALF
+        return z.view(complex).reshape(count, n, n)
+    if cls is MatrixClass.PD or cls is MatrixClass.PSD:  # the columns are normalized: no scaling
+        z = _normals(key, member, attempt, count, 2 * n * (n - 1))
+        lo = 0.1 if cls is MatrixClass.PD else 0.0
+        lam = _stream(key, _UNIFORMS, member, attempt).random((count, n))
+        lam *= 10.0 - lo
+        lam += lo
+        return _haar_spectrum(z.view(complex).reshape(count, n, n - 1), lam)
+    m = n * (n - 1)  # reals of the strict upper triangle
+    if cls is MatrixClass.HERMITIAN:
+        z = _normals(key, member, attempt, count, m + n)
+        z[:, :m] *= 0.5
+        z[:, m:] *= _SQRT_HALF
+        upper = z[:, :m].view(complex)
+        free = np.concatenate([upper, upper.conj(), z[:, m:]], axis=1)
+    elif cls is MatrixClass.SYMMETRIC:
+        z = _normals(key, member, attempt, count, m + 2 * n)
+        z[:, :m] *= 0.5
+        z[:, m:] *= _SQRT_HALF
+        free = z.view(complex)
+    else:
+        z = _normals(key, member, attempt, count, 0 if cls is MatrixClass.DIAGONAL else m)
+        z *= _SQRT_HALF
+        u = _stream(key, _UNIFORMS, member, attempt).random((count, 2 * n))
+        diagonal = (0.1 + 9.9 * u[:, :n]) * np.exp(2j * np.pi * u[:, n:])
+        free = np.concatenate([z.view(complex), diagonal, np.zeros((count, 1), dtype=complex)], axis=1)
+    return free[:, _layout(cls, n)].reshape(count, n, n)
 
 
 _MIN_ABS_DET = 1e-6  # the invertible-sample threshold: every full draw, and trace-inverse's B
@@ -136,29 +234,30 @@ def sample_batch(cls: MatrixClass, n: int, seed: int, count: int,
                  min_abs_det: float | None = None) -> np.ndarray:
     """``count`` deterministic class samples for (class, n, seed), as (count, n, n).
 
-    All members come from one counter-based Philox stream whose key is
-    ``mix_seed(class tag, n, seed)``, so member ``i`` is reproduced by the
-    same call and index.  PD/PSD samples come from a Haar-like unitary recombination with
-    eigenvalues in [0.1, 10] (resp. [0, 10]), which caps the PD condition
-    number at 100.  Members with |det| <= ``min_abs_det`` (always
-    |det| <= 1e-6 for the full class) are redrawn in place from the same
-    stream, at most 64 times.  A ``count`` below 1 is a ValueError.
+    Member ``i`` depends only on (class, n, seed, i), so ``sample_batch(..., count)[:k]`` equals
+    ``sample_batch(..., k)`` bit for bit.  The key is ``mix_seed(class tag, n, seed)``, and each
+    field (the Gaussian entries; the PD/PSD eigenvalues or the triangular diagonals) is its own Philox
+    substream, drawn member-major.  PD/PSD samples are V diag(lam) V^* with V Haar unitary and
+    eigenvalues in [0.1, 10] (resp. [0, 10]), which caps the PD condition number at 100; at n <= 3
+    they are formed without LAPACK or BLAS.  Members with |det| <= ``min_abs_det`` (always
+    |det| <= 1e-6 for the full class) are redrawn, at most 64 times; attempt ``a`` of member ``i`` is
+    keyed by (i, a) alone.  A ``count`` below 1 is a ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=mix_seed(_CLASS_TAG[cls], n, seed)))
-    out = _draw(cls, rng, n, count)
+    key = mix_seed(_CLASS_TAG[cls], n, seed)
+    out = _draw(cls, n, key, count)
     if cls is MatrixClass.FULL:
         min_abs_det = max(min_abs_det or 0.0, _MIN_ABS_DET)
     if min_abs_det is None:
         return out
     bad = np.flatnonzero(np.abs(determinant(out, cls.triangular)) <= min_abs_det)
-    for _ in range(_MAX_REDRAWS):
+    for attempt in range(1, _MAX_REDRAWS + 1):
         if bad.size == 0:
             break
-        out[bad] = _draw(cls, rng, n, bad.size)
+        out[bad] = np.concatenate([_draw(cls, n, key, 1, int(i), attempt) for i in bad])
         bad = bad[np.abs(determinant(out[bad], cls.triangular)) <= min_abs_det]
     if bad.size:
         raise RuntimeError("could not draw an invertible sample")

@@ -40,7 +40,7 @@ diagonal-only contract of those maps.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,6 +91,10 @@ _CONSISTENCY_SAMPLES = 20
 
 @dataclass(slots=True)
 class VerificationReport:
+    """One battery's verdict.  It stores only what it cannot derive, since a caller may keep many
+    reports: ``passed`` is ``max_residual <= tol``, and the failures are packed as float64
+    (index, residual) pairs."""
+
     identity: str
     class_name: str
     n: int
@@ -98,9 +102,16 @@ class VerificationReport:
     tol: float
     max_residual: float
     mean_residual: float
-    passed: bool
-    # ((index, residual), ...), capped at 10; a passing report shares the empty tuple
-    failures: tuple = ()
+    _failed: bytes = field(default=b"", repr=False)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
+
+    @property
+    def failures(self) -> tuple:
+        """((index, residual), ...) of the first failing samples, at most 10; () when it passes."""
+        return tuple((int(i), float(r)) for i, r in np.frombuffer(self._failed).reshape(-1, 2))
 
     def to_dict(self) -> dict:
         return {
@@ -112,22 +123,21 @@ class VerificationReport:
             "max_residual": self.max_residual,
             "mean_residual": self.mean_residual,
             "pass": self.passed,
-            "failures": [{"index": int(i), "residual": float(r)} for i, r in self.failures],
+            "failures": [{"index": i, "residual": r} for i, r in self.failures],
         }
 
 
 def _report(identity, cls, n, tol, residuals) -> VerificationReport:
-    mx = float(np.max(residuals))
+    bad = np.flatnonzero(residuals > tol)[:10]
     return VerificationReport(
         identity=identity,
         class_name=cls.value,
         n=n,
         samples=residuals.size,
         tol=tol,
-        max_residual=mx,
+        max_residual=float(np.max(residuals)),
         mean_residual=float(np.mean(residuals)),
-        passed=mx <= tol,
-        failures=tuple((int(i), float(residuals[i])) for i in np.flatnonzero(residuals > tol)[:10]),
+        _failed=np.column_stack([bad, residuals[bad]]).tobytes() if bad.size else b"",
     )
 
 
@@ -162,7 +172,7 @@ def _require_linear(map_fn, cls: MatrixClass, n: int, tol: float) -> None:
     """Raise :class:`NotLinear` unless phi(x_k + c x_{k+1}) = phi(x_k) + c phi(x_{k+1}) within ``tol``
     (:func:`_residuals`), x the first 11 consistency samples of ``cls``: 21 queries.  c = 0.5 on
     PD/PSD/Hermitian, which only real combinations keep, else 0.5i: a conjugate-linear map fails."""
-    x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), _CONSISTENCY_SAMPLES)[:11]
+    x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), 11)  # the first 11 of build_linear_rep's 20
     c = 0.5 if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN) else 0.5j
     combo, fx = _images(map_fn, x[:-1] + c * x[1:]), _images(map_fn, x)
     worst = float(np.max(_residuals(cls, combo, fx[:-1] + c * fx[1:])))
@@ -205,7 +215,8 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
     sum identity, (t, 1-t) for convex combinations, (1, lambda) with complex
     lambda for the pencil variant.  A (0, 0) pair (both sides det(0)) or a non-finite
     component is a ValueError.  Both sides are homogeneous of degree n in (s, t), so each pair is
-    taken into [1, 2) by :func:`core_linalg.unit_scaled`: its scale can neither overflow nor pass.
+    taken into [1, 2) exactly by :func:`core_linalg.unit_scaled`, from a subnormal scale up: its scale can
+    neither overflow nor pass.
     """
     w = np.asarray(weights, dtype=complex).reshape(-1, 2)
     if not w.size or not np.isfinite(w).all() or (w == 0).all(axis=1).any():

@@ -273,10 +273,11 @@ class TestVerifyCommand:
             assert err == "" and json.loads(out)["alpha"]["re"] == pytest.approx(1e30, rel=1e-14)
 
     @pytest.mark.parametrize("identity", ["det-convex", "det-pencil"])
-    @pytest.mark.parametrize("w", ["1e-5", "1e-200", "1e308"])
+    @pytest.mark.parametrize("w", ["1e-5", "1e-200", "1e308", "1e-310", "1e-320", "5e-324"])
     def test_weight_scale_decides_nothing(self, identity, w, capsys):
         # both sides are homogeneous of degree n in (s, t): remark1 passed at 1e-5 and 1e-200, where
-        # the residual floor of 1 made the comparison absolute, and the identity failed at 1e308
+        # the residual floor of 1 made the comparison absolute, and the identity failed at 1e308; a
+        # subnormal pair (1e-320) stopped at 2^1023 times its scale and passed remark1 too
         argv = ["verify", "--identity", identity, "--class", "full", "--n", "3", "--samples", "200",
                 "--weights", f"{w},{w}", "--map"]
         identity_spec = dumps_stable({"kind": "pn-congruence", "M": matrix_to_json(np.eye(3))})

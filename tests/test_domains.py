@@ -1,5 +1,8 @@
 """Tests for matrix classes, samplers and dual witnesses."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from preserver_lab import (
     sample_invertible,
 )
 from preserver_lab.core_linalg import is_pd, is_singular
-from preserver_lab.domains import sample_batch
+from preserver_lab.domains import _CLASS_TAG, _draw, _stream, sample_batch
 
 from oracles import dual_witness_cascade
 
@@ -115,9 +118,9 @@ class TestSampleBatch:
             if cls is MatrixClass.FULL:
                 assert np.min(np.abs(np.linalg.det(stack))) > 1e-6
 
-    def test_redraws_in_place_from_the_same_stream(self):
-        # PSD eigenvalues start at 0, so a floor of 1 forces redraws of some
-        # members; every other member must stay exactly as first drawn
+    def test_redraws_are_keyed_by_member_and_attempt(self):
+        # PSD eigenvalues start at 0, so a floor of 1 forces redraws of some members; every other
+        # member stays as first drawn, and a redrawn member depends on nothing but (i, attempt)
         plain = sample_batch(MatrixClass.PSD, 3, 5, 200)
         redrawn = sample_batch(MatrixClass.PSD, 3, 5, 200, min_abs_det=1.0)
         low = np.abs(np.linalg.det(plain)) <= 1.0
@@ -125,6 +128,141 @@ class TestSampleBatch:
         assert np.array_equal(redrawn[~low], plain[~low])
         assert np.min(np.abs(np.linalg.det(redrawn))) > 1.0
         assert all(contains(MatrixClass.PSD, m, 1e-9) for m in redrawn)
+        for k in (1, 37, 199):
+            assert redrawn[:k].tobytes() == sample_batch(MatrixClass.PSD, 3, 5, k, 1.0).tobytes()
+        key = mix_seed(_CLASS_TAG[MatrixClass.PSD], 3, 5)
+        for i in np.flatnonzero(low):
+            attempt = 1
+            while abs(determinant(_draw(MatrixClass.PSD, 3, key, 1, int(i), attempt)[0])) <= 1.0:
+                attempt += 1
+            assert redrawn[i].tobytes() == _draw(MatrixClass.PSD, 3, key, 1, int(i), attempt)[0].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+    @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.value)
+    def test_prefix_property(self, cls, n):
+        # member i depends only on (cls, n, seed, i): a shorter stack is a prefix, bit for bit
+        full = sample_batch(cls, n, 31, 200)
+        for k in (1, 37):
+            assert full[:k].tobytes() == sample_batch(cls, n, 31, k).tobytes()
+
+    @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.value)
+    def test_prefix_property_above_the_temporary_elision_threshold(self, cls):
+        # 2000 n = 3 members are 288 KB: numpy would reuse an unnamed temporary in place
+        big = sample_batch(cls, 3, 8, 2000)
+        assert big.nbytes > 256 * 1024
+        for k in (1, 37, 200):
+            assert big[:k].tobytes() == sample_batch(cls, 3, 8, k).tobytes()
+
+    def test_stream_reproduces_a_fresh_philox(self):
+        for key, field, member, attempt in [(0, 1, 0, 0), (2**64 - 1, 2, 0, 0), (123, 1, 17, 3)]:
+            gen = _stream(key, field, member, attempt)
+            fresh = np.random.Generator(np.random.Philox(counter=[0, 0, member, attempt], key=key + (field << 64)))
+            assert gen.standard_normal(7).tobytes() == fresh.standard_normal(7).tobytes()
+            assert gen.random(5).tobytes() == fresh.random(5).tobytes()
+        assert (_stream(9, 1).standard_normal(3).tobytes()
+                == np.random.Generator(np.random.Philox(key=9 + (1 << 64))).standard_normal(3).tobytes())
+
+    def test_stream_is_per_thread(self):
+        # four threads re-key their generators between every draw under a 1 us switch interval; a
+        # shared generator would hand one thread's state to another
+        keys = list(range(40, 48))
+        expected = {k: np.random.Generator(np.random.Philox(key=k + (1 << 64))).standard_normal(300).tobytes()
+                    for k in keys}
+        stacks = {k: sample_batch(MatrixClass.PD, 3, k, 20).tobytes() for k in keys}
+        start = threading.Barrier(4)
+        mismatches, finished = [], []
+
+        def work(offset):
+            start.wait()
+            for _ in range(30):
+                for k in keys[offset:] + keys[:offset]:
+                    if _stream(k, 1).standard_normal(300).tobytes() != expected[k]:
+                        mismatches.append(k)
+                    if sample_batch(MatrixClass.PD, 3, k, 20).tobytes() != stacks[k]:
+                        mismatches.append(k)
+            finished.append(offset)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(2 * i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(finished) == [0, 2, 4, 6] and mismatches == []
+
+    def test_free_entry_distributions(self):
+        # every entry keeps the law of 0.5 (G + G^*) / 0.5 (G + G^t), G complex Gaussian of unit variance
+        n, count = 3, 20000
+        off = np.triu_indices(n, 1)
+        diag = np.arange(n)
+
+        def parts(x):
+            return np.concatenate([x.real.ravel(), x.imag.ravel()])
+
+        def near(x, mean, var):
+            se = np.sqrt(var / x.size)
+            return abs(np.mean(x) - mean) < 5 * se and abs(np.var(x) / var - 1) < 5 * np.sqrt(2 / x.size)
+
+        full = sample_batch(MatrixClass.FULL, n, 3, count)
+        assert near(parts(full), 0.0, 0.5)
+        herm = sample_batch(MatrixClass.HERMITIAN, n, 3, count)
+        assert np.all(herm[:, diag, diag].imag == 0) and near(herm[:, diag, diag].real, 0.0, 0.5)
+        assert near(parts(herm[:, off[0], off[1]]), 0.0, 0.25)
+        sym = sample_batch(MatrixClass.SYMMETRIC, n, 3, count)
+        assert near(parts(sym[:, diag, diag]), 0.0, 0.5) and near(parts(sym[:, off[0], off[1]]), 0.0, 0.25)
+        upper = sample_batch(MatrixClass.UPPER_TRIANGULAR, n, 3, count)
+        assert np.all(upper[:, off[1], off[0]] == 0) and near(parts(upper[:, off[0], off[1]]), 0.0, 0.5)
+        for cls in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
+            d = sample_batch(cls, n, 3, count)[:, diag, diag]
+            mod, phase = np.abs(d), np.angle(d) % (2 * np.pi)
+            assert mod.min() >= 0.1 and mod.max() <= 10.0 and near(mod, 5.05, 9.9**2 / 12)
+            assert near(phase, np.pi, (2 * np.pi) ** 2 / 12)
+        assert np.all(sample_batch(MatrixClass.DIAGONAL, n, 3, count)[:, off[0], off[1]] == 0)
+        for cls, lo in ((MatrixClass.PD, 0.1), (MatrixClass.PSD, 0.0)):
+            for m in (1, 2, 3, 5):
+                w = np.linalg.eigvalsh(sample_batch(cls, m, 3, 4000))
+                assert w.min() >= lo - 1e-12 and w.max() <= 10.0 + 1e-12
+                assert near(w.ravel(), (lo + 10.0) / 2, (10.0 - lo) ** 2 / 12)
+
+    def test_samplers_build_no_bit_generator(self, monkeypatch):
+        sample_batch(MatrixClass.FULL, 2, 0, 1)  # this thread's generator exists from here on
+        built = []
+
+        class CountingPhilox(np.random.Philox):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+        for cls in ALL_CLASSES:
+            for n in (1, 2, 3, 5):
+                sample_batch(cls, n, 4, 20, 1e-3)
+        assert built == []
+        worker = threading.Thread(target=sample_batch, args=(MatrixClass.FULL, 2, 0, 1))
+        worker.start()
+        worker.join()
+        assert built == [1]  # a new thread builds its one generator: the guard sees constructions
+
+    def test_qr_only_from_n_4(self, monkeypatch):
+        qr, sizes = np.linalg.qr, []
+
+        def recording_qr(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-2])
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        for cls in ALL_CLASSES:
+            for n in (1, 2, 3):
+                sample_batch(cls, n, 4, 50, 1e-3)
+        assert sizes == []
+        sample_batch(MatrixClass.PD, 4, 4, 50)
+        sample_batch(MatrixClass.PSD, 16, 4, 50)
+        assert sizes == [4, 16]
 
     def test_redraw_cap(self):
         with pytest.raises(RuntimeError):

@@ -22,8 +22,9 @@ stack:
 ``hermitian_defect`` is the one Hermitian measure, ``is_pd`` the one positive-definiteness
 decision and ``is_singular`` the one singularity test of a unit image phi(I); each decides on
 ``unit_scaled`` input, so A and 2^k A agree, and ``frob`` is the Frobenius norm at any finite scale.
-``unit_lift`` takes phi(I) into the binade [1, 2) from either side, in :func:`verifiers._lifted`;
-factorizations are LAPACK's, through numpy.  The gauge factors come from one SVD of phi(I), in
+``_binade``'s exponent k is the package's one power-of-two rescale (of these inputs, of weight pairs
+and of phi(I) in :func:`verifiers._lifted`), applied exactly by ``ldexp`` at any k; factorizations
+are LAPACK's, through numpy.  The gauge factors come from one SVD of phi(I), in
 :func:`verifiers.unitalize`; the one rank decision is :func:`recovery.rank_one_split`.
 """
 
@@ -46,22 +47,30 @@ __all__ = [
     "hermitian_defect",
     "is_pd",
     "is_singular",
-    "unit_lift",
+    "ldexp",
     "principal_root",
 ]
 
 
+def ldexp(a, k):
+    """A 2^k (k an integer or an array broadcast into A's shape), ``np.ldexp`` on the real and imaginary parts:
+    exact unless a result overflows or falls below the normal range; at k = 0 a float or complex A is not copied."""
+    m = np.asarray(a)
+    if np.any(k) or m.dtype.kind not in "fc":
+        m = m.astype(np.result_type(m, 1.0))
+        for part in (m.real, m.imag) if np.iscomplexobj(m) else (m,):
+            np.ldexp(part, k, out=part)
+    return m
+
+
 def _binade(a, axis=None):
     """(2^k A, k), 2^k taking the largest modulus of each member over ``axis`` into [1, 2) (k kept as
-    size-1 axes); k = 0 for a zero or non-finite member.  The scaling is ``np.ldexp`` on the real and
-    imaginary parts, so it is exact from a subnormal scale up, and down while the entries stay normal."""
+    size-1 axes) from any finite nonzero scale, subnormal included; k = 0 for a zero or non-finite
+    member.  k is the package's one power-of-two rescale, applied by :func:`ldexp`."""
     m = np.asarray(a)
     peak = np.max(np.abs(m), axis=axis, keepdims=True, initial=0.0)
     k = np.where((peak > 0.0) & (peak < np.inf), 1 - np.frexp(peak)[1], 0)
-    out = m.astype(np.result_type(m, 1.0))
-    for part in (out.real, out.imag) if np.iscomplexobj(out) else (out,):
-        np.ldexp(part, k, out=part)
-    return out, k
+    return ldexp(m, k), k
 
 
 def unit_scaled(a) -> np.ndarray:
@@ -73,8 +82,7 @@ def frob(a, axis=None):
     """||A||_F (a float), or per member with ``axis=(-2, -1)``, taken in the binade [1, 2): it neither
     overflows nor underflows, and equals ``np.linalg.norm`` bit for bit where the squares stay normal."""
     m, k = _binade(a, axis)
-    norm = np.linalg.norm(m, axis=axis)
-    r = np.ldexp(norm, -k.reshape(np.shape(norm)))
+    r = ldexp(np.linalg.norm(m, axis=axis), -np.squeeze(k, axis))
     return float(r) if axis is None else r
 
 
@@ -283,14 +291,6 @@ def is_singular(a, triangular: bool = False) -> bool:
         return False
     r = np.abs(np.diagonal(m if triangular else np.linalg.qr(m, mode="r")))
     return bool(np.min(r) <= 1e-12 * np.max(r))
-
-
-def unit_lift(a) -> float:
-    """2^k taking max |a_ij| into [1, 2) from any finite nonzero scale (at most 2^1023), else 1.
-
-    Exact both ways, and a unit-scale matrix such as I keeps lift 1; the residuals (floor 1) of a
-    lifted map are relative."""
-    return float(np.ldexp(1.0, np.minimum(_binade(a)[1], 1023)).item())
 
 
 def principal_root(z, k: int) -> complex:

@@ -12,17 +12,17 @@ images in one stack and takes the other congruence columns from the E_0j
 images; :func:`rank_one_split` is the one rank decision.  The triangular
 classes match the diagonals of phi(I)^{-1} phi(E_kk) to standard basis vectors.
 
-:func:`recover` and :func:`build_linear_rep` read phi(I) only through
-:func:`verifiers._lifted` and query the lifted map.  Linearity is not assumed:
-before any factor is extracted, phi(A + cB) must equal phi(A) + c phi(B) on 10 pairs of
-consistency samples (:func:`verifiers._require_linear`), else :class:`NotLinear`; the triangular
-classes compare diagonals here and in the round trip (:func:`verifiers._residuals`).  On PD,
-:func:`core_linalg.is_pd` must accept phi(I), else :class:`NotCanonical`.  Then alpha is derived
-once, the principal n-th root of det(phi(I)).
-A canonical map or a :class:`LinearRep` takes each probe stack in one call
-(:func:`verifiers._images`); a box queried one matrix at a time is queried
-2n + 71 times on the full, PD and symmetric classes (phi(I), 2n - 1 unit
-images, 21 linearity probes, 50 round-trip probes), n + 72 on the triangular ones.
+:func:`recover` and :func:`build_linear_rep` read phi(I) only through :func:`verifiers._lifted`,
+query the lifted map 2^k phi and scale their results back by 2^-k (a box with subnormal images has
+lost bits before that and may fail).  Linearity is not assumed: before any factor is extracted,
+phi(A + cB) must equal phi(A) + c phi(B) on 10 pairs of consistency samples
+(:func:`verifiers._require_linear`), else :class:`NotLinear`; the triangular classes compare
+diagonals here and in the round trip (:func:`verifiers._residuals`).  On PD, :func:`core_linalg.is_pd`
+must accept phi(I), else :class:`NotCanonical`.  Then alpha is derived once, the principal n-th root
+of det(phi(I)).  A canonical map or a :class:`LinearRep` takes each probe stack in one call
+(:func:`verifiers._images`); a box queried one matrix at a time is queried 2n + 71 times on the
+full, PD and symmetric classes (phi(I), 2n - 1 unit images, 21 linearity probes, 50 round-trip
+probes), n + 72 on the triangular ones.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core_linalg import frob, is_pd, matrix_residual, principal_root
+from .core_linalg import frob, is_pd, ldexp, matrix_residual, principal_root
 from .domains import MatrixClass, mix_seed, sample_batch
 from .errors import NotCanonical, NotLinear, NotRankOne, NotStarForm, SingularUnit
 from .preservers import CanonicalPreserver, LinearRep, PreserverForm, apply_preserver
@@ -78,18 +78,19 @@ def _unit_images(map_fn, cls: MatrixClass, n: int, rows, cols, unit=None):
 
 
 def build_linear_rep(map_fn, cls: MatrixClass, n: int, tol: float) -> LinearRep:
-    """The whole linear map's rep, from the unit images (:func:`_unit_images`) of lift * box.
+    """The whole linear map's rep, from the unit images (:func:`_unit_images`) of 2^k box.
 
-    lift is :func:`verifiers._lifted`'s exact power of two and the rep is divided back by it, so
-    c phi (c = 2^k) gets c times phi's rep, bit for bit, while the images stay finite and normal.
-    Raises :class:`NotLinear` when the rep misses the lifted box by more than ``tol`` on 20 fresh
-    class samples, as whole matrices (e.g. the norm conjugation, non-finite values, 1e-30 (A + det(A) I)).
+    k is :func:`verifiers._lifted`'s exponent and the rep is scaled back by 2^-k, so c phi (c = 2^j)
+    gets c times phi's rep, bit for bit, while the images stay finite and normal.  Raises
+    :class:`NotLinear` when the rep misses the lifted box by more than ``tol`` on 20 fresh class
+    samples, as whole matrices (e.g. the norm conjugation, non-finite values, 1e-30 (A + det(A) I)),
+    relative to phi(I)'s scale (max |2^k phi(I)_ij| in [1, 2)), not to that of images far below it.
     """
     if cls not in (MatrixClass.FULL, MatrixClass.SYMMETRIC, MatrixClass.UPPER_TRIANGULAR,
                    MatrixClass.PD):
         raise ValueError(f"linear rep not defined for class {cls.value}")
     with np.errstate(**_QUIET):
-        lift, unit, _, fn = _lifted(map_fn, cls, n)
+        k, unit, _, fn = _lifted(map_fn, cls, n)
         rows, cols = np.triu_indices(n)
         r4 = np.empty((n, n, n, n), dtype=complex)  # r4[i, j] = L(E_ij)
         r4[rows, cols], r4[cols, rows] = _unit_images(fn, cls, n, rows, cols, unit)
@@ -98,7 +99,7 @@ def build_linear_rep(map_fn, cls: MatrixClass, n: int, tol: float) -> LinearRep:
         worst = float(np.max(matrix_residual(lin(x), _images(fn, x), axis=(-2, -1))))
     if not worst <= tol:
         raise NotLinear(f"linear rep misses the black box by {worst:.3e} > {tol:.1e}")
-    return LinearRep(n, lin.rep / lift)
+    return LinearRep(n, ldexp(lin.rep, -k))
 
 
 def rank_one_split(j):
@@ -122,7 +123,8 @@ def roundtrip_residual(map_fn, p: CanonicalPreserver, cls: MatrixClass, n: int,
                        samples: int, seed: int) -> float:
     """Worst scale-aware deviation between the box and the canonical map.
 
-    The probes are ``sample_batch(cls, n, seed, samples)``, and ``map_fn`` is compared as given.
+    The probes are ``sample_batch(cls, n, seed, samples)``, and ``map_fn`` is compared as given: the
+    lifted map from :func:`recover`, so relative to phi(I)'s scale, not to that of images far below it.
     On the triangular classes only the diagonals are compared (:func:`verifiers._residuals`): the
     off-diagonal completion of a tn-diagonal map is not part of the characterization.
     """
@@ -228,13 +230,13 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
     Raises :class:`NotLinear` / :class:`NotCanonical` / :class:`NotStarForm`
     / :class:`SingularUnit` when the box falls outside the characterized
     family, and ``ValueError``, before any query, for a class without an extractor.  The box
-    is recovered as lift * box, lift the exact power of two from :func:`verifiers._lifted`, the
-    one read of phi(I); alpha is divided back by it and ``residual`` is the lifted one.
+    is recovered as 2^k box, k the exponent from :func:`verifiers._lifted`, the one read of
+    phi(I); alpha is scaled back by 2^-k and ``residual`` is the lifted one.
     """
     if cls not in _EXTRACTORS:
         raise ValueError(f"recovery not defined for class {cls.value}")
     with np.errstate(**_QUIET):
-        lift, unit, unit_det, fn = _lifted(map_fn, cls, n, SingularUnit("map(I) is not invertible"))
+        k, unit, unit_det, fn = _lifted(map_fn, cls, n, SingularUnit("map(I) is not invertible"))
         _require_linear(fn, cls, n, tol)
         pd = cls is MatrixClass.PD
         if pd and not is_pd(unit):
@@ -245,4 +247,4 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
                                   mix_seed(_ROUNDTRIP_TAG, n))
     if not residual <= tol:
         raise NotCanonical(f"round-trip residual {residual:.3e} exceeds {tol:.1e}")
-    return replace(p, alpha=p.alpha / lift), residual
+    return replace(p, alpha=complex(ldexp(p.alpha, -k))), residual

@@ -1,51 +1,48 @@
 """Seeded sampling verification of the determinant and trace identities.
 
-Determinant identities compare det(s phi(A) + t phi(B)) against alpha^n det(sA + tB),
-alpha^n = det(phi(I)).  :func:`_lifted` reads phi(I) once for every battery and recovery, takes
-max |phi(I)_ij| into [1, 2) by an exact power of two and refuses a singular phi(I) or a zero
-determinant, so a report on c phi (c = 2^k) is the report on phi while the images stay finite and
-normal.  The trace identities with kinds ``product``, ``square`` and ``power`` hold in the unital
-gauge, so those kinds run on the unitalized companion of the lifted map (gauged by one SVD of its
-unit image, by its diagonal on the triangular classes); the ``inverse`` kind needs no gauge and runs
-on the raw map, equivariant as it is.  All residuals are scale-aware, and each weight pair (s, t)
-of a determinant identity is taken into [1, 2) by an exact power of two.
+Determinant identities compare det(s phi(A) + t phi(B)) against alpha^n det(sA + tB), with
+alpha^n = det(phi(I)).  :func:`_lifted` reads phi(I) once for every battery and recovery, lifts the
+map to 2^k phi, k the :func:`core_linalg._binade` exponent taking max |phi(I)_ij| into [1, 2) from
+any scale, subnormal included, and refuses a singular phi(I) or a zero determinant, so a report on
+c phi (c = 2^k) is the report on phi while the images stay finite and normal.  The trace identities
+with kinds ``product``, ``square`` and ``power`` hold in the unital gauge, so those kinds run on the
+lifted map's wrapper gauged by one SVD of its unit image (by its diagonal on the triangular classes);
+the ``inverse`` kind needs no gauge and runs on the raw map.  All residuals are scale-aware, and
+each weight pair (s, t) of a determinant identity is taken into [1, 2) alike.
 
-Every battery, the oracle batteries included, draws its samples as
-stacks, A = ``sample_batch(cls, n, mix_seed(seed, 0), samples)`` and B from
-``mix_seed(seed, 1)``, before its first query of the map (so the sampler's ``samples`` check
-comes first), evaluates the map through :func:`_images` and
-reduces with the stacked kernels of :mod:`core_linalg`.  :func:`_images`
-alone decides how a map is called: a :class:`CanonicalPreserver`, a
-:class:`LinearRep`, a :class:`NormConjugation` or a unitalized companion
-takes a whole stack in one call, also behind a wrapper that sets
-``__wrapped__`` (the :func:`functools.wraps` convention); any other map is
-a black box queried once per matrix; an image that is not a numeric matrix
-of its input's shape raises DimensionMismatch.  The Minkowski and Jacobi oracles run
-as one stacked computation each, of which :func:`check_minkowski` and
-:func:`check_jacobi` are the one-pair views, and the dual-witness oracle
-is one :func:`domains.dual_witness` call on the drawn stack.  Minkowski's
-PD gate, the PD unitalization and recovery's PD gate are views of :func:`core_linalg.is_pd`, and
-:func:`_require_linear` is the one linearity probe, of Kadison/Choi and of recovery.
-A non-finite residual counts as the failing sentinel 1e100 (-1e100 for
-the Kadison/Choi eigenvalue minima), so it fails; numpy's overflow and
+Every battery, the oracle batteries included, draws its samples as stacks,
+A = ``sample_batch(cls, n, mix_seed(seed, 0), samples)`` and B from ``mix_seed(seed, 1)``, before its
+first query of the map (so the sampler's ``samples`` check comes first), evaluates the map through
+:func:`_images` and reduces with the stacked kernels of :mod:`core_linalg`.  :func:`_images` alone
+decides how a map is called: a :class:`CanonicalPreserver`, a :class:`LinearRep`, a
+:class:`NormConjugation` or the lifted map's wrapper (which hands the stack on to its map by the same
+rule) takes a whole stack in one call, also behind a wrapper that sets ``__wrapped__`` (the
+:func:`functools.wraps` convention); any other map is a black box queried once per matrix; an image
+that is not a numeric matrix of its input's shape raises DimensionMismatch.  The Minkowski and
+Jacobi oracles run as one stacked computation each, of which :func:`check_minkowski` and
+:func:`check_jacobi` are the one-pair views, and the dual-witness oracle is one
+:func:`domains.dual_witness` call on the drawn stack.  Minkowski's PD gate, the PD unitalization and
+recovery's PD gate are views of :func:`core_linalg.is_pd`, and :func:`_require_linear` is the one
+linearity probe, of Kadison/Choi and of recovery.  A non-finite residual counts as the failing
+sentinel 1e100 (-1e100 for the Kadison/Choi eigenvalue minima), so it fails; numpy's overflow and
 invalid-value warnings are silenced inside the batteries for that reason.
 
-For the upper-triangular and diagonal classes only diagonal data enters:
-determinants become diagonal products, traces of triangular products
-reduce to diagonal sums and images are compared on their diagonals
-(:func:`_residuals`, for homogeneity-additivity and recovery), matching the
+For the upper-triangular and diagonal classes only diagonal data enters: determinants become
+diagonal products, traces of triangular products reduce to diagonal sums and images are compared on
+their diagonals (:func:`_residuals`, for homogeneity-additivity and recovery), matching the
 diagonal-only contract of those maps.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core_linalg import (
     SENTINEL,
+    _binade,
     adjugate,
     determinant,
     finite_or,
@@ -53,11 +50,11 @@ from .core_linalg import (
     inverse,
     is_pd,
     is_singular,
+    ldexp,
     matrix_residual,
     sandwich,
     scalar_residual,
     trace_product,
-    unit_lift,
     unit_scaled,
 )
 from .domains import _MIN_ABS_DET, MatrixClass, dual_witness, mix_seed, sample_batch
@@ -171,7 +168,9 @@ def _residuals(cls: MatrixClass, x, y) -> np.ndarray:
 def _require_linear(map_fn, cls: MatrixClass, n: int, tol: float) -> None:
     """Raise :class:`NotLinear` unless phi(x_k + c x_{k+1}) = phi(x_k) + c phi(x_{k+1}) within ``tol``
     (:func:`_residuals`), x the first 11 consistency samples of ``cls``: 21 queries.  c = 0.5 on
-    PD/PSD/Hermitian, which only real combinations keep, else 0.5i: a conjugate-linear map fails."""
+    PD/PSD/Hermitian, which only real combinations keep, else 0.5i: a conjugate-linear map fails.  Its
+    maps (recovery's lifted one, Kadison/Choi's unital one) have max |phi(I)_ij| in [1, 2), so it is
+    relative to phi(I)'s scale, not to that of images far below it."""
     x = sample_batch(cls, n, mix_seed(_CONSISTENCY_TAG, n), 11)  # the first 11 of build_linear_rep's 20
     c = 0.5 if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN) else 0.5j
     combo, fx = _images(map_fn, x[:-1] + c * x[1:]), _images(map_fn, x)
@@ -182,29 +181,27 @@ def _require_linear(map_fn, cls: MatrixClass, n: int, tol: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Unitalized:
-    """X -> left @ phi(X) (@ right), or left * phi(X) for a scalar left; stack-capable when phi is."""
+    """X -> 2^k phi(X), or left @ 2^k phi(X) (@ right) given ``left``; stack-capable when phi is."""
 
     map_fn: object
-    left: np.ndarray | float
+    k: int
+    left: np.ndarray | None = None
     right: np.ndarray | None = None
 
     def __call__(self, a):
-        imgs = _images(self.map_fn, np.asarray(a, dtype=complex))
-        return self.left * imgs if np.ndim(self.left) == 0 else sandwich(self.left, imgs, self.right)
+        imgs = ldexp(_images(self.map_fn, np.asarray(a, dtype=complex)), self.k)
+        return imgs if self.left is None else sandwich(self.left, imgs, self.right)
 
 
 def _lifted(map_fn, cls: MatrixClass, n: int, singular: Exception | None = None):
-    """(lift, lift phi(I), det(lift phi(I)), lift phi), lift = :func:`core_linalg.unit_lift` of phi(I),
-    from the one query of phi(I) of a battery or recovery; at lift 1, phi(I) and ``map_fn`` as they are.
-    Given ``singular``, the determinant is taken and ``singular`` raised where :func:`core_linalg.is_singular`
-    holds or it is exactly 0 (never if not finite)."""
-    unit = _images(map_fn, np.eye(n, dtype=complex))
-    lift = unit_lift(unit)
-    unit, fn = (unit, map_fn) if lift == 1.0 else (lift * unit, _Unitalized(map_fn, lift))
+    """(k, 2^k phi(I), det(2^k phi(I)), 2^k phi) from the one query of phi(I) of a battery or recovery,
+    k its :func:`core_linalg._binade` exponent.  Given ``singular``, the determinant is taken and
+    ``singular`` raised where :func:`core_linalg.is_singular` holds or it is exactly 0 (never if not finite)."""
+    unit, k = _binade(_images(map_fn, np.eye(n, dtype=complex)))
     unit_det = None if singular is None else determinant(unit, cls.triangular)
     if singular is not None and (unit_det == 0 or is_singular(unit, cls.triangular)):
         raise singular
-    return lift, unit, unit_det, fn
+    return k.item(), unit, unit_det, _Unitalized(map_fn, k.item())
 
 
 def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
@@ -235,7 +232,7 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
 
 
 def unitalize(map_fn, cls: MatrixClass, n: int):
-    """Gauge the lifted map (:func:`_lifted`) by its unit image so that the result fixes I.
+    """Gauge the lifted map's wrapper (:func:`_lifted`) by its unit image so that the result fixes I.
 
     One SVD, phi(I) = U diag(s) V^*, gives the gauge diag(s)^{-1/2} U^* (.) V diag(s)^{-1/2}; for
     phi(X) = M X N the companion is the similarity S^{-1} X S with S = N V diag(s)^{-1/2}, so every
@@ -250,7 +247,7 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
     """
     _, unit, _, fn = _lifted(map_fn, cls, n)
     if not np.isfinite(unit).all():
-        return _Unitalized(fn, np.full((n, n), np.nan))
+        return replace(fn, left=np.full((n, n), np.nan))
     c = 0.5 * (unit + unit.T) if cls is MatrixClass.SYMMETRIC else unit
     if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN):
         if not is_pd(unit):
@@ -258,9 +255,9 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
     elif is_singular(c, cls.triangular):
         raise DegenerateUnit("map(I) is singular")
     if cls.triangular:
-        return _Unitalized(fn, np.diag(1 / np.diagonal(unit)))
+        return replace(fn, left=np.diag(1 / np.diagonal(unit)))
     u, s, vh = np.linalg.svd(c)
-    return _Unitalized(fn, u.conj().T / np.sqrt(s)[:, None], vh.conj().T / np.sqrt(s))
+    return replace(fn, left=u.conj().T / np.sqrt(s)[:, None], right=vh.conj().T / np.sqrt(s))
 
 
 def _traces(cls, x, y, invert: bool, k: int) -> np.ndarray:
@@ -432,8 +429,9 @@ _HOMOGENEITY_SCALES = (0.5, 2.0, 7.25)
 
 def check_homogeneity_additivity(map_fn, cls: MatrixClass, n: int, samples: int,
                                  seed: int, tol: float) -> VerificationReport:
-    """Residuals of phi(lambda A) - lambda phi(A) and phi(A+B) - phi(A) - phi(B), after the unit lift;
-    of the diagonals alone on the triangular classes (:func:`_residuals`)."""
+    """Residuals of phi(lambda A) - lambda phi(A) and phi(A+B) - phi(A) - phi(B) of the lifted map
+    (:func:`_lifted`), relative to phi(I)'s scale (max |2^k phi(I)_ij| in [1, 2)), not to that of
+    images far below it; of the diagonals alone on the triangular classes (:func:`_residuals`)."""
     a = sample_batch(cls, n, mix_seed(seed, 0), samples)
     b = sample_batch(cls, n, mix_seed(seed, 1), samples)
     with np.errstate(**_QUIET):

@@ -16,7 +16,7 @@ from preserver_lab import (
     matrix_to_json,
     principal_root,
 )
-from preserver_lab.core_linalg import hermitian_defect, is_pd, is_singular, unit_lift
+from preserver_lab.core_linalg import _binade, hermitian_defect, is_pd, is_singular, ldexp
 from preserver_lab.domains import MatrixClass, sample, sample_batch
 
 from oracles import det_cofactor, exact_pd
@@ -295,29 +295,30 @@ class TestIsSingular:
         assert not is_singular(a, triangular=True)
 
 
-class TestUnitLift:
+class TestBinadeExponent:
     # max |a_ij| of scale * diag(1, -0.5j) is scale; the target binade is [1, 2)
-    @pytest.mark.parametrize("scale", [1e-3, 1e-30, 0.3, 2.0**-1000, 1e-310])
-    def test_below_half_lands_in_unit_range(self, scale):
+    @pytest.mark.parametrize("scale", [1e-3, 1e-30, 0.3, 2.0**-1000, 1e-310, 1e-320, 2e-323, 5e-324,
+                                       0.5, 0.999, 2.0, 1e30, 1e200, 2.0**1000, np.finfo(float).max])
+    def test_every_scale_lands_in_unit_range(self, scale):
+        # subnormal scales included: k is not capped, and ldexp applies it exactly
         a = scale * np.diag([1.0, -0.5j])
-        lift = unit_lift(a)
-        assert lift >= 2.0 and np.log2(lift) == int(np.log2(lift))
-        if scale >= 2.0**-1000:  # a subnormal entry stays below 1: the lift stops at 2^1023
-            assert 1.0 <= np.max(np.abs(lift * a)) < 2.0
-        else:
-            assert lift == 2.0**1023
-
-    @pytest.mark.parametrize("scale", [0.5, 0.999, 2.0, 1e30, 1e200, 2.0**1000, np.finfo(float).max])
-    def test_both_sides_land_in_unit_range(self, scale):
-        a = scale * np.diag([1.0, -0.5j])
-        lift = unit_lift(a)
-        assert lift != 1.0 and np.log2(lift) == int(np.log2(lift))
-        assert 1.0 <= np.max(np.abs(lift * a)) < 2.0
+        m, k = _binade(a)
+        k = k.item()
+        assert k != 0 and 1.0 <= np.max(np.abs(m)) < 2.0
+        assert np.array_equal(m, ldexp(a, k)) and np.array_equal(ldexp(m, -k), a)
 
     @pytest.mark.parametrize("a", [1.5 * np.eye(2), np.eye(3), np.nextafter(2.0, 0.0) * np.eye(2),
                                    np.zeros((2, 2))] + NON_FINITE)
-    def test_no_lift(self, a):
-        assert unit_lift(a) == 1.0
+    def test_no_rescale(self, a):
+        # already in [1, 2), zero or non-finite: k = 0, and the input comes back uncopied
+        m, k = _binade(a)
+        assert k.item() == 0 and m is a
+
+    def test_per_member_exponents(self):
+        a = np.stack([2.0**-1070 * np.eye(2), np.eye(2), 2.0**1000 * np.eye(2)])
+        m, k = _binade(a, (-2, -1))
+        assert k.ravel().tolist() == [1070, 0, -1000]
+        assert np.array_equal(m, np.stack([np.eye(2)] * 3))
 
 
 class TestPrincipalRoot:

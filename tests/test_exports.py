@@ -5,8 +5,9 @@ stale entry would point it at a function that is gone.  No module keeps an
 import it does not use, the leftover a deletion most often leaves behind.
 The layers hold: ``core_linalg`` and ``jsonio`` import nothing from the
 package, and ``jsonio`` owns every JSON codec.  phi(I) is read, lifted and
-judged in one place, ``verifiers._lifted``, and the CLI's class choices come
-from the library's class tables.
+judged in one place, ``verifiers._lifted``, by ``core_linalg._binade``'s
+exponent, which only ``core_linalg`` applies; and the CLI's class choices
+come from the library's class tables.
 """
 
 import ast
@@ -89,24 +90,39 @@ def _handed_only_to_lifted(fn):
     return uses and uses <= handed
 
 
+def _numpy_calls(node, name):
+    """The calls of ``np.name`` inside ``node``."""
+    return [c for c in _calls(node, name) if getattr(getattr(c.func, "value", None), "id", None) == "np"]
+
+
+def _callers(name, calls=_calls):
+    """{(module, function)} of every function of the package in which ``calls`` finds a call of ``name``."""
+    return {(module, fn.name) for module in MODULES for fn in ast.walk(_tree(module))
+            if isinstance(fn, ast.FunctionDef) and calls(fn, name)}
+
+
 def _function(module, name):
     return next(fn for fn in ast.walk(_tree(module)) if isinstance(fn, ast.FunctionDef) and fn.name == name)
 
 
 def test_unit_image_is_lifted_in_one_place():
-    # unit_lift has one caller, verifiers._lifted; unitalize hands its map only to _lifted, so the
-    # trace batteries read phi(I) through the same lift as the det batteries and recovery
-    callers = {(name, fn.name) for name in MODULES for fn in ast.walk(_tree(name))
-               if isinstance(fn, ast.FunctionDef) and _calls(fn, "unit_lift")}
-    assert callers == {("verifiers", "_lifted")}
+    # _binade's exponent k is the one power-of-two rescale: outside core_linalg only _lifted takes
+    # it, of phi(I), and numpy's exponent functions run only inside core_linalg (ldexp, _binade)
+    assert {c for c in _callers("_binade") if c[0] != "core_linalg"} == {("verifiers", "_lifted")}
+    assert {c[0] for name in ("ldexp", "frexp") for c in _callers(name, _numpy_calls)} == {"core_linalg"}
+    # the lifted map is one flat wrapper, built only in _lifted; unitalize hands its map only to
+    # _lifted and gauges that same wrapper, so the trace companion is one wrapper too
+    assert _callers("_Unitalized") == {("verifiers", "_lifted")}
     assert _handed_only_to_lifted(_function("verifiers", "unitalize"))
+    # no float lift is left to multiply or divide by: _lifted is the only name about a lift
+    names = {getattr(node, attr) for module in MODULES for node in ast.walk(_tree(module))
+             for attr in ("id", "name", "arg", "attr", "asname") if isinstance(getattr(node, attr, None), str)}
+    assert {n for n in names if "lift" in n} == {"_lifted"}
 
 
 def test_maps_are_called_only_in_images():
     # every query of a map, phi(I) included, goes through verifiers._images and its image contract
-    callers = {(name, fn.name) for name in MODULES for fn in ast.walk(_tree(name))
-               if isinstance(fn, ast.FunctionDef) and _calls(fn, "map_fn")}
-    assert callers == {("verifiers", "_images")}
+    assert _callers("map_fn") == {("verifiers", "_images")}
 
 
 @pytest.mark.parametrize("name", ["build_linear_rep", "recover"])
@@ -117,9 +133,7 @@ def test_recovery_reads_the_box_through_the_lift(name):
 
 def test_linearity_is_judged_in_one_place():
     # Kadison/Choi and recover share the one probe; build_linear_rep judges its whole rep
-    raisers = {(name, fn.name) for name in MODULES for fn in ast.walk(_tree(name))
-               if isinstance(fn, ast.FunctionDef) and _calls(fn, "NotLinear")}
-    assert raisers == {("verifiers", "_require_linear"), ("recovery", "build_linear_rep")}
+    assert _callers("NotLinear") == {("verifiers", "_require_linear"), ("recovery", "build_linear_rep")}
 
 
 def test_cli_lists_no_class_names():

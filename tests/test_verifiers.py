@@ -45,13 +45,15 @@ from preserver_lab import (
     verify_det_identity,
     verify_trace_identity,
 )
-from preserver_lab.core_linalg import unit_lift
+from preserver_lab.core_linalg import ldexp
 from preserver_lab.domains import sample_batch
 from preserver_lab.jsonio import dumps_stable, matrix_to_json
+from preserver_lab.verifiers import _lifted
 
 from oracles import dual_witness_cascade
 
 CONVEX = [(t, 1.0 - t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+PENCIL = [(1.0, lam) for lam in (1.0, -1.0, 1j, 2.0 + 1j)]
 SUM = [(1.0, 1.0)]
 
 identity_map = lambda a: a.copy()  # noqa: E731
@@ -114,8 +116,7 @@ class TestDetIdentity:
 
     def test_pencil_weights_complex(self):
         p = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 4, transpose=True)
-        pencil = [(1.0, lam) for lam in (1.0, -1.0, 1j, 2.0 + 1j)]
-        rep = verify_det_identity(p, MatrixClass.FULL, 3, pencil, 100, 2, 1e-8,
+        rep = verify_det_identity(p, MatrixClass.FULL, 3, PENCIL, 100, 2, 1e-8,
                                   identity="det-pencil")
         assert rep.passed
 
@@ -142,13 +143,29 @@ class TestDetIdentity:
                     MatrixClass.UPPER_TRIANGULAR):
             assert not verify_det_identity(fn, cls, n, SUM, 20, 1, 1e-8).passed
 
-    def test_unit_lift_is_exact(self):
-        # max |phi(I)| = 0.75 needs no lift; 2^-60 phi is lifted by exactly 2^60
+    def test_lift_exponent_is_exact(self):
+        # max |phi(I)| = 0.75 is lifted by 2^1 and 2^-60 phi by exactly 2^61, the same images
         for fn in (lambda a: 0.75 * a, lambda a: 0.75 * (a @ a)):
             tiny = lambda a, fn=fn: 2.0**-60 * fn(a)  # noqa: E731
+            assert [_lifted(f, MatrixClass.FULL, 3)[0] for f in (fn, tiny)] == [1, 61]
             for cls in (MatrixClass.FULL, MatrixClass.UPPER_TRIANGULAR):
                 assert (verify_det_identity(tiny, cls, 3, CONVEX, 20, 1, 1e-8).to_dict()
                         == verify_det_identity(fn, cls, 3, CONVEX, 20, 1, 1e-8).to_dict())
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-320, 2e-323])
+    def test_subnormal_non_preserver_fails(self, scale):
+        # phi(I) is subnormal; its lift 2^k is exact at every k, so the defect of remark1 shows in
+        # full instead of sitting below the residual floor of 1
+        fn = lambda a: scale * remark1_map(a)  # noqa: E731
+        for weights in (CONVEX, PENCIL):
+            rep = verify_det_identity(fn, MatrixClass.FULL, 3, weights, 200, 0, 1e-8)
+            assert not rep.passed and rep.max_residual >= 0.5
+
+    def test_subnormal_preserver_passes(self):
+        # its images keep about 44 bits at 1e-310, so the lifted comparison is relative and close
+        p = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 0)
+        rep = verify_det_identity(lambda a: 1e-310 * p(a), MatrixClass.FULL, 3, CONVEX, 200, 0, 1e-8)
+        assert rep.passed and rep.max_residual <= 1e-12
 
     def test_empty_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -197,12 +214,12 @@ class TestDetIdentity:
         assert failures and all(list(f) == ["index", "residual"] for f in failures)
         a_all = sample_batch(MatrixClass.PD, n, mix_seed(seed, 0), samples)
         b_all = sample_batch(MatrixClass.PD, n, mix_seed(seed, 1), samples)
-        lift = unit_lift(affine_map(np.eye(n)))  # phi(I) = 2I: lift 1/2 takes it into [1, 2)
-        assert lift == 0.5
-        unit_det = determinant(lift * affine_map(np.eye(n)))
+        k = _lifted(affine_map, MatrixClass.PD, n)[0]  # phi(I) = 2I: 2^-1 takes it into [1, 2)
+        assert k == -1
+        unit_det = determinant(ldexp(affine_map(np.eye(n)), k))
         for f in failures:
             a, b = a_all[f["index"]], b_all[f["index"]]
-            lhs = determinant(lift * affine_map(a) + lift * affine_map(b))
+            lhs = determinant(ldexp(affine_map(a), k) + ldexp(affine_map(b), k))
             assert scalar_residual(lhs, unit_det * determinant(a + b)) == f["residual"]
 
 
@@ -415,7 +432,7 @@ class TestStackDispatch:
         # scale; lifted, a stack-capable map still takes whole stacks, a per-matrix box keeps its count
         hidden = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 8)
         p = replace(hidden, alpha=scale * hidden.alpha)
-        assert (unit_lift(p(np.eye(3))) > 1.0) == (scale < 1.0)
+        assert (_lifted(p, MatrixClass.FULL, 3)[0] > 0) == (scale < 1.0)
         shapes = []
 
         def box(a):

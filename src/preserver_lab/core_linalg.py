@@ -21,7 +21,8 @@ stack:
 
 ``hermitian_defect`` is the one Hermitian measure, ``is_pd`` the one positive-definiteness
 decision and ``is_singular`` the one singularity test of a unit image phi(I); each decides on
-``unit_scaled`` input, so A and 2^k A agree, and ``frob`` is the Frobenius norm at any finite scale.
+``unit_scaled`` input (its underscored body on input already scaled), so A and 2^k A agree, and
+``frob`` is the Frobenius norm at any finite scale.
 ``_binade``'s exponent k is the package's one power-of-two rescale (of these inputs, of weight pairs
 and of phi(I) in :func:`verifiers._lifted`), applied exactly by ``ldexp`` at any k; factorizations
 are LAPACK's, through numpy.  The gauge factors come from one SVD of phi(I), in
@@ -56,7 +57,7 @@ def ldexp(a, k):
     """A 2^k (k an integer or an array broadcast into A's shape), ``np.ldexp`` on the real and imaginary parts:
     exact unless a result overflows or falls below the normal range; at k = 0 a float or complex A is not copied."""
     m = np.asarray(a)
-    if np.any(k) or m.dtype.kind not in "fc":
+    if (k if isinstance(k, int) else np.any(k)) or m.dtype.kind not in "fc":
         m = m.astype(np.result_type(m, 1.0))
         for part in (m.real, m.imag) if np.iscomplexobj(m) else (m,):
             np.ldexp(part, k, out=part)
@@ -214,15 +215,21 @@ def inverse(a) -> np.ndarray:
 
     For n <= 3 it is the closed-form adjugate over the closed-form
     determinant, so a member's inverse is bit-identical to the single-matrix
-    one at any stack size; above, LAPACK's LU.  A singular member comes out
-    non-finite, and only that member, without a numpy warning.
+    one at any stack size; a member with |det| outside [2^-512, 2^512] is inverted
+    in the binade [1, 2) and scaled back, so c X (c = 2^k) gets X's inverse / c,
+    bit for bit.  Above, LAPACK's LU.  A singular member comes out non-finite,
+    and only that member, without a numpy warning.
     """
     m = np.asarray(a, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if m.shape[-1] <= 3:
-            adj = _adjugate_small(m)
             d = np.asarray(determinant(m))[..., None, None]
-            return adj / d
+            inv, r = _adjugate_small(m) / d, np.abs(d)
+            if 2.0**-512 <= r.min() and r.max() <= 2.0**512:  # the products and 1 / det stay normal
+                return inv
+            x, k = _binade(m, (-2, -1))
+            scaled = ldexp(_adjugate_small(x) / np.asarray(determinant(x))[..., None, None], k)
+            return np.where((2.0**-512 <= r) & (r <= 2.0**512), inv, scaled)
         try:
             return np.linalg.inv(m)
         except np.linalg.LinAlgError:
@@ -256,11 +263,13 @@ def adjugate(a) -> np.ndarray:
 def hermitian_defect(a):
     """||A - A^*||_F / ||A||_F of each :func:`unit_scaled` member (a float for one matrix); 0 for a zero
     member, inf if not finite."""
-    m = unit_scaled(np.asarray(a, dtype=complex))
     with np.errstate(invalid="ignore", over="ignore"):
-        norm = np.linalg.norm(m, axis=(-2, -1))
-        d = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) / np.where(norm == 0.0, 1.0, norm)
-    return finite_or(d, np.inf)
+        return finite_or(_hermitian_defect(unit_scaled(np.asarray(a, dtype=complex))), np.inf)
+
+
+def _hermitian_defect(m):
+    norm = np.linalg.norm(m, axis=(-2, -1))
+    return np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) / np.where(norm == 0.0, 1.0, norm)
 
 
 def is_pd(a) -> bool:
@@ -269,8 +278,11 @@ def is_pd(a) -> bool:
     With c = (n + 2) eps tr(A), that success proves A positive definite at any scale (S. M. Rump,
     "Verification of positive definiteness", BIT 46, 2006).  It is decided on :func:`unit_scaled` members.
     """
-    m = unit_scaled(np.asarray(a, dtype=complex))
-    if not np.isfinite(m).all() or np.any(hermitian_defect(m) > 1e-10):
+    return _is_pd(unit_scaled(np.asarray(a, dtype=complex)))
+
+
+def _is_pd(m) -> bool:
+    if not np.isfinite(m).all() or np.any(_hermitian_defect(m) > 1e-10):
         return False
     c = (m.shape[-1] + 2) * np.finfo(float).eps * np.trace(m, axis1=-2, axis2=-1).real
     try:
@@ -286,10 +298,13 @@ def is_singular(a, triangular: bool = False) -> bool:
     sigma_min <= |r_ii| <= sigma_max of :func:`unit_scaled` A: condition below 1e12 is never singular,
     at any scale or n.
     """
-    m = unit_scaled(np.asarray(a, dtype=complex))
+    return _is_singular(unit_scaled(np.asarray(a, dtype=complex)), triangular)
+
+
+def _is_singular(m, triangular: bool = False) -> bool:
     if not np.isfinite(m).all():
         return False
-    r = np.abs(np.diagonal(m if triangular else np.linalg.qr(m, mode="r")))
+    r = np.abs(np.diagonal(m if triangular else np.linalg.qr(m, mode="raw")[0]))
     return bool(np.min(r) <= 1e-12 * np.max(r))
 
 

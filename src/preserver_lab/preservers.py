@@ -116,12 +116,15 @@ def _square_stack(a, n: int) -> np.ndarray:
 
 
 @cache
-def _tn_filler(n: int, seed: int) -> np.ndarray:
-    # Fixed seeded linear map on the strict upper entries; the diagonal
-    # theorem leaves the off-diagonal action free, this makes phi total.
+def _tn_tables(n: int, seed: int, sigma: tuple) -> tuple:
+    """Row-major positions of the diagonal, of it permuted by sigma and of the strict upper triangle, and the
+    transposed filler: the diagonal theorem leaves the off-diagonal action free, this fixed map makes phi total."""
     m = n * (n - 1) // 2
     rng = np.random.default_rng(mix_seed(0x7F11E12, n, seed))
-    return (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+    filler = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+    diag = np.arange(n) * (n + 1)
+    rows, cols = np.triu_indices(n, 1)
+    return diag, diag[list(sigma)], rows * n + cols, filler.T
 
 
 def apply_preserver(p: CanonicalPreserver, a) -> np.ndarray:
@@ -135,14 +138,13 @@ def apply_preserver(p: CanonicalPreserver, a) -> np.ndarray:
     if p.form is PreserverForm.MN_TWO_SIDED:
         return p.alpha * sandwich(p.M, x, p.N)
     n = p.n
-    out = np.zeros(m.shape, dtype=complex)
-    diag = np.arange(n)
-    perm = np.asarray(p.sigma, dtype=int)
-    out[..., diag, diag] = p.alpha * np.asarray(p.lambdas) * m[..., perm, perm]
+    flat = m.reshape(*m.shape[:-2], n * n)
+    out = np.zeros(flat.shape, dtype=complex)
+    diag, perm, upper, filler = _tn_tables(n, p.offdiag_seed, tuple(p.sigma))
+    out[..., diag] = p.alpha * np.asarray(p.lambdas) * flat[..., perm]
     if n > 1:
-        iu, ju = np.triu_indices(n, 1)
-        out[..., iu, ju] = m[..., iu, ju] @ _tn_filler(n, p.offdiag_seed).T
-    return out
+        out[..., upper] = flat[..., upper] @ filler
+    return out.reshape(m.shape)
 
 
 def _conditioned_gaussian(rng, n: int, min_sv_ratio: float = 1e-3) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core_linalg import frob, is_pd, ldexp, matrix_residual, principal_root
+from .core_linalg import _is_pd, frob, ldexp, matrix_residual, principal_root
 from .domains import MatrixClass, mix_seed, sample_batch
 from .errors import NotCanonical, NotLinear, NotRankOne, NotStarForm, SingularUnit
 from .preservers import CanonicalPreserver, LinearRep, PreserverForm, apply_preserver
@@ -239,7 +239,7 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
         k, unit, unit_det, fn = _lifted(map_fn, cls, n, SingularUnit("map(I) is not invertible"))
         _require_linear(fn, cls, n, tol)
         pd = cls is MatrixClass.PD
-        if pd and not is_pd(unit):
+        if pd and not _is_pd(unit):
             raise NotCanonical("map(I) is not certified positive definite on the PD class")
         alpha = principal_root(unit_det.real if pd else unit_det, n)  # alpha^n = det phi(I)
         p = _EXTRACTORS[cls](fn, unit, alpha, cls, n, tol)

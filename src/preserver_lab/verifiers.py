@@ -7,8 +7,10 @@ any scale, subnormal included, and refuses a singular phi(I) or a zero determina
 c phi (c = 2^k) is the report on phi while the images stay finite and normal.  The trace identities
 with kinds ``product``, ``square`` and ``power`` hold in the unital gauge, so those kinds run on the
 lifted map's wrapper gauged by one SVD of its unit image (by its diagonal on the triangular classes);
-the ``inverse`` kind needs no gauge and runs on the raw map.  All residuals are scale-aware, and
-each weight pair (s, t) of a determinant identity is taken into [1, 2) alike.
+the ``inverse`` kind needs no gauge and runs on the raw map.  phi(I) is scaled once, by the lift: the
+singularity and PD gates take that unit image through their unscaled bodies.  All residuals are scale-aware.
+A determinant identity's weight pairs run as one stacked pass, in chunks of 64 KiB of stack, below
+glibc's 128 KiB mmap threshold, above which every numpy temporary takes fresh page faults.
 
 Every battery, the oracle batteries included, draws its samples as stacks,
 A = ``sample_batch(cls, n, mix_seed(seed, 0), samples)`` and B from ``mix_seed(seed, 1)``, before its
@@ -43,6 +45,8 @@ import numpy as np
 from .core_linalg import (
     SENTINEL,
     _binade,
+    _is_pd,
+    _is_singular,
     adjugate,
     determinant,
     finite_or,
@@ -81,6 +85,7 @@ __all__ = [
 
 # Non-finite values become the failing sentinel, so their warnings are noise.
 _QUIET = {"over": "ignore", "invalid": "ignore"}
+_CHUNK_BYTES = 1 << 16  # a det battery's chunk: 5 weight pairs at n = 2, 200 samples, 1 at n = 5
 # the linearity probe's consistency samples, also recovery.build_linear_rep's
 _CONSISTENCY_TAG = 0xC0451
 _CONSISTENCY_SAMPLES = 20
@@ -199,7 +204,7 @@ def _lifted(map_fn, cls: MatrixClass, n: int, singular: Exception | None = None)
     ``singular`` raised where :func:`core_linalg.is_singular` holds or it is exactly 0 (never if not finite)."""
     unit, k = _binade(_images(map_fn, np.eye(n, dtype=complex)))
     unit_det = None if singular is None else determinant(unit, cls.triangular)
-    if singular is not None and (unit_det == 0 or is_singular(unit, cls.triangular)):
+    if singular is not None and (unit_det == 0 or _is_singular(unit, cls.triangular)):
         raise singular
     return k.item(), unit, unit_det, _Unitalized(map_fn, k.item())
 
@@ -213,7 +218,8 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
     lambda for the pencil variant.  A (0, 0) pair (both sides det(0)) or a non-finite
     component is a ValueError.  Both sides are homogeneous of degree n in (s, t), so each pair is
     taken into [1, 2) exactly by :func:`core_linalg.unit_scaled`, from a subnormal scale up: its scale can
-    neither overflow nor pass.
+    neither overflow nor pass.  The pairs run stacked, one determinant per side per chunk of ``_CHUNK_BYTES``
+    of (samples, n, n) stack (at least one pair); the triangular classes combine diagonals alone, as views.
     """
     w = np.asarray(weights, dtype=complex).reshape(-1, 2)
     if not w.size or not np.isfinite(w).all() or (w == 0).all(axis=1).any():
@@ -222,12 +228,18 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
     b = sample_batch(cls, n, mix_seed(seed, 1), samples)
     with np.errstate(**_QUIET):
         _, _, unit_det, fn = _lifted(map_fn, cls, n, DegenerateUnit("det(map(I)) vanishes; alpha is undefined"))
-        fa, fb = _images(fn, a), _images(fn, b)
-        worst = np.zeros(samples)
-        for s_, t_ in unit_scaled(w[:, None, :])[:, 0]:
-            lhs = determinant(s_ * fa + t_ * fb, cls.triangular)
-            rhs = unit_det * determinant(s_ * a + t_ * b, cls.triangular)
-            worst = np.maximum(worst, scalar_residual(lhs, rhs))
+        x, y, fx, fy = a, b, _images(fn, a), _images(fn, b)
+        if cls.triangular:
+            x, y, fx, fy = (np.diagonal(m, axis1=-2, axis2=-1) for m in (x, y, fx, fy))
+        s, t = unit_scaled(w[:, None, :])[:, 0].T.reshape(2, -1, *(1,) * x.ndim)
+        lhs, rhs = np.empty((2, len(w), samples), dtype=complex)
+        step = max(1, _CHUNK_BYTES // a.nbytes)
+        for c in (slice(i, i + step) for i in range(0, len(w), step)):
+            for out, (u, v) in ((lhs, (fx, fy)), (rhs, (x, y))):
+                m = s[c] * u
+                m += t[c] * v  # in place: one temporary less on the stack
+                out[c] = np.prod(m, axis=-1) if cls.triangular else determinant(m)
+        worst = np.max(scalar_residual(lhs, unit_det * rhs), axis=0)
     return _report(identity, cls, n, tol, worst)
 
 
@@ -250,9 +262,9 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
         return replace(fn, left=np.full((n, n), np.nan))
     c = 0.5 * (unit + unit.T) if cls is MatrixClass.SYMMETRIC else unit
     if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN):
-        if not is_pd(unit):
+        if not _is_pd(unit):
             raise NotPositiveDefinite("map(I) is not certified positive definite")
-    elif is_singular(c, cls.triangular):
+    elif is_singular(c) if cls is MatrixClass.SYMMETRIC else _is_singular(unit, cls.triangular):
         raise DegenerateUnit("map(I) is singular")
     if cls.triangular:
         return replace(fn, left=np.diag(1 / np.diagonal(unit)))

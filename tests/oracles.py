@@ -4,6 +4,9 @@ These deliberately avoid the library's own code paths: the determinant
 oracle is a literal cofactor expansion, the positive-definiteness test is
 exact rational LDL^T, the singular values are 50-digit mpmath ones, and the
 dual witness is the per-matrix candidate cascade scored by np.trace(A @ B).
+The one exception is the determinant battery's per-pair loop, a bit-for-bit
+reference for the stacked pass: it runs the library's kernels one weight pair
+at a time on full matrices, as the battery did before it stacked the pairs.
 """
 
 from fractions import Fraction
@@ -90,3 +93,27 @@ def dual_witness_cascade(a, cls):
             if abs(np.trace(m @ b)) >= 1e-6 * np.linalg.norm(m):
                 return b
     raise LookupError("no candidate separates the input")
+
+
+def det_battery_residuals(map_fn, cls, n, weights, samples, seed):
+    """Per-sample worst residual of ``verify_det_identity``, one (s, t) pair at a time:
+
+    for each pair taken into [1, 2), |det(s phi(A) + t phi(B)) - det phi(I) det(sA + tB)| /
+    (1 + |lhs| + |rhs|) on the whole matrices (the triangular determinant reads their diagonals),
+    folded by a running maximum."""
+    from preserver_lab.core_linalg import determinant, scalar_residual, unit_scaled
+    from preserver_lab.domains import mix_seed, sample_batch
+    from preserver_lab.verifiers import _images, _lifted
+
+    w = np.asarray(weights, dtype=complex).reshape(-1, 2)
+    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
+    b = sample_batch(cls, n, mix_seed(seed, 1), samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, unit_det, fn = _lifted(map_fn, cls, n, ValueError("singular phi(I)"))
+        fa, fb = _images(fn, a), _images(fn, b)
+        worst = np.zeros(samples)
+        for s, t in unit_scaled(w[:, None, :])[:, 0]:
+            lhs = determinant(s * fa + t * fb, cls.triangular)
+            rhs = unit_det * determinant(s * a + t * b, cls.triangular)
+            worst = np.maximum(worst, scalar_residual(lhs, rhs))
+    return worst

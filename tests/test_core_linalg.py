@@ -163,6 +163,17 @@ class TestInverse:
             stack = rng.standard_normal((20000, n, n)) + 1j * rng.standard_normal((20000, n, n))
             assert np.array_equal(inverse(stack)[::5], [inverse(m) for m in stack[::5]])
 
+    @pytest.mark.parametrize("k", [-1000, -900, -400, -341, -340, -300, 300, 340, 341, 400, 900, 1000])
+    def test_power_of_two_scale_is_exact(self, k):
+        # the closed form's det(2^k X) and 1 / det leave the normal range near |k| = 340 at n = 3;
+        # such members are inverted in [1, 2), the others keep the closed form and its bits
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 3, 4):
+            stack = rng.standard_normal((300, n, n)) + 1j * rng.standard_normal((300, n, n))
+            got = inverse(2.0**k * stack)
+            assert np.array_equal(got, ldexp(inverse(stack), -k)), n
+            assert np.array_equal(got[::29], [inverse(m) for m in 2.0**k * stack[::29]]), n
+
     def test_singular_member_is_non_finite_only_at_its_index(self):
         rng = np.random.default_rng(13)
         for n in (1, 2, 3, 5):

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -45,12 +46,14 @@ from preserver_lab import (
     verify_det_identity,
     verify_trace_identity,
 )
+from preserver_lab import core_linalg, verifiers
+from preserver_lab.cli import _default_weights
 from preserver_lab.core_linalg import ldexp
 from preserver_lab.domains import sample_batch
 from preserver_lab.jsonio import dumps_stable, matrix_to_json
 from preserver_lab.verifiers import _lifted
 
-from oracles import dual_witness_cascade
+from oracles import det_battery_residuals, dual_witness_cascade
 
 CONVEX = [(t, 1.0 - t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
 PENCIL = [(1.0, lam) for lam in (1.0, -1.0, 1j, 2.0 + 1j)]
@@ -223,11 +226,113 @@ class TestDetIdentity:
             assert scalar_residual(lhs, unit_det * determinant(a + b)) == f["residual"]
 
 
+_CLASS_FORM = {MatrixClass.FULL: PreserverForm.MN_TWO_SIDED, MatrixClass.SYMMETRIC: PreserverForm.SN_CONGRUENCE,
+               MatrixClass.UPPER_TRIANGULAR: PreserverForm.TN_DIAGONAL, MatrixClass.DIAGONAL: PreserverForm.TN_DIAGONAL}
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that appends the shape of its first argument to ``calls``."""
+    real = getattr(module, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestStackedDetPass:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("cls", list(MatrixClass), ids=lambda c: c.value)
+    def test_equals_the_per_pair_loop_bit_for_bit(self, cls, n, monkeypatch):
+        # the default weights of det-sum, det-convex and det-pencil (1, 5 and n + 1 pairs); 2000
+        # samples split the pairs into several chunks at every n, 1 and 7 leave them in one
+        kept = []
+        report = verifiers._report
+        monkeypatch.setattr(verifiers, "_report", lambda *args: kept.append(args[-1]) or report(*args))
+        p = random_canonical(_CLASS_FORM.get(cls, PreserverForm.PN_CONGRUENCE), n, n)
+        for identity in ("det-sum", "det-convex", "det-pencil"):
+            weights = _default_weights(identity, n)
+            for samples in (1, 7, 200, 2000):
+                verify_det_identity(p, cls, n, weights, samples, 4, 1e-8)
+                ref = det_battery_residuals(p, cls, n, weights, samples, 4)
+                assert kept.pop().tobytes() == ref.tobytes(), (identity, samples)
+
+    def test_non_preserver_equals_the_per_pair_loop(self, monkeypatch):
+        # residuals far from 0, including the non-finite sentinel of an overflowing map
+        kept = []
+        report = verifiers._report
+        monkeypatch.setattr(verifiers, "_report", lambda *args: kept.append(args[-1]) or report(*args))
+        eye = np.eye(2, dtype=complex)
+        overflow = CanonicalPreserver(PreserverForm.MN_TWO_SIDED, 2, 1e200 + 0j, M=1e200 * eye, N=eye)
+        for fn, n in ((remark1_map, 3), (affine_map, 4), (overflow, 2)):
+            verify_det_identity(fn, MatrixClass.FULL, n, PENCIL, 300, 2, 1e-8)
+            assert kept.pop().tobytes() == det_battery_residuals(fn, MatrixClass.FULL, n, PENCIL, 300, 2).tobytes()
+
+    @pytest.mark.parametrize("n,samples,chunks", [(2, 200, 1), (3, 200, 3), (5, 200, 5), (3, 7, 1)])
+    def test_one_determinant_per_side_per_chunk(self, n, samples, chunks, monkeypatch):
+        # a chunk holds as many pairs as fit in 64 KiB of (samples, n, n) stack, at least one
+        dets = []
+        _counting(monkeypatch, verifiers, "determinant", dets)
+        p = random_canonical(PreserverForm.MN_TWO_SIDED, n, 0)
+        assert verify_det_identity(p, MatrixClass.FULL, n, CONVEX, samples, 1, 1e-8).passed
+        assert dets[0] == (n, n) and len(dets) == 1 + 2 * chunks  # phi(I), then both sides of every chunk
+        assert dets[1::2] == dets[2::2] and sum(shape[0] for shape in dets[1::2]) == len(CONVEX)
+
+    def test_triangular_classes_take_no_full_determinant(self, monkeypatch):
+        dets = []
+        _counting(monkeypatch, verifiers, "determinant", dets)
+        p = random_canonical(PreserverForm.TN_DIAGONAL, 3, 0)
+        for cls in (MatrixClass.UPPER_TRIANGULAR, MatrixClass.DIAGONAL):
+            assert verify_det_identity(p, cls, 3, CONVEX, 200, 1, 1e-8).passed
+        assert dets == [(3, 3), (3, 3)]  # phi(I) alone; the pairs combine diagonals
+
+    def test_unit_image_is_scaled_once(self, monkeypatch):
+        # one _binade pass on phi(I) per battery: _lifted's; is_pd, hermitian_defect and
+        # is_singular take its output as it is
+        unit_passes = []
+        for module in (core_linalg, verifiers):
+            _counting(monkeypatch, module, "_binade", unit_passes)
+        p = random_canonical(PreserverForm.MN_TWO_SIDED, 3, 0)
+        assert verify_det_identity(p, MatrixClass.FULL, 3, CONVEX, 200, 1, 1e-8).passed
+        assert unit_passes == [(3, 3), (5, 1, 2)]  # phi(I), then the weight pairs
+        unit_passes.clear()
+        p = random_canonical(PreserverForm.PN_CONGRUENCE, 3, 0)
+        assert verify_trace_identity(p, MatrixClass.PD, 3, "product", 50, 1, 1e-8).passed
+        assert unit_passes == [(3, 3)]
+
+    @pytest.mark.parametrize("cls", [MatrixClass.FULL, MatrixClass.PD, MatrixClass.UPPER_TRIANGULAR],
+                             ids=lambda c: c.value)
+    def test_working_set_at_n5(self, cls):
+        # at n = 5 and 200 samples one pair fills a chunk, so the peak is the four sample and image
+        # stacks and one pair's temporaries: 7.2 stacks traced for the per-pair loop (573 KB), 5.1 to
+        # 6.7 for this pass.  A chunk rule that put more pairs in a chunk here would show first.
+        stack = 200 * 5 * 5 * 16
+        p = random_canonical(_CLASS_FORM.get(cls, PreserverForm.PN_CONGRUENCE), 5, 0)
+        run = lambda: verify_det_identity(p, cls, 5, CONVEX, 200, 1, 1e-8)  # noqa: E731
+        assert run().passed  # caches and the sampler's thread-local generator are warm
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * stack
+
+
 class TestTraceIdentity:
     def test_identity_map_trivial(self):
         for kind in ("inverse", "product", "square", "power"):
             rep = verify_trace_identity(identity_map, MatrixClass.PD, 3, kind, 50, 1, 1e-8)
             assert rep.passed and rep.max_residual <= 1e-12
+
+    @pytest.mark.parametrize("k", [-900, -400, 400, 900])
+    def test_inverse_of_a_scaled_map_is_exact(self, k):
+        # det(2^k X) leaves the normal range at n <= 3, where inverse is in closed form: it takes
+        # such a member into [1, 2) first (max_residual was 1e100 at n <= 3 for these k)
+        for n in (1, 2, 3, 4):
+            rep = verify_trace_identity(lambda a: 2.0**k * a, MatrixClass.FULL, n, "inverse", 20, 1, 1e-8)
+            assert rep.max_residual == 0.0, n
 
     def test_scalar_inverse_exact_for_any_alpha(self):
         for alpha in (0.5, 1.0, 3.25):
@@ -784,12 +889,12 @@ class TestScaleEquivariance:
     @given(st.sampled_from([f.value for f in PreserverForm] + ["pinching", "perturbed-rep"]),
            st.integers(1, 3), st.integers(0, 2**16), st.booleans(), st.integers(-900, 900))
     def test_reports_and_recovery_are_bit_equivariant(self, name, n, seed, transpose, k):
-        # the nonzero real and imaginary parts of these maps' images lie in [2^-69, 2^7]; clipping k
-        # to |k| <= 900 / n keeps them finite and normal, and c^n too, the scale of the determinants
-        # that trace-inverse's closed-form inverses divide by at n <= 3.  phi(I) is read once,
+        # the nonzero real and imaginary parts of these maps' images lie in [2^-69, 2^7], so at
+        # |k| <= 900 they stay finite and normal; trace-inverse's closed-form inverses at n <= 3 take
+        # a member whose det(c X) leaves [2^-512, 2^512] into [1, 2) first.  phi(I) is read once,
         # through the exact lift, so every report on c phi is the report on phi, byte for byte
         map_fn, cls = _equivariance_map(name, n, seed, transpose)
-        c = 2.0 ** max(-900 // n, min(k, 900 // n))
+        c = 2.0**k
         scaled = _times(map_fn, c)
         for battery in _EQUIVARIANCE_BATTERIES:
             mine, plain = (_outcome(lambda fn=fn: battery(fn, cls, n)) for fn in (scaled, map_fn))

@@ -34,8 +34,6 @@ from .verifiers import (
     verify_trace_identity,
 )
 
-_CLASSES = {cls.value: cls for cls in MatrixClass}
-
 
 def _parse_scalar(text: str) -> complex:
     try:
@@ -107,7 +105,7 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 def _cmd_verify(args) -> int:
     _validate_common(args)
-    cls = _CLASSES[args.klass]
+    cls = MatrixClass(args.klass)
     map_fn = realize_map(_load_map_spec(args.map), args.n)
     identity = args.identity
     power_match = re.fullmatch(r"trace-power-(\d+)", identity)
@@ -134,7 +132,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_recover(args) -> int:
     _validate_common(args)
-    cls = _CLASSES[args.klass]
+    cls = MatrixClass(args.klass)
     map_fn = realize_map(_load_map_spec(args.map), args.n)
     try:
         p, residual = recover(map_fn, cls, args.n, tol=args.tol)
@@ -150,7 +148,7 @@ _ORACLES = {
     "minkowski": lambda args: oracle_minkowski(args.n, args.samples, args.seed),
     "jacobi": lambda args: oracle_jacobi(args.n, args.samples, args.seed),
     "kadison-choi": lambda args: oracle_kadison_choi(args.n, args.samples, args.seed, args.tol or 1e-8),
-    "dual-witness": lambda args: oracle_dual_witness(_CLASSES[args.klass or "full"], args.n,
+    "dual-witness": lambda args: oracle_dual_witness(MatrixClass(args.klass or "full"), args.n,
                                                      args.samples, args.seed),
 }
 
@@ -217,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run one identity battery against a map spec")
     pv.add_argument("--identity", required=True)
-    common(pv, sorted(_CLASSES), with_map=True)
+    common(pv, sorted(cls.value for cls in MatrixClass), with_map=True)
     pv.add_argument("--weights", default=None, help="semicolon list of s,t pairs (components may be complex)")
     pv.add_argument("--k", type=int, help="exponent for trace-power-k, 1 to 64 (default 2)")
     pv.set_defaults(fn=_cmd_verify)
@@ -228,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(fn=_cmd_recover)
 
     po = sub.add_parser("oracle", help="run a named oracle battery")
-    po.add_argument("oracle", choices=("minkowski", "jacobi", "kadison-choi", "dual-witness"))
+    po.add_argument("oracle", choices=_ORACLES)
     po.add_argument("--class", dest="klass", choices=[cls.value for cls in _WITNESS_UNITS],
                     help="dual-witness only (default full)")
     po.add_argument("--n", type=int, required=True)

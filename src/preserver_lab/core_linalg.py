@@ -293,7 +293,8 @@ def _is_pd(m) -> bool:
 
 
 def is_singular(a, triangular: bool = False) -> bool:
-    """min |r_ii| <= 1e-12 max |r_ii| over A = QR (A's own diagonal if ``triangular``); False if not finite.
+    """min |r_ii| <= 1e-12 max |r_ii| over A = QR (A's own diagonal if ``triangular``), for some finite
+    member of a stack; False if none is finite.
 
     sigma_min <= |r_ii| <= sigma_max of :func:`unit_scaled` A: condition below 1e12 is never singular,
     at any scale or n.
@@ -302,10 +303,13 @@ def is_singular(a, triangular: bool = False) -> bool:
 
 
 def _is_singular(m, triangular: bool = False) -> bool:
-    if not np.isfinite(m).all():
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if m.ndim > 2:
+        m = m[finite]  # a stack: its finite members
+    elif not finite:
         return False
-    r = np.abs(np.diagonal(m if triangular else np.linalg.qr(m, mode="raw")[0]))
-    return bool(np.min(r) <= 1e-12 * np.max(r))
+    r = np.abs(np.diagonal(m if triangular else np.linalg.qr(m, mode="raw")[0], axis1=-2, axis2=-1))
+    return bool((r.min(-1) <= 1e-12 * r.max(-1)).any())
 
 
 def principal_root(z, k: int) -> complex:

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core_linalg import determinant, frob, hermitian_defect, is_pd, unit_scaled
+from .core_linalg import _hermitian_defect, determinant, frob, is_pd, unit_scaled
 from .errors import WitnessNotFound, ZeroInput
 
 __all__ = [
@@ -58,27 +58,31 @@ _CLASS_TAG = {cls: i + 1 for i, cls in enumerate(MatrixClass)}
 
 
 def contains(cls: MatrixClass, a, tol: float) -> bool:
-    """Structural membership within ``tol`` relative to ||A||_F; PD is :func:`is_pd` of the Hermitian part.
+    """Structural membership of one n x n matrix within ``tol`` relative to ||A||_F; PD is :func:`is_pd`
+    of the Hermitian part.
 
-    A matrix with a NaN or infinite entry is a member of no class.  It is decided on
-    :func:`core_linalg.unit_scaled` A, so A and 2^k A are members of the same classes.
+    A matrix with a NaN or infinite entry is a member of no class; any other shape is a ValueError.  It is
+    decided on :func:`core_linalg.unit_scaled` A, so A and 2^k A are members of the same classes.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    m = unit_scaled(np.asarray(a, dtype=complex))
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"contains takes one n x n matrix, got shape {m.shape}")
+    m = unit_scaled(m)
     if not np.isfinite(m).all():
         return False
-    scale = frob(m)
-    if cls is MatrixClass.FULL:
+    scale = float(np.linalg.norm(m))  # frob's value, m being in the binade [1, 2) already
+    if cls in (MatrixClass.HERMITIAN, MatrixClass.PD, MatrixClass.PSD) and not _hermitian_defect(m) <= tol:
+        return False
+    if cls in (MatrixClass.FULL, MatrixClass.HERMITIAN):
         return True
-    if cls is MatrixClass.HERMITIAN:
-        return hermitian_defect(m) <= tol
     if cls is MatrixClass.SYMMETRIC:
         return frob(m - m.T) <= tol * scale
     if cls is MatrixClass.PD:
-        return hermitian_defect(m) <= tol and is_pd(0.5 * (m + m.conj().T))
+        return is_pd(0.5 * (m + m.conj().T))
     if cls is MatrixClass.PSD:
-        return hermitian_defect(m) <= tol and float(np.linalg.eigvalsh(m)[0]) >= -tol * scale
+        return float(np.linalg.eigvalsh(m)[0]) >= -tol * scale
     if cls is MatrixClass.UPPER_TRIANGULAR:
         lower = np.tril(m, -1)
         return float(np.max(np.abs(lower), initial=0.0)) <= tol * scale
@@ -300,7 +304,7 @@ def dual_witness(a, cls: MatrixClass) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     n = m.shape[-1]
     x = unit_scaled(m.reshape(-1, n, n))  # the margins and B are the same for A and 2^k A
-    anorm = frob(x, (-2, -1))
+    anorm = np.linalg.norm(x, axis=(-2, -1))  # frob's value, x being in the binade [1, 2) already
     if np.any(anorm == 0.0):
         raise ZeroInput("witness construction needs a nonzero matrix")
     if cls not in _WITNESS_UNITS:

@@ -64,11 +64,10 @@ def preserver_to_spec(p: CanonicalPreserver) -> dict:
         spec["sigma"] = [int(s) + 1 for s in p.sigma]
         spec["lambdas"] = [complex_to_json(z) for z in np.asarray(p.lambdas)]
         spec["offdiag_seed"] = int(p.offdiag_seed)
-        spec["transpose"] = False
-        return spec
-    spec["M"] = matrix_to_json(p.M)
-    if p.form is PreserverForm.MN_TWO_SIDED:
-        spec["N"] = matrix_to_json(p.N)
+    else:
+        spec["M"] = matrix_to_json(p.M)
+        if p.form is PreserverForm.MN_TWO_SIDED:
+            spec["N"] = matrix_to_json(p.N)
     spec["transpose"] = bool(p.transpose)
     return spec
 

@@ -19,7 +19,7 @@ takes one matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
 
@@ -56,8 +56,8 @@ _FORM_TAG = {form: 0x50 + i for i, form in enumerate(PreserverForm)}
 class CanonicalPreserver:
     """Parameters of one canonical map; callable on n x n arrays.
 
-    Gauge normalizations (det(M^* M) = 1, (det P)^2 = 1, det(MN) = 1,
-    prod lambda_i = 1) are guaranteed for :func:`random_canonical` output
+    The gauge det phi(I) = alpha^n (det(M^* M), det(P P^t), det(MN) or
+    prod lambda_i = 1) is guaranteed for :func:`random_canonical` output
     but deliberately not enforced at construction: loaded map specs act as
     black boxes and may be off-gauge.  ``sigma`` is stored 0-based.
     """
@@ -158,40 +158,28 @@ def _conditioned_gaussian(rng, n: int, min_sv_ratio: float = 1e-3) -> np.ndarray
 
 
 def random_canonical(form: PreserverForm, n: int, seed: int, transpose: bool = False) -> CanonicalPreserver:
-    """Seeded canonical preserver with its gauge constraint normalized exactly.
+    """Seeded canonical preserver with its gauge det phi(I) = alpha^n normalized exactly.
 
-    Gaussian factors are rescaled by the principal root that makes
-    det(M^* M) = 1 / (det P)^2 = 1 / det(MN) = 1; the tn-diagonal form gets
-    lambda_i in [0.5, 2] with the last one the reciprocal of the rest.
-    alpha is drawn uniformly from [0.5, 2].
+    Gaussian factors (M; P; M and N) are rescaled by the principal 2n-th root of 1 / det phi(I) at
+    alpha = 1 (:func:`gauge_residual`); the tn-diagonal form gets lambda_i in [0.5, 2] with the last
+    one the reciprocal of the rest.  alpha is drawn uniformly from [0.5, 2].  ``transpose`` on a form
+    without a transpose branch is the constructor's ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(mix_seed(_FORM_TAG[form], n, seed, int(transpose)))
     alpha = complex(rng.uniform(0.5, 2.0))
-    if form is PreserverForm.PN_CONGRUENCE:
-        m = _conditioned_gaussian(rng, n)
-        m = m * abs(determinant(m)) ** (-1.0 / n)  # det(M^* M) = |det M|^2 = 1
-        return CanonicalPreserver(form, n, alpha, M=m, transpose=transpose)
-    if form is PreserverForm.SN_CONGRUENCE:
-        m = _conditioned_gaussian(rng, n)
-        s = principal_root(determinant(m) ** -2.0, 2 * n)
-        return CanonicalPreserver(form, n, alpha, M=m * s)
-    if form is PreserverForm.MN_TWO_SIDED:
-        m = _conditioned_gaussian(rng, n)
-        nn = _conditioned_gaussian(rng, n)
-        c = principal_root(1.0 / determinant(m @ nn), 2 * n)
-        return CanonicalPreserver(form, n, alpha, M=m * c, N=nn * c, transpose=transpose)
     if form is PreserverForm.TN_DIAGONAL:
         sigma = tuple(int(i) for i in rng.permutation(n))
         lam = rng.uniform(0.5, 2.0, size=n).astype(complex)
-        if n == 1:
-            lam[0] = 1.0
-        else:
-            lam[-1] = 1.0 / np.prod(lam[:-1])
-        return CanonicalPreserver(form, n, alpha, sigma=sigma, lambdas=lam,
+        lam[-1] = 1.0 / np.prod(lam[:-1])
+        return CanonicalPreserver(form, n, alpha, sigma=sigma, lambdas=lam, transpose=transpose,
                                   offdiag_seed=int(seed) & 0x7FFFFFFF)
-    raise ValueError(f"unknown form {form}")
+    m = _conditioned_gaussian(rng, n)
+    right = _conditioned_gaussian(rng, n) if form is PreserverForm.MN_TWO_SIDED else None
+    raw = CanonicalPreserver(form, n, alpha, M=m, N=right, transpose=transpose)
+    s = principal_root(1.0 / _unit_det(raw), 2 * n)
+    return replace(raw, M=m * s, N=None if right is None else right * s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +220,13 @@ def pinching(a) -> np.ndarray:
     return np.diag(np.diagonal(m)).copy()
 
 
+def _unit_det(p: CanonicalPreserver) -> complex:
+    """det phi(I) at alpha = 1: det(M^* M), det(P P^t), det(MN) or prod lambda_i, the product of the
+    diagonal on tn-diagonal, whose image of I is diagonal."""
+    unit = apply_preserver(replace(p, alpha=1.0), np.eye(p.n, dtype=complex))
+    return determinant(unit, triangular=p.form is PreserverForm.TN_DIAGONAL)
+
+
 def gauge_residual(p: CanonicalPreserver) -> float:
-    """Deviation of the form's determinant gauge constraint from 1."""
-    if p.form is PreserverForm.PN_CONGRUENCE:
-        return abs(determinant(p.M.conj().T @ p.M) - 1.0)
-    if p.form is PreserverForm.SN_CONGRUENCE:
-        return abs(determinant(p.M) ** 2 - 1.0)
-    if p.form is PreserverForm.MN_TWO_SIDED:
-        return abs(determinant(p.M @ p.N) - 1.0)
-    return abs(complex(np.prod(np.asarray(p.lambdas))) - 1.0)
+    """|det phi(I) / alpha^n - 1|: the deviation of the form's one determinant gauge from 1."""
+    return abs(_unit_det(p) - 1.0)

@@ -38,7 +38,7 @@ diagonal-only contract of those maps.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -387,14 +387,7 @@ class KadisonChoiReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "tol": self.tol,
-            "min_eig_kadison": self.min_eig_kadison,
-            "min_eig_choi": self.min_eig_choi,
-            "pass": self.passed,
-        }
+        return {"pass" if key == "passed" else key: value for key, value in asdict(self).items()}
 
 
 def _lowest_eigenvalues(g) -> np.ndarray:

@@ -299,6 +299,20 @@ class TestIsSingular:
         assert not is_singular(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert is_singular(np.array([[0.0, 1.0], [1.0, 0.0]]), triangular=True)
 
+    @pytest.mark.parametrize("triangular", [False, True])
+    def test_stack_is_singular_where_some_finite_member_is(self, triangular):
+        # the diagonal of each member, not np.diagonal's default axes (0, 1) across the stack;
+        # a non-finite member is never singular, the dual of is_pd's every-member rule
+        rng = np.random.default_rng(7)
+        members = [np.eye(3), np.triu(_rand_complex(rng, 3)), np.diag([1.0, 1.0, 0.0]),
+                   np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                   np.full((3, 3), np.nan), np.diag([1.0, np.inf, 0.0])]
+        for picks in ([0, 0], [0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [4, 5], [0, 1, 2, 3, 4, 5]):
+            stack = np.stack([members[i] for i in picks])
+            expected = any(is_singular(m, triangular) for m in stack)
+            assert is_singular(stack, triangular) is expected, picks
+            assert is_singular(stack.reshape(1, *stack.shape), triangular) is expected, picks
+
     @pytest.mark.parametrize("a", NON_FINITE)
     def test_non_finite_is_not_singular(self, a):
         # the callers' non-finite path (failing sentinel, NaN companion) decides

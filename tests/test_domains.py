@@ -20,6 +20,7 @@ from preserver_lab import (
     sample,
     sample_invertible,
 )
+from preserver_lab import core_linalg
 from preserver_lab.core_linalg import is_pd, is_singular
 from preserver_lab.domains import _CLASS_TAG, _draw, _stream, sample_batch
 
@@ -58,6 +59,39 @@ class TestContains:
         assert contains(MatrixClass.PSD, a, 1e-9)
         d = sample(MatrixClass.DIAGONAL, 3, 1)
         assert contains(MatrixClass.UPPER_TRIANGULAR, d, 1e-9)
+
+    @pytest.mark.parametrize("cls,a", [
+        (MatrixClass.SYMMETRIC, np.stack([np.eye(3)] * 3)),  # was "not symmetric"
+        (MatrixClass.PD, np.stack([np.eye(3)] * 3)),  # raised numpy's ambiguous truth value
+        (MatrixClass.FULL, np.ones((2, 3))),  # was a member
+    ], ids=["symmetric-stack", "pd-stack", "full-2x3"])
+    def test_takes_one_square_matrix(self, cls, a):
+        with pytest.raises(ValueError, match=rf"shape \({a.shape[0]}, {a.shape[1]}"):
+            contains(cls, a, 1e-9)
+
+    @pytest.mark.parametrize("cls,passes", [
+        (MatrixClass.FULL, 1), (MatrixClass.UPPER_TRIANGULAR, 1), (MatrixClass.DIAGONAL, 1),
+        (MatrixClass.HERMITIAN, 1), (MatrixClass.PSD, 1), (MatrixClass.SYMMETRIC, 2), (MatrixClass.PD, 2),
+    ], ids=lambda x: getattr(x, "value", x))
+    def test_one_binade_pass_per_matrix(self, monkeypatch, cls, passes):
+        # the matrix is scaled once; only m - m^t (symmetric) and the Hermitian part (PD) are new
+        # matrices, and those get one pass each
+        calls = _count_binade(monkeypatch)
+        assert contains(cls, sample(cls, 3, 2), 1e-9)
+        assert len(calls) == passes
+
+
+def _count_binade(monkeypatch):
+    """The inputs of every ``core_linalg._binade`` call from here on."""
+    calls = []
+    binade = core_linalg._binade
+
+    def counting(a, axis=None):
+        calls.append(np.shape(a))
+        return binade(a, axis)
+
+    monkeypatch.setattr(core_linalg, "_binade", counting)
+    return calls
 
 
 class TestSample:
@@ -346,6 +380,11 @@ class TestDualWitness:
         for cls in WITNESS_CLASSES:
             b = dual_witness(np.eye(3), cls)
             assert abs(np.trace(np.eye(3) @ b)) >= 1e-6 * np.sqrt(3)
+
+    def test_one_binade_pass(self, monkeypatch):
+        calls = _count_binade(monkeypatch)
+        dual_witness(np.stack([sample(MatrixClass.FULL, 3, s) for s in range(4)]), MatrixClass.FULL)
+        assert calls == [(4, 3, 3)]
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroInput):

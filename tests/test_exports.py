@@ -4,12 +4,16 @@
 stale entry would point it at a function that is gone.  No module keeps an
 import it does not use, the leftover a deletion most often leaves behind.
 The layers hold: ``core_linalg`` and ``jsonio`` import nothing from the
-package, and ``jsonio`` owns every JSON codec.  phi(I) is read, lifted and
-judged in one place, ``verifiers._lifted``, by ``core_linalg._binade``'s
-exponent, which only ``core_linalg`` applies; and the CLI's class choices
-come from the library's class tables.
+package, and ``jsonio`` owns every JSON codec.  phi(I) is lifted in one
+place, ``verifiers._lifted``, by ``core_linalg._binade``'s exponent, which
+only ``core_linalg`` applies.  Every battery and recovery reads phi(I) there;
+only Kadison-Choi's unitality check reads the raw phi(I), since 2 phi would
+pass it lifted.  The lifted phi(I) is judged by its users: ``_lifted``'s
+singularity check, ``unitalize``'s class gates and ``recover``'s PD gate.
+The CLI's class and oracle choices come from the library's tables.
 """
 
+import argparse
 import ast
 import importlib
 import pkgutil
@@ -18,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import preserver_lab
-from preserver_lab import MatrixClass
+from preserver_lab import MatrixClass, cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(preserver_lab.__path__))
 
@@ -142,3 +146,10 @@ def test_cli_lists_no_class_names():
     listed = [(node.lineno, elt.value) for node in ast.walk(_tree("cli")) if isinstance(node, (ast.Tuple, ast.List))
               for elt in node.elts if isinstance(elt, ast.Constant) and elt.value in names]
     assert listed == []
+
+
+def test_cli_oracle_choices_are_its_oracle_table():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    oracle = next(a for a in commands.choices["oracle"]._actions if a.dest == "oracle")
+    assert oracle.choices is cli._ORACLES

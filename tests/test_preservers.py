@@ -22,7 +22,10 @@ from preserver_lab import (
 )
 from preserver_lab.jsonio import matrix_to_json
 
+from oracles import det_cofactor
+
 ALL_FORMS = list(PreserverForm)
+BRANCHABLE = (PreserverForm.PN_CONGRUENCE, PreserverForm.MN_TWO_SIDED)
 
 
 class TestApply:
@@ -105,11 +108,33 @@ class TestLinearRep:
 class TestRandomCanonical:
     @pytest.mark.parametrize("form", ALL_FORMS, ids=lambda f: f.value)
     def test_gauge_constraints(self, form):
+        tol = 1e-12 if form is PreserverForm.TN_DIAGONAL else 1e-11
+        for n in (1, 2, 3, 5, 16):
+            for transpose in (False, True) if form in BRANCHABLE else (False,):
+                for seed in range(10):
+                    p = random_canonical(form, n, seed, transpose=transpose)
+                    assert gauge_residual(p) <= tol, (form, n, transpose, seed)
+
+    @pytest.mark.parametrize("form", ALL_FORMS, ids=lambda f: f.value)
+    def test_off_gauge_residual_is_det_phi_of_i(self, form):
+        # M = 2I, P = 2I, M = N = 2I or lambda_i = 2: det phi(I) / alpha^n = 4^n (2^n on tn)
         for n in (1, 2, 3, 5):
-            for seed in range(10):
-                p = random_canonical(form, n, seed)
-                tol = 1e-12 if form is PreserverForm.TN_DIAGONAL else 1e-10
-                assert gauge_residual(p) <= tol, (form, n, seed)
+            two = 2.0 * np.eye(n, dtype=complex)
+            if form is PreserverForm.TN_DIAGONAL:
+                factors = {"sigma": tuple(range(n)), "lambdas": np.full(n, 2.0, dtype=complex)}
+            else:
+                factors = {"M": two, "N": two if form is PreserverForm.MN_TWO_SIDED else None}
+            p = CanonicalPreserver(form, n, 0.75, **factors)
+            expected = det_cofactor(p(np.eye(n)) / 0.75) - 1.0
+            assert expected == (2.0 if form is PreserverForm.TN_DIAGONAL else 4.0) ** n - 1.0
+            assert gauge_residual(p) == pytest.approx(abs(expected), rel=1e-14)
+
+    @pytest.mark.parametrize("form", [PreserverForm.SN_CONGRUENCE, PreserverForm.TN_DIAGONAL],
+                             ids=lambda f: f.value)
+    def test_no_transpose_branch(self, form):
+        # not a differently seeded map that ignores transpose
+        with pytest.raises(ValueError, match="has no transpose branch"):
+            random_canonical(form, 3, 0, transpose=True)
 
     def test_deterministic(self):
         p1 = random_canonical(PreserverForm.MN_TWO_SIDED, 4, 7)

@@ -25,6 +25,7 @@ from .mapspec import realize_map, recovery_to_json
 from .preservers import NormConjugation
 from .recovery import _EXTRACTORS, recover
 from .verifiers import (
+    _Battery,
     check_homogeneity_additivity,
     oracle_dual_witness,
     oracle_jacobi,
@@ -165,13 +166,9 @@ def _cmd_oracle(args) -> int:
 def _cmd_counterexample(args) -> int:
     _validate_common(args)
     map_fn = NormConjugation(0.0 if args.generator == "zero" else 1.0)
-    square = verify_trace_identity(map_fn, MatrixClass.PD, args.n, "square",
-                                   args.samples, args.seed, 1e-9)
-    add = check_homogeneity_additivity(map_fn, MatrixClass.PD, args.n,
-                                       args.samples, args.seed, 1e-8)
-    det = verify_det_identity(map_fn, MatrixClass.PD, args.n,
-                              [(1.0 + 0.0j, 1.0 + 0.0j)], args.samples,
-                              args.seed, 1e-8, identity="det-sum")
+    bat = _Battery(map_fn, MatrixClass.PD, args.n, args.seed, args.samples)  # one phi(I), A, B each
+    square, add = bat.trace("square", 1e-9), bat.homogeneity(1e-8)
+    det = bat.det([(1.0 + 0.0j, 1.0 + 0.0j)], 1e-8, "det-sum")
     signature = {
         "trace-square": "pass" if square.passed else "fail",
         "additivity": "fail" if not add.passed else "pass",

@@ -26,7 +26,7 @@ decision and ``is_singular`` the one singularity test of a unit image phi(I); ea
 ``_binade``'s exponent k is the package's one power-of-two rescale (of these inputs, of weight pairs
 and of phi(I) in :func:`verifiers._lifted`), applied exactly by ``ldexp`` at any k; factorizations
 are LAPACK's, through numpy.  The gauge factors come from one SVD of phi(I), in
-:func:`verifiers.unitalize`; the one rank decision is :func:`recovery.rank_one_split`.
+:func:`verifiers._gauge`; the one rank decision is :func:`recovery.rank_one_split`.
 """
 
 from __future__ import annotations

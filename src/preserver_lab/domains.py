@@ -298,10 +298,12 @@ def dual_witness(a, cls: MatrixClass) -> np.ndarray:
     closed form.  lambda runs over {2, 3, 5}, which avoids every excluded
     value of the underlying constructions, and each member gets the first
     candidate clearing the margin.  B has the shape of ``a``.  Every nonzero
-    class member is separated, at any scale; a zero member raises :class:`ZeroInput`,
-    and a non-member that no candidate separates :class:`WitnessNotFound`, which names it.
+    class member is separated, at any scale; a zero member raises :class:`ZeroInput`, a non-member
+    that no candidate separates :class:`WitnessNotFound` (naming it), and a non-square shape ValueError.
     """
     m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"dual_witness takes an n x n matrix or a stack of them, got shape {m.shape}")
     n = m.shape[-1]
     x = unit_scaled(m.reshape(-1, n, n))  # the margins and B are the same for A and 2^k A
     anorm = np.linalg.norm(x, axis=(-2, -1))  # frob's value, x being in the binade [1, 2) already

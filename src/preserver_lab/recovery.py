@@ -35,7 +35,8 @@ from .core_linalg import _is_pd, frob, ldexp, matrix_residual, principal_root
 from .domains import MatrixClass, mix_seed, sample_batch
 from .errors import NotCanonical, NotLinear, NotRankOne, NotStarForm, SingularUnit
 from .preservers import CanonicalPreserver, LinearRep, PreserverForm, apply_preserver
-from .verifiers import _CONSISTENCY_SAMPLES, _CONSISTENCY_TAG, _QUIET, _images, _lifted, _require_linear, _residuals
+from .verifiers import (_CONSISTENCY_SAMPLES, _CONSISTENCY_TAG, _QUIET, _images, _lifted, _require_linear, _residuals,
+                        _unit_det)
 
 __all__ = [
     "build_linear_rep",
@@ -90,7 +91,7 @@ def build_linear_rep(map_fn, cls: MatrixClass, n: int, tol: float) -> LinearRep:
                    MatrixClass.PD):
         raise ValueError(f"linear rep not defined for class {cls.value}")
     with np.errstate(**_QUIET):
-        k, unit, _, fn = _lifted(map_fn, cls, n)
+        k, unit, fn = _lifted(map_fn, cls, n)
         rows, cols = np.triu_indices(n)
         r4 = np.empty((n, n, n, n), dtype=complex)  # r4[i, j] = L(E_ij)
         r4[rows, cols], r4[cols, rows] = _unit_images(fn, cls, n, rows, cols, unit)
@@ -236,7 +237,8 @@ def recover(map_fn, cls: MatrixClass, n: int, tol: float = 1e-8):
     if cls not in _EXTRACTORS:
         raise ValueError(f"recovery not defined for class {cls.value}")
     with np.errstate(**_QUIET):
-        k, unit, unit_det, fn = _lifted(map_fn, cls, n, SingularUnit("map(I) is not invertible"))
+        k, unit, fn = _lifted(map_fn, cls, n)
+        unit_det = _unit_det(cls, unit, SingularUnit("map(I) is not invertible"))
         _require_linear(fn, cls, n, tol)
         pd = cls is MatrixClass.PD
         if pd and not _is_pd(unit):

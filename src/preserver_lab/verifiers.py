@@ -1,33 +1,25 @@
 """Seeded sampling verification of the determinant and trace identities.
 
-Determinant identities compare det(s phi(A) + t phi(B)) against alpha^n det(sA + tB), with
-alpha^n = det(phi(I)).  :func:`_lifted` reads phi(I) once for every battery and recovery, lifts the
-map to 2^k phi, k the :func:`core_linalg._binade` exponent taking max |phi(I)_ij| into [1, 2) from
-any scale, subnormal included, and refuses a singular phi(I) or a zero determinant, so a report on
-c phi (c = 2^k) is the report on phi while the images stay finite and normal.  The trace identities
-with kinds ``product``, ``square`` and ``power`` hold in the unital gauge, so those kinds run on the
-lifted map's wrapper gauged by one SVD of its unit image (by its diagonal on the triangular classes);
-the ``inverse`` kind needs no gauge and runs on the raw map.  phi(I) is scaled once, by the lift: the
-singularity and PD gates take that unit image through their unscaled bodies.  All residuals are scale-aware.
-A determinant identity's weight pairs run as one stacked pass, in chunks of 64 KiB of stack, below
-glibc's 128 KiB mmap threshold, above which every numpy temporary takes fresh page faults.
+Each map battery is a reduction over one front end, :class:`_Battery`.  It draws A =
+``sample_batch(cls, n, mix_seed(seed, 0), samples)`` first, so the sampler's ``samples`` check precedes
+every query; B (``mix_seed(seed, 1)``), phi(I) and the images of A and B are computed once, on first use.
+phi(I) is read by :func:`_lifted`, which lifts the map to 2^k phi, k the :func:`core_linalg._binade`
+exponent taking max |phi(I)_ij| into [1, 2) from any scale, so a report on c phi (c = 2^k) is the report
+on phi while the images stay finite and normal.  The det identities, det(s phi(A) + t phi(B)) against
+det(phi(I)) det(sA + tB) with :func:`_unit_det` refusing a degenerate phi(I), and homogeneity-additivity
+compare lifted images; the trace kinds ``product``, ``square`` and ``power`` hold in the unital gauge, so
+they pass the lifted images through :func:`_gauge`'s factors.  Only ``inverse`` reads no phi(I):
+tr(phi(A) phi(B)^{-1}) is the same for c phi, so it queries the raw map and pays for no lift.
+``counterexample`` runs trace-square, homogeneity-additivity and det-sum on one battery: a per-matrix box
+is queried 1 + 6 samples times (phi(I), A, B, A + B, three lambda A), not 3 + 9 samples.
 
-Every battery, the oracle batteries included, draws its samples as stacks,
-A = ``sample_batch(cls, n, mix_seed(seed, 0), samples)`` and B from ``mix_seed(seed, 1)``, before its
-first query of the map (so the sampler's ``samples`` check comes first), evaluates the map through
-:func:`_images` and reduces with the stacked kernels of :mod:`core_linalg`.  :func:`_images` alone
-decides how a map is called: a :class:`CanonicalPreserver`, a :class:`LinearRep`, a
-:class:`NormConjugation` or the lifted map's wrapper (which hands the stack on to its map by the same
+:func:`_images` alone decides how a map is called: a :class:`CanonicalPreserver`, a :class:`LinearRep`,
+a :class:`NormConjugation` or the lifted map's wrapper (which hands the stack on to its map by the same
 rule) takes a whole stack in one call, also behind a wrapper that sets ``__wrapped__`` (the
 :func:`functools.wraps` convention); any other map is a black box queried once per matrix; an image
-that is not a numeric matrix of its input's shape raises DimensionMismatch.  The Minkowski and
-Jacobi oracles run as one stacked computation each, of which :func:`check_minkowski` and
-:func:`check_jacobi` are the one-pair views, and the dual-witness oracle is one
-:func:`domains.dual_witness` call on the drawn stack.  Minkowski's PD gate, the PD unitalization and
-recovery's PD gate are views of :func:`core_linalg.is_pd`, and :func:`_require_linear` is the one
-linearity probe, of Kadison/Choi and of recovery.  A non-finite residual counts as the failing
-sentinel 1e100 (-1e100 for the Kadison/Choi eigenvalue minima), so it fails; numpy's overflow and
-invalid-value warnings are silenced inside the batteries for that reason.
+that is not a numeric matrix of its input's shape raises DimensionMismatch.  The Minkowski, Jacobi and
+dual-witness oracles take no map and draw their own stacks.  A non-finite residual counts as the failing
+sentinel 1e100 (-1e100 for the Kadison/Choi eigenvalue minima), and fails without a warning.
 
 For the upper-triangular and diagonal classes only diagonal data enters: determinants become
 diagonal products, traces of triangular products reduce to diagonal sums and images are compared on
@@ -39,6 +31,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +78,7 @@ __all__ = [
 
 # Non-finite values become the failing sentinel, so their warnings are noise.
 _QUIET = {"over": "ignore", "invalid": "ignore"}
-_CHUNK_BYTES = 1 << 16  # a det battery's chunk: 5 weight pairs at n = 2, 200 samples, 1 at n = 5
+_CHUNK_BYTES = 1 << 16  # under glibc's 128 KiB mmap threshold: 5 weight pairs at n = 2, 200 samples, 1 at n = 5
 # the linearity probe's consistency samples, also recovery.build_linear_rep's
 _CONSISTENCY_TAG = 0xC0451
 _CONSISTENCY_SAMPLES = 20
@@ -198,15 +191,98 @@ class _Unitalized:
         return imgs if self.left is None else sandwich(self.left, imgs, self.right)
 
 
-def _lifted(map_fn, cls: MatrixClass, n: int, singular: Exception | None = None):
-    """(k, 2^k phi(I), det(2^k phi(I)), 2^k phi) from the one query of phi(I) of a battery or recovery,
-    k its :func:`core_linalg._binade` exponent.  Given ``singular``, the determinant is taken and
-    ``singular`` raised where :func:`core_linalg.is_singular` holds or it is exactly 0 (never if not finite)."""
+def _lifted(map_fn, cls: MatrixClass, n: int):
+    """(k, 2^k phi(I), 2^k phi) from the one query of phi(I) of a battery or recovery, k its ``_binade`` exponent."""
     unit, k = _binade(_images(map_fn, np.eye(n, dtype=complex)))
-    unit_det = None if singular is None else determinant(unit, cls.triangular)
-    if singular is not None and (unit_det == 0 or _is_singular(unit, cls.triangular)):
-        raise singular
-    return k.item(), unit, unit_det, _Unitalized(map_fn, k.item())
+    return k.item(), unit, _Unitalized(map_fn, k.item())
+
+
+def _unit_det(cls: MatrixClass, unit, error: Exception) -> complex:
+    """det of :func:`_lifted`'s unit image, raising ``error`` where it is 0 or :func:`is_singular` holds."""
+    unit_det = determinant(unit, cls.triangular)
+    if unit_det == 0 or _is_singular(unit, cls.triangular):
+        raise error
+    return unit_det
+
+
+def _gauge(cls: MatrixClass, n: int, unit):
+    """:func:`unitalize`'s (left, right) factors of :func:`_lifted`'s unit image; right may be None."""
+    if not np.isfinite(unit).all():
+        return np.full((n, n), np.nan), None
+    c = 0.5 * (unit + unit.T) if cls is MatrixClass.SYMMETRIC else unit
+    if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN):
+        if not _is_pd(unit):
+            raise NotPositiveDefinite("map(I) is not certified positive definite")
+    elif is_singular(c) if cls is MatrixClass.SYMMETRIC else _is_singular(unit, cls.triangular):
+        raise DegenerateUnit("map(I) is singular")
+    if cls.triangular:
+        return np.diag(1 / np.diagonal(unit)), None
+    u, s, vh = np.linalg.svd(c)
+    return u.conj().T / np.sqrt(s)[:, None], vh.conj().T / np.sqrt(s)
+
+
+class _Battery:
+    """What a battery's reductions share: A, drawn first; B, phi(I) (:func:`_lifted`), 2^k phi(A), 2^k phi(B) once."""
+
+    def __init__(self, map_fn, cls: MatrixClass, n: int, seed: int, samples: int):
+        self.map_fn, self.cls, self.n, self.seed, self.samples = map_fn, cls, n, seed, samples
+        self.a = sample_batch(cls, n, mix_seed(seed, 0), samples)
+
+    @cached_property
+    def b(self):
+        return sample_batch(self.cls, self.n, mix_seed(self.seed, 1), self.samples)
+
+    @cached_property
+    def unit(self):
+        return _lifted(self.map_fn, self.cls, self.n)
+
+    @cached_property
+    def fa(self):
+        return _images(self.unit[2], self.a)
+
+    @cached_property
+    def fb(self):
+        return _images(self.unit[2], self.b)
+
+    def det(self, weights, tol: float, identity: str) -> VerificationReport:
+        cls, a, w = self.cls, self.a, np.asarray(weights, dtype=complex).reshape(-1, 2)
+        with np.errstate(**_QUIET):
+            unit_det = _unit_det(cls, self.unit[1], DegenerateUnit("det(map(I)) vanishes; alpha is undefined"))
+            x, y, fx, fy = a, self.b, self.fa, self.fb
+            if cls.triangular:
+                x, y, fx, fy = (np.diagonal(m, axis1=-2, axis2=-1) for m in (x, y, fx, fy))
+            s, t = unit_scaled(w[:, None, :])[:, 0].T.reshape(2, -1, *(1,) * x.ndim)
+            lhs, rhs = np.empty((2, len(w), self.samples), dtype=complex)
+            step = max(1, _CHUNK_BYTES // a.nbytes)
+            for c in (slice(i, i + step) for i in range(0, len(w), step)):
+                for out, (u, v) in ((lhs, (fx, fy)), (rhs, (x, y))):
+                    m = s[c] * u
+                    m += t[c] * v  # in place: one temporary less on the stack
+                    out[c] = np.prod(m, axis=-1) if cls.triangular else determinant(m)
+            worst = np.max(scalar_residual(lhs, unit_det * rhs), axis=0)
+        return _report(identity, cls, self.n, tol, worst)
+
+    def trace(self, kind: str, tol: float, power: int = 2) -> VerificationReport:
+        invert, k = kind == "inverse", power if kind == "power" else 1
+        label = f"trace-power-{power}" if kind == "power" else f"trace-{kind}"
+        with np.errstate(**_QUIET):
+            if invert:  # tr(phi(A) phi(B)^-1) is scale-free: the raw map, and no read of phi(I)
+                b = sample_batch(self.cls, self.n, mix_seed(self.seed, 1), self.samples, _MIN_ABS_DET)
+                fa, fb = _images(self.map_fn, self.a), _images(self.map_fn, b)
+            else:  # unitalize's gauge, applied to the images fa and fb
+                left, right = _gauge(self.cls, self.n, self.unit[1])
+                fa = sandwich(left, self.fa, right)
+                b, fb = (self.a, fa) if kind == "square" else (self.b, sandwich(left, self.fb, right))
+            residuals = scalar_residual(_traces(self.cls, fa, fb, invert, k), _traces(self.cls, self.a, b, invert, k))
+        return _report(label, self.cls, self.n, tol, residuals)
+
+    def homogeneity(self, tol: float) -> VerificationReport:
+        with np.errstate(**_QUIET):
+            fa, fb = self.fa, self.fb
+            worst = _residuals(self.cls, _images(self.unit[2], self.a + self.b), fa + fb)
+            for lam in _HOMOGENEITY_SCALES:
+                worst = np.maximum(worst, _residuals(self.cls, _images(self.unit[2], lam * self.a), lam * fa))
+        return _report("homogeneity-additivity", self.cls, self.n, tol, worst)
 
 
 def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
@@ -224,23 +300,7 @@ def verify_det_identity(map_fn, cls: MatrixClass, n: int, weights, samples: int,
     w = np.asarray(weights, dtype=complex).reshape(-1, 2)
     if not w.size or not np.isfinite(w).all() or (w == 0).all(axis=1).any():
         raise ValueError("weights must be a nonempty list of finite (s, t) pairs, not both zero")
-    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
-    b = sample_batch(cls, n, mix_seed(seed, 1), samples)
-    with np.errstate(**_QUIET):
-        _, _, unit_det, fn = _lifted(map_fn, cls, n, DegenerateUnit("det(map(I)) vanishes; alpha is undefined"))
-        x, y, fx, fy = a, b, _images(fn, a), _images(fn, b)
-        if cls.triangular:
-            x, y, fx, fy = (np.diagonal(m, axis1=-2, axis2=-1) for m in (x, y, fx, fy))
-        s, t = unit_scaled(w[:, None, :])[:, 0].T.reshape(2, -1, *(1,) * x.ndim)
-        lhs, rhs = np.empty((2, len(w), samples), dtype=complex)
-        step = max(1, _CHUNK_BYTES // a.nbytes)
-        for c in (slice(i, i + step) for i in range(0, len(w), step)):
-            for out, (u, v) in ((lhs, (fx, fy)), (rhs, (x, y))):
-                m = s[c] * u
-                m += t[c] * v  # in place: one temporary less on the stack
-                out[c] = np.prod(m, axis=-1) if cls.triangular else determinant(m)
-        worst = np.max(scalar_residual(lhs, unit_det * rhs), axis=0)
-    return _report(identity, cls, n, tol, worst)
+    return _Battery(map_fn, cls, n, seed, samples).det(w, tol, identity)
 
 
 def unitalize(map_fn, cls: MatrixClass, n: int):
@@ -257,19 +317,9 @@ def unitalize(map_fn, cls: MatrixClass, n: int):
     residual on it fails; the SVD of I is (I, 1, I), so an exactly unital map keeps its images.  c phi
     (c = 2^k) gets the companion of phi, which takes a whole stack where the map does (:func:`_images`).
     """
-    _, unit, _, fn = _lifted(map_fn, cls, n)
-    if not np.isfinite(unit).all():
-        return replace(fn, left=np.full((n, n), np.nan))
-    c = 0.5 * (unit + unit.T) if cls is MatrixClass.SYMMETRIC else unit
-    if cls in (MatrixClass.PD, MatrixClass.PSD, MatrixClass.HERMITIAN):
-        if not _is_pd(unit):
-            raise NotPositiveDefinite("map(I) is not certified positive definite")
-    elif is_singular(c) if cls is MatrixClass.SYMMETRIC else _is_singular(unit, cls.triangular):
-        raise DegenerateUnit("map(I) is singular")
-    if cls.triangular:
-        return replace(fn, left=np.diag(1 / np.diagonal(unit)))
-    u, s, vh = np.linalg.svd(c)
-    return replace(fn, left=u.conj().T / np.sqrt(s)[:, None], right=vh.conj().T / np.sqrt(s))
+    _, unit, fn = _lifted(map_fn, cls, n)
+    left, right = _gauge(cls, n, unit)
+    return replace(fn, left=left, right=right)
 
 
 def _traces(cls, x, y, invert: bool, k: int) -> np.ndarray:
@@ -295,20 +345,7 @@ def verify_trace_identity(map_fn, cls: MatrixClass, n: int, kind: str, samples: 
         raise ValueError(f"unknown trace identity kind {kind!r}")
     if kind == "power" and not 1 <= power <= 64:  # above 64, A^k and phi(A)^k can overflow together
         raise ValueError("power must lie in [1, 64]")
-    invert, k = kind == "inverse", power if kind == "power" else 1
-    label = {"inverse": "trace-inverse", "product": "trace-product",
-             "square": "trace-square", "power": f"trace-power-{power}"}[kind]
-    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
-    with np.errstate(**_QUIET):
-        fn = map_fn if invert else unitalize(map_fn, cls, n)
-        fa = _images(fn, a)
-        if kind == "square":
-            b, fb = a, fa
-        else:
-            b = sample_batch(cls, n, mix_seed(seed, 1), samples, _MIN_ABS_DET if invert else None)
-            fb = _images(fn, b)
-        residuals = scalar_residual(_traces(cls, fa, fb, invert, k), _traces(cls, a, b, invert, k))
-    return _report(label, cls, n, tol, residuals)
+    return _Battery(map_fn, cls, n, seed, samples).trace(kind, tol, power)
 
 
 @dataclass
@@ -410,7 +447,7 @@ def check_kadison_choi(map_fn, n: int, samples: int, seed: int, tol: float = 1e-
     Reports the worst lower eigenvalue of each gap over the PD stack from
     ``mix_seed(seed, 0)``; a non-finite gap counts as -1e100 and fails.
     """
-    a = sample_batch(MatrixClass.PD, n, mix_seed(seed, 0), samples)
+    a = _Battery(map_fn, MatrixClass.PD, n, seed, samples).a  # phi(I) is read raw below, not lifted
     eye = np.eye(n, dtype=complex)
     with np.errstate(**_QUIET):
         if finite_or(frob(_images(map_fn, eye) - eye)) > 1e-9:
@@ -437,15 +474,7 @@ def check_homogeneity_additivity(map_fn, cls: MatrixClass, n: int, samples: int,
     """Residuals of phi(lambda A) - lambda phi(A) and phi(A+B) - phi(A) - phi(B) of the lifted map
     (:func:`_lifted`), relative to phi(I)'s scale (max |2^k phi(I)_ij| in [1, 2)), not to that of
     images far below it; of the diagonals alone on the triangular classes (:func:`_residuals`)."""
-    a = sample_batch(cls, n, mix_seed(seed, 0), samples)
-    b = sample_batch(cls, n, mix_seed(seed, 1), samples)
-    with np.errstate(**_QUIET):
-        fn = _lifted(map_fn, cls, n)[3]
-        fa, fb = _images(fn, a), _images(fn, b)
-        worst = _residuals(cls, _images(fn, a + b), fa + fb)
-        for lam in _HOMOGENEITY_SCALES:
-            worst = np.maximum(worst, _residuals(cls, _images(fn, lam * a), lam * fa))
-    return _report("homogeneity-additivity", cls, n, tol, worst)
+    return _Battery(map_fn, cls, n, seed, samples).homogeneity(tol)
 
 
 def oracle_minkowski(n: int, samples: int, seed: int) -> dict:

@@ -103,13 +103,14 @@ def det_battery_residuals(map_fn, cls, n, weights, samples, seed):
     folded by a running maximum."""
     from preserver_lab.core_linalg import determinant, scalar_residual, unit_scaled
     from preserver_lab.domains import mix_seed, sample_batch
-    from preserver_lab.verifiers import _images, _lifted
+    from preserver_lab.verifiers import _images, _lifted, _unit_det
 
     w = np.asarray(weights, dtype=complex).reshape(-1, 2)
     a = sample_batch(cls, n, mix_seed(seed, 0), samples)
     b = sample_batch(cls, n, mix_seed(seed, 1), samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, unit_det, fn = _lifted(map_fn, cls, n, ValueError("singular phi(I)"))
+        _, unit, fn = _lifted(map_fn, cls, n)
+        unit_det = _unit_det(cls, unit, ValueError("singular phi(I)"))
         fa, fb = _images(fn, a), _images(fn, b)
         worst = np.zeros(samples)
         for s, t in unit_scaled(w[:, None, :])[:, 0]:

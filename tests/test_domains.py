@@ -390,6 +390,13 @@ class TestDualWitness:
         with pytest.raises(ZeroInput):
             dual_witness(np.zeros((2, 2)), MatrixClass.FULL)
 
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 6), (3,)], ids=["6x3", "3x6", "vector"])
+    def test_non_square_shape_rejected(self, shape):
+        # (6, 3) was read as a stack of two 3 x 3 members, (3, 6) raised numpy's "cannot reshape"
+        a = np.arange(float(np.prod(shape))).reshape(shape) + 1
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]},"):
+            dual_witness(a, MatrixClass.FULL)
+
     @pytest.mark.parametrize("cls", WITNESS_CLASSES, ids=lambda c: c.value)
     def test_property_battery(self, cls):
         n = 3

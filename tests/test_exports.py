@@ -8,8 +8,10 @@ package, and ``jsonio`` owns every JSON codec.  phi(I) is lifted in one
 place, ``verifiers._lifted``, by ``core_linalg._binade``'s exponent, which
 only ``core_linalg`` applies.  Every battery and recovery reads phi(I) there;
 only Kadison-Choi's unitality check reads the raw phi(I), since 2 phi would
-pass it lifted.  The lifted phi(I) is judged by its users: ``_lifted``'s
-singularity check, ``unitalize``'s class gates and ``recover``'s PD gate.
+pass it lifted.  The lifted phi(I) is judged by its users: ``_unit_det``'s
+singularity check, ``_gauge``'s class gates and ``recover``'s PD gate.  The
+map batteries draw their samples and query the map through one front end,
+``verifiers._Battery``.
 The CLI's class and oracle choices come from the library's tables.
 """
 
@@ -122,6 +124,34 @@ def test_unit_image_is_lifted_in_one_place():
     names = {getattr(node, attr) for module in MODULES for node in ast.walk(_tree(module))
              for attr in ("id", "name", "arg", "attr", "asname") if isinstance(getattr(node, attr, None), str)}
     assert {n for n in names if "lift" in n} == {"_lifted"}
+
+
+def _top_level(module):
+    """{name: node} of the functions and classes defined at the top of ``module``."""
+    return {node.name: node for node in _tree(module).body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _seeded_draws(node):
+    """The ``sample_batch`` calls inside ``node`` whose key is ``mix_seed(seed, ...)`` (or ``self.seed``)."""
+    return [c for c in _calls(node, "sample_batch") if len(c.args) > 2 and _calls(c.args[2], "mix_seed")
+            and "seed" in (getattr(c.args[2].args[0], "id", None), getattr(c.args[2].args[0], "attr", None))]
+
+
+def test_batteries_share_one_front_end():
+    # the map batteries draw A and B, read phi(I) and query their stacks only through _Battery; the
+    # oracles, which take no map, keep their own draws
+    defs = _top_level("verifiers")
+    assert {name for name, node in defs.items() if _seeded_draws(node)} == {
+        "_Battery", "oracle_minkowski", "oracle_jacobi", "oracle_dual_witness"}
+    for name in ("verify_det_identity", "verify_trace_identity", "check_homogeneity_additivity"):
+        assert not any(_calls(defs[name], f) for f in ("sample_batch", "_lifted", "unitalize", "_images")), name
+    # no battery gauges through unitalize: the trace reductions apply _gauge's factors themselves
+    assert _callers("unitalize") == set()
+    # _lifted has no optional parameter: the unit determinant and its guard are _unit_det's
+    args = _function("verifiers", "_lifted").args
+    assert [a.arg for a in args.args] == ["map_fn", "cls", "n"] and not (args.defaults or args.kwonlyargs)
+    # (preservers has a _unit_det of its own, the gauge rule of a canonical form)
+    assert {c for c in _callers("_unit_det") if c[0] != "preservers"} == {("verifiers", "det"), ("recovery", "recover")}
 
 
 def test_maps_are_called_only_in_images():

@@ -1,8 +1,10 @@
 """Tests for the identity verifiers and oracle checks."""
 
 import functools
+import gc
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -46,7 +48,7 @@ from preserver_lab import (
     verify_det_identity,
     verify_trace_identity,
 )
-from preserver_lab import core_linalg, verifiers
+from preserver_lab import cli, core_linalg, verifiers
 from preserver_lab.cli import _default_weights
 from preserver_lab.core_linalg import ldexp
 from preserver_lab.domains import sample_batch
@@ -575,6 +577,61 @@ class TestStackDispatch:
     def test_an_image_that_is_no_matrix_of_the_input_shape_is_a_dimension_mismatch(self, run, box):
         with pytest.raises(DimensionMismatch, match="numeric matrix of that size"):
             run(box)
+
+
+class TestSharedBattery:
+    """counterexample's trace-square, homogeneity-additivity and det-sum run on one battery."""
+
+    @staticmethod
+    def _public(fn, n, samples, seed):
+        cls = MatrixClass.PD
+        return [verify_trace_identity(fn, cls, n, "square", samples, seed, 1e-9),
+                check_homogeneity_additivity(fn, cls, n, samples, seed, 1e-8),
+                verify_det_identity(fn, cls, n, SUM, samples, seed, 1e-8, identity="det-sum")]
+
+    @pytest.mark.parametrize("n,samples,seed", [(2, 50, 1), (3, 30, 4)])
+    def test_one_front_end_for_three_reductions(self, n, samples, seed, monkeypatch, capsys):
+        queries = []
+
+        def box(a):  # a black box, queried once per matrix
+            queries.append(np.array(a))
+            return remark1_map(a)
+
+        bat = verifiers._Battery(box, MatrixClass.PD, n, seed, samples)
+        shared = [bat.trace("square", 1e-9), bat.homogeneity(1e-8), bat.det(SUM, 1e-8, "det-sum")]
+        # phi(I) first, then A, B, A + B and the three lambda A, each once
+        assert np.array_equal(queries[0], np.eye(n)) and len(queries) == 1 + 6 * samples
+        queries.clear()
+        public = self._public(box, n, samples, seed)
+        assert len(queries) == 3 + 9 * samples
+        for mine, ref in zip(shared, public):
+            assert dumps_stable(mine.to_dict()) == dumps_stable(ref.to_dict())
+
+        # the command's report, rebuilt from the three public batteries, and its query count
+        queries.clear()
+        monkeypatch.setattr(cli, "NormConjugation", lambda scale: box if scale == 1.0 else None)
+        argv = ["counterexample", "--n", str(n), "--samples", str(samples), "--seed", str(seed)]
+        assert cli.main(argv) == 0 and len(queries) == 1 + 6 * samples
+        square, add, det = public
+        expected = {"command": "counterexample", "n": n, "samples": samples, "generator": "standard",
+                    "signature": {"trace-square": "pass", "additivity": "fail", "det-sum": "fail"},
+                    "trace_square_max_residual": square.max_residual,
+                    "additivity_max_residual": add.max_residual, "det_sum_max_residual": det.max_residual,
+                    "pass": True}
+        assert capsys.readouterr().out == dumps_stable(expected) + "\n"
+
+    def test_battery_is_freed_on_return(self):
+        # no reference cycle and no report holding it: refcounting frees it with its last reduction
+        p = random_canonical(PreserverForm.PN_CONGRUENCE, 3, 0)
+        bat = verifiers._Battery(p, MatrixClass.PD, 3, 1, 20)
+        reports = [bat.trace("product", 1e-8), bat.homogeneity(1e-8), bat.det(SUM, 1e-8, "det-sum")]
+        ref = weakref.ref(bat)
+        gc.disable()
+        try:
+            del bat
+            assert ref() is None and all(r.passed for r in reports)
+        finally:
+            gc.enable()
 
 
 class TestMinkowski:
